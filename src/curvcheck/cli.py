@@ -152,7 +152,7 @@ def cmd_thomson(args) -> int:
         inst = _problems.ThomsonInstance(k, "frame_fixed")
         tprob = _problems.ThomsonProblem(inst)
         energy = tprob.objective(point.x)
-        problem = tprob.as_problem(point.x, point.lam, fd_sigma=args.fd_sigma)
+        problem = tprob.as_problem(point.x, point.lam)
         if args.save_problems:
             # dense snapshot with the analytic Hessian so any method can be
             # replayed through `check`
@@ -218,16 +218,17 @@ def cmd_compare(args) -> int:
         reason = "" if verdict.reason is None else f" ({verdict.reason})"
         print(f"  {method:>16}: {verdict.status.value}{step}{reason}")
 
-    if problem.hessian is not None and problem.n <= 500:
+    H = problem.operator(options.fd_sigma).matrix
+    if H is not None and problem.n <= 500:
         from .linalg import null_space_basis
 
         basis = null_space_basis(problem.jacobian, "svd", tol_rank=0.0)
-        reduced = basis.matrix.T @ problem.hessian @ basis.matrix
+        reduced = basis.matrix.T @ H @ basis.matrix
         lam_min = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
         print(f"  {'eigen-oracle':>16}: "
               f"{'holds' if lam_min > 0 else 'fails'} "
               f"(min reduced eigenvalue {lam_min:.6g})")
-        K = _problems.build_kkt(problem.hessian, problem.jacobian)
+        K = _problems.build_kkt(H, problem.jacobian)
         eigs = np.abs(np.linalg.eigvalsh(K))
         if eigs.min() <= 1e-8 * max(eigs.max(), 1e-300):
             print("  warning: near-singular KKT matrix "

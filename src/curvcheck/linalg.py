@@ -3,11 +3,14 @@
 This module provides the low-level machinery the definiteness tests are
 built from:
 
-  - :class:`HessianOperator`: the action ``s -> H s`` backed by an explicit
-    dense matrix, a matrix-vector callback, or a directional finite
-    difference of a Lagrangian-gradient callback.
+  - :class:`HessianOperator`: the action ``s -> H s`` as one product
+    callable, built from an explicit dense matrix (kept, symmetrized once,
+    for the classical tests), a matrix-vector callback, or a directional
+    finite difference of a Lagrangian-gradient callback.
   - :func:`null_space_basis`: bases of ``null(A)`` via SVD, QR of ``A^T``,
-    QR of ``A``, or LU of ``A``.
+    QR of ``A``, or LU of ``A``, each guarded by the pivots of its own
+    factorization; :func:`check_full_rank` is the SVD guard for the tests
+    that need no basis.
   - :class:`NullSpaceProjector`: the orthogonal projector onto ``null(A)``
     intersected with the complement of appended columns, maintained through
     a QR factorization of ``A^T`` that is updated (not rebuilt) per append.
@@ -15,6 +18,9 @@ built from:
     symmetric borders, tracking determinant signs exactly.
   - :func:`ldl_factor`: symmetric-indefinite block LDL factorization with
     exact inertia extraction from the computed block-diagonal factor.
+
+Dense Hessians are symmetrized only in :meth:`HessianOperator.from_matrix`;
+the kernels below take their inputs as given.
 
 All operations are pure functions of their inputs except the operator's
 product counter.  Arrays are never modified in place by callers' views.
@@ -80,51 +86,59 @@ class SingularMinorError(RuntimeError):
 class HessianOperator:
     """The action ``s -> H s`` of a symmetric matrix, with product counting.
 
-    Three backing variants are supported:
+    Every operator is one product callable ``matvec`` on vectors of length
+    ``dimension``; the constructors differ only in the callable they build:
 
-    - explicit dense: ``H`` is stored (symmetrized on construction);
-    - callback: a user function computes ``H s`` directly;
-    - finite difference: ``H s`` is approximated from a Lagrangian-gradient
+    - :meth:`from_matrix` stores ``(H + H^T)/2`` in :attr:`matrix` and
+      multiplies by it.  This is the one place a dense Hessian is
+      symmetrized; the classical tests read :attr:`matrix` as is.
+    - :meth:`from_callback` calls a user function computing ``H s``.
+    - :meth:`from_gradient` approximates ``H s`` from a Lagrangian-gradient
       callback ``g`` as ``(|s|/h) * (g(x + h*s/|s|) - g(x))`` with step
       ``h = sigma * (1 + |x|_inf)``, an O(sigma) approximation.
 
+    :attr:`matrix` is None for the product-backed operators.
     ``product_count`` increases by one per single apply and by ``k`` per
     ``k``-column block apply.  Instances are safe to share across threads as
     long as user callbacks are reentrant; the counter uses plain integer
     increments.
     """
 
-    def __init__(self, dim: int):
+    def __init__(
+        self,
+        dim: int,
+        matvec: Callable[[np.ndarray], np.ndarray],
+        matrix: Optional[np.ndarray] = None,
+    ):
         if dim < 1:
             raise ValueError("operator dimension must be positive")
-        self._n = int(dim)
-        self._matrix = None
-        self._matvec = None
-        self._grad = None
+        self.dimension = int(dim)
+        self.matrix = matrix
+        self._matvec = matvec
         self.product_count = 0
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "HessianOperator":
-        """Wrap an explicit dense symmetric matrix (stored as (H+H^T)/2)."""
+        """Wrap an explicit dense matrix, stored as ``(H + H^T)/2``."""
         H = np.asarray(matrix, dtype=float)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise DimensionMismatchError("explicit Hessian must be square")
-        op = cls(H.shape[0])
-        op._matrix = 0.5 * (H + H.T)
-        op._matvec = None
-        op._grad = None
-        return op
+        H = 0.5 * (H + H.T)
+        return cls(H.shape[0], H.__matmul__, H)
 
     @classmethod
     def from_callback(cls, matvec: Callable[[np.ndarray], np.ndarray], dim: int) -> "HessianOperator":
         """Wrap a callback computing ``H s`` for an N-vector ``s``."""
-        op = cls(dim)
-        op._matrix = None
-        op._matvec = matvec
-        op._grad = None
-        return op
+
+        def checked(s: np.ndarray) -> np.ndarray:
+            out = np.asarray(matvec(s), dtype=float)
+            if out.shape != (dim,):
+                raise DimensionMismatchError("callback returned a wrong shape")
+            return out
+
+        return cls(dim, checked)
 
     @classmethod
     def from_gradient(
@@ -138,78 +152,54 @@ class HessianOperator:
 
         ``grad`` is called as ``grad(x, lam)`` when multipliers are given and
         ``grad(x)`` otherwise; it must return the gradient of the Lagrangian
-        at the supplied point with the multipliers held fixed.
+        at the supplied point with the multipliers held fixed.  ``g(x)`` is
+        evaluated once, at the first product, so ``k`` products cost ``k + 1``
+        gradient calls.
         """
-        x = np.asarray(x, dtype=float)
+        x = np.array(x, dtype=float)
         if sigma <= 0:
             raise ValueError("finite-difference scale sigma must be positive")
-        op = cls(x.size)
-        op._matrix = None
-        op._matvec = None
-        op._grad = grad
-        op._x = x.copy()
-        op._lam = None if lam is None else np.asarray(lam, dtype=float).copy()
-        op._sigma = float(sigma)
-        op._g0 = None
-        return op
+        extra = () if lam is None else (np.array(lam, dtype=float),)
+        h = float(sigma) * (1.0 + float(np.linalg.norm(x, np.inf)))
+        g0 = None
 
-    # -- properties ---------------------------------------------------------
+        def difference(s: np.ndarray) -> np.ndarray:
+            nonlocal g0
+            nrm = float(np.linalg.norm(s))
+            if nrm == 0.0:
+                raise ZeroDirectionError("finite differencing needs s != 0")
+            if g0 is None:
+                g0 = np.asarray(grad(x, *extra), dtype=float)
+            g1 = np.asarray(grad(x + (h / nrm) * s, *extra), dtype=float)
+            return (nrm / h) * (g1 - g0)
 
-    @property
-    def dimension(self) -> int:
-        return self._n
-
-    @property
-    def matrix(self) -> Optional[np.ndarray]:
-        """The stored dense matrix, or None for callback/FD variants."""
-        return getattr(self, "_matrix", None)
+        return cls(x.size, difference)
 
     # -- application --------------------------------------------------------
-
-    def _eval_grad(self, x: np.ndarray) -> np.ndarray:
-        if self._lam is None:
-            g = self._grad(x)
-        else:
-            g = self._grad(x, self._lam)
-        return np.asarray(g, dtype=float)
 
     def apply(self, s: np.ndarray) -> np.ndarray:
         """Return ``H s``; increments the product counter by one."""
         s = np.asarray(s, dtype=float)
-        if s.shape != (self._n,):
+        if s.shape != (self.dimension,):
             raise DimensionMismatchError(
-                f"expected vector of length {self._n}, got shape {s.shape}"
+                f"expected vector of length {self.dimension}, got shape {s.shape}"
             )
-        if self._matrix is not None:
-            out = self._matrix @ s
-        elif self._matvec is not None:
-            out = np.asarray(self._matvec(s), dtype=float)
-            if out.shape != (self._n,):
-                raise DimensionMismatchError("callback returned a wrong shape")
-        else:
-            nrm = float(np.linalg.norm(s))
-            if nrm == 0.0:
-                raise ZeroDirectionError("finite differencing needs s != 0")
-            if self._g0 is None:
-                self._g0 = self._eval_grad(self._x)
-            h = self._sigma * (1.0 + float(np.linalg.norm(self._x, np.inf)))
-            g1 = self._eval_grad(self._x + (h / nrm) * s)
-            out = (nrm / h) * (g1 - self._g0)
+        out = self._matvec(s)
         self.product_count += 1
         return out
 
     def apply_block(self, S: np.ndarray) -> np.ndarray:
         """Return ``H S`` for an N x k block; counter increases by ``k``."""
         S = np.asarray(S, dtype=float)
-        if S.ndim != 2 or S.shape[0] != self._n:
+        if S.ndim != 2 or S.shape[0] != self.dimension:
             raise DimensionMismatchError(
-                f"expected block with {self._n} rows, got shape {S.shape}"
+                f"expected block with {self.dimension} rows, got shape {S.shape}"
             )
-        if self._matrix is not None:
+        if self.matrix is not None:
             self.product_count += S.shape[1]
-            return self._matrix @ S
+            return self.matrix @ S
         cols = [self.apply(S[:, j]) for j in range(S.shape[1])]
-        return np.column_stack(cols) if cols else np.empty((self._n, 0))
+        return np.column_stack(cols) if cols else np.empty((self.dimension, 0))
 
     def materialize(self) -> np.ndarray:
         """Assemble a dense symmetric matrix from the operator.
@@ -218,9 +208,9 @@ class HessianOperator:
         operators apply the operator to all N coordinate directions (N
         products) and symmetrize the result.
         """
-        if self._matrix is not None:
-            return self._matrix.copy()
-        H = self.apply_block(np.eye(self._n))
+        if self.matrix is not None:
+            return self.matrix.copy()
+        H = self.apply_block(np.eye(self.dimension))
         return 0.5 * (H + H.T)
 
 
@@ -271,6 +261,15 @@ def _as_jacobian(A: np.ndarray) -> np.ndarray:
     return A
 
 
+def _check_pivots(pivots: np.ndarray, tol_rank: float, what: str) -> None:
+    """Raise :class:`RankDeficientError` when the smallest of ``pivots`` is at
+    or below ``tol_rank``; a nonpositive ``tol_rank`` disables the guard."""
+    if tol_rank > 0 and pivots.min(initial=np.inf) <= tol_rank:
+        raise RankDeficientError(
+            f"smallest {what} {pivots.min():.3e} <= tolerance {tol_rank:.3e}"
+        )
+
+
 def check_full_rank(A: np.ndarray, tol_rank: Optional[float] = None) -> None:
     """Raise :class:`RankDeficientError` when A is rank deficient to tol.
 
@@ -279,17 +278,11 @@ def check_full_rank(A: np.ndarray, tol_rank: Optional[float] = None) -> None:
     downstream factorizations).
     """
     A = _as_jacobian(A)
-    if A.shape[0] == 0:
-        return
     if tol_rank is None:
         tol_rank = default_rank_tolerance(A)
-    if tol_rank <= 0:
-        return
-    smin = float(np.linalg.svd(A, compute_uv=False)[-1])
-    if smin <= tol_rank:
-        raise RankDeficientError(
-            f"smallest singular value {smin:.3e} <= tolerance {tol_rank:.3e}"
-        )
+    # the SVD is only paid for when the guard is on
+    if A.shape[0] > 0 and tol_rank > 0:
+        _check_pivots(np.linalg.svd(A, compute_uv=False), tol_rank, "singular value")
 
 
 def null_space_basis(
@@ -328,32 +321,25 @@ def null_space_basis(
 
     if method == "svd":
         _, svals, Vt = np.linalg.svd(A, full_matrices=True)
-        if tol_rank > 0 and svals[-1] <= tol_rank:
-            raise RankDeficientError(f"sigma_min = {svals[-1]:.3e}")
+        _check_pivots(svals, tol_rank, "singular value")
         W = Vt[M:].T
         orthonormal = True
     elif method == "qr_at":
         Q, R = sla.qr(A.T, mode="full")
-        rdiag = np.abs(np.diag(R[:M, :M]))
-        if tol_rank > 0 and rdiag.min(initial=np.inf) <= tol_rank:
-            raise RankDeficientError(f"min |R_ii| = {rdiag.min():.3e}")
+        _check_pivots(np.abs(np.diag(R[:M, :M])), tol_rank, "|R_ii|")
         W = Q[:, M:]
         orthonormal = True
     elif method == "qr_a":
         Q, R = sla.qr(A, mode="economic")
         R1, S = R[:, :M], R[:, M:]
-        rdiag = np.abs(np.diag(R1))
-        if tol_rank > 0 and rdiag.min(initial=np.inf) <= tol_rank:
-            raise RankDeficientError(f"min |R_ii| = {rdiag.min():.3e}")
+        _check_pivots(np.abs(np.diag(R1)), tol_rank, "|R_ii|")
         T = sla.solve_triangular(R1, S, lower=False)
         W = np.vstack([-T, np.eye(L)])
         orthonormal = False
     else:  # lu_a
         _, _, U = sla.lu(A)
         U1, U2 = U[:, :M], U[:, M:]
-        udiag = np.abs(np.diag(U1))
-        if tol_rank > 0 and udiag.min(initial=np.inf) <= tol_rank:
-            raise RankDeficientError(f"min |U_ii| = {udiag.min():.3e}")
+        _check_pivots(np.abs(np.diag(U1)), tol_rank, "|U_ii|")
         T = sla.solve_triangular(U1, U2, lower=False)
         W = np.vstack([-T, np.eye(L)])
         orthonormal = False
@@ -385,7 +371,6 @@ class NullSpaceProjector:
         n, m = self._n, self._m
         self._refl = np.zeros((n, m))      # Householder vectors, column j
         self._tmat = np.zeros((m, m))      # triangular factor of the WY form
-        self._rdiag = np.zeros(m)
         self._ncols = 0
         self._k = 0
         if m > 0:
@@ -395,7 +380,6 @@ class NullSpaceProjector:
                 v[j] = 1.0
                 v[j + 1 :] = packed[j + 1 :, j]
                 self._grow_wy(v, float(tau[j]))
-            self._rdiag = np.abs(np.diag(packed[:m, :m]))
         self._ncols = m
 
     def _grow_wy(self, v: np.ndarray, beta: float) -> None:
@@ -438,10 +422,6 @@ class NullSpaceProjector:
     @property
     def jacobian(self) -> np.ndarray:
         return self._jacobian
-
-    def constraint_rank_diagonal(self) -> np.ndarray:
-        """|diag(R)| over the A^T part of the factorization (rank guard)."""
-        return self._rdiag[: self._m].copy()
 
     def project(self, r: np.ndarray) -> np.ndarray:
         """Project ``r`` onto the current subspace."""
@@ -688,7 +668,8 @@ def ldl_factor(K: np.ndarray) -> LdlFactorization:
     """Bunch-Kaufman block LDL factorization of a symmetric matrix.
 
     The factorization always completes; zero pivots surface as zero
-    eigenvalue counts in the inertia.
+    eigenvalue counts in the inertia.  ``K`` must be symmetric to a relative
+    1e-8; it is factored as given, from its lower triangle.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -696,6 +677,5 @@ def ldl_factor(K: np.ndarray) -> LdlFactorization:
     scale = float(np.linalg.norm(K, "fro"))
     if scale > 0 and float(np.linalg.norm(K - K.T, "fro")) > 1e-8 * scale:
         raise ValueError("matrix is not symmetric")
-    Ksym = 0.5 * (K + K.T)
-    lower, diag, perm = sla.ldl(Ksym, lower=True)
+    lower, diag, perm = sla.ldl(K, lower=True)
     return LdlFactorization(lower, diag, perm, _inertia_from_blocks(diag))

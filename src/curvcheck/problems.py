@@ -59,9 +59,12 @@ class CoincidentPointsError(ValueError):
 class Problem:
     """An equality-constrained curvature-test instance.
 
-    Exactly one Hessian representation must be usable: an explicit dense
-    matrix, a matrix-vector callback, or a Lagrangian-gradient callback
-    (finite differencing) together with the evaluation point.
+    The Hessian is given one of three ways, tried in this order by
+    :meth:`operator`: an explicit dense matrix ``hessian``, a matrix-vector
+    callback ``matvec``, or a Lagrangian-gradient callback ``gradient``
+    (finite differencing) together with the evaluation point ``x`` and
+    multipliers ``lam``.  ``hessian`` is kept as given; the operator
+    symmetrizes it.
     """
 
     jacobian: np.ndarray
@@ -73,17 +76,15 @@ class Problem:
     truth: Optional[bool] = None
     exact_basis: Optional[np.ndarray] = None
     provenance: Optional[dict] = None
-    fd_sigma: float = 1e-6
 
     def __post_init__(self):
         self.jacobian = _as_jacobian(self.jacobian)
         if self.hessian is not None:
-            H = np.asarray(self.hessian, dtype=float)
-            if H.shape != (self.n, self.n):
+            self.hessian = np.asarray(self.hessian, dtype=float)
+            if self.hessian.shape != (self.n, self.n):
                 raise ValueError(
-                    f"Hessian shape {H.shape} inconsistent with N={self.n}"
+                    f"Hessian shape {self.hessian.shape} inconsistent with N={self.n}"
                 )
-            self.hessian = 0.5 * (H + H.T)
         if self.x is not None:
             self.x = np.asarray(self.x, dtype=float)
         if self.lam is not None:
@@ -101,8 +102,9 @@ class Problem:
     def l(self) -> int:
         return self.n - self.m
 
-    def operator(self, sigma: Optional[float] = None) -> HessianOperator:
-        """A fresh Hessian operator (fresh product counter) for this problem."""
+    def operator(self, sigma: float) -> HessianOperator:
+        """A fresh Hessian operator (fresh product counter) for this problem;
+        ``sigma`` is the finite-difference scale of a gradient-backed one."""
         if self.hessian is not None:
             return HessianOperator.from_matrix(self.hessian)
         if self.matvec is not None:
@@ -111,16 +113,9 @@ class Problem:
             if self.x is None:
                 raise ValueError("gradient-backed problem needs a base point x")
             return HessianOperator.from_gradient(
-                self.gradient, self.x, self.lam, sigma or self.fd_sigma
+                self.gradient, self.x, self.lam, sigma
             )
         raise ValueError("problem has no Hessian representation")
-
-    def dense_hessian(self) -> np.ndarray:
-        """Explicit symmetric Hessian, materialized from the operator if
-        needed (N operator applications)."""
-        if self.hessian is not None:
-            return self.hessian
-        return self.operator().materialize()
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +418,7 @@ class ThomsonProblem:
             H[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] -= lam[i] * np.eye(3)
         return H
 
-    def as_problem(self, x: np.ndarray, lam: np.ndarray, fd_sigma: float = 1e-6) -> Problem:
+    def as_problem(self, x: np.ndarray, lam: np.ndarray) -> Problem:
         """Gradient-backed (finite-difference) problem at a stationary point."""
         x = np.asarray(x, dtype=float)
         lam = np.asarray(lam, dtype=float)
@@ -432,7 +427,6 @@ class ThomsonProblem:
             gradient=self.lagrangian_gradient,
             x=x,
             lam=lam,
-            fd_sigma=fd_sigma,
             provenance={"kind": "thomson", "k": self.instance.k,
                         "variant": self.instance.variant},
         )

@@ -479,12 +479,14 @@ def continued_pcg(
 
 
 def _dense_hessian(hessian: Union[HessianOperator, np.ndarray]) -> np.ndarray:
-    if isinstance(hessian, HessianOperator):
-        return hessian.materialize()
-    H = np.asarray(hessian, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise DimensionMismatchError("Hessian must be square")
-    return 0.5 * (H + H.T)
+    """The operator's stored matrix, read without a copy, or the matrix
+    assembled from N products; a bare array goes through
+    :meth:`HessianOperator.from_matrix` like any dense Hessian."""
+    if not isinstance(hessian, HessianOperator):
+        hessian = HessianOperator.from_matrix(hessian)
+    if hessian.matrix is not None:
+        return hessian.matrix
+    return hessian.materialize()
 
 
 def bordered_hessian_test(
@@ -592,9 +594,10 @@ def verify(
 ) -> SoscVerdict:
     """Run one verification method on a problem.
 
-    Builds the basis or projector the method needs, materializes the
-    Hessian only for the two classical tests, and attaches wall time and
-    the operator-product count to the verdict diagnostics.  Rank-deficient
+    Builds the Hessian operator and the basis or projector the method
+    needs, hands the two classical tests that same operator (they read its
+    dense matrix, or materialize a product-backed one), and attaches wall
+    time and the operator-product count to the verdict diagnostics.  Rank-deficient
     constraints (failed LICQ guard) produce an ERROR verdict rather than
     an exception.
     """
@@ -627,14 +630,8 @@ def verify(
             )
         else:
             check_full_rank(problem.jacobian, options.tol_rank)
-            H = problem.hessian if problem.hessian is not None else hessian.materialize()
-            if method == "bht":
-                verdict = bordered_hessian_test(H, problem.jacobian)
-            else:
-                verdict = inertia_test(H, problem.jacobian)
-            verdict.diagnostics.setdefault(
-                "operator_products", hessian.product_count
-            )
+            runner = bordered_hessian_test if method == "bht" else inertia_test
+            verdict = runner(hessian, problem.jacobian)
     except RankDeficientError as exc:
         verdict = SoscVerdict(
             Status.ERROR, reason="rank_deficient", diagnostics={"detail": str(exc)}

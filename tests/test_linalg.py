@@ -102,6 +102,34 @@ class TestHessianOperator:
         op = HessianOperator.from_callback(lambda s: H @ s, 2)
         np.testing.assert_allclose(op.materialize(), H, atol=1e-14)
 
+    def test_fd_gradient_calls(self):
+        # g(x) is evaluated once, at the first product: k products cost
+        # k + 1 gradient calls
+        x0 = np.array([0.5, -2.0, 1.0])
+        calls = []
+
+        def grad(x):
+            calls.append(np.array(x))
+            return 2.0 * x
+
+        op = HessianOperator.from_gradient(grad, x0)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            op.apply(rng.standard_normal(3))
+        op.apply_block(rng.standard_normal((3, 2)))
+        assert op.product_count == 5
+        assert len(calls) == 6
+        np.testing.assert_array_equal(calls[0], x0)
+        assert not any(np.array_equal(c, x0) for c in calls[1:])
+
+    def test_constructor_needs_product(self):
+        with pytest.raises(TypeError):
+            HessianOperator(3)
+        op = HessianOperator(3, lambda s: 2.0 * s)
+        np.testing.assert_array_equal(op.apply(np.ones(3)), np.full(3, 2.0))
+        assert op.matrix is None
+        assert op.product_count == 1
+
 
 # ---------------------------------------------------------------------------
 # Null-space bases

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from curvcheck.linalg import (
     HessianOperator,
     NullSpaceBasis,
     NullSpaceProjector,
+    default_rank_tolerance,
     null_space_basis,
 )
 from curvcheck.problems import GeneratorSpec, Problem, generate, near_rank_deficient_kkt
@@ -386,6 +388,56 @@ class TestVerify:
         )
         verdict = verify(problem, "cholesky", VerifyOptions(tol_rank=0.0))
         assert verdict.reason != "rank_deficient"
+
+    def test_rank_guard_keeps_inertia_from_a_wrong_fails(self):
+        # full rank but ill-conditioned: the SVD guard trips, the unpivoted
+        # QR of A^T would not, and unguarded inertia misreads the KKT matrix
+        problem = generate(GeneratorSpec(n=50, m=30, p=22, seed=1844278217))
+        A = problem.jacobian
+        assert problem.truth
+        tol = default_rank_tolerance(A)
+        smin = np.linalg.svd(A, compute_uv=False)[-1]
+        rmin = np.abs(np.diag(sla.qr(A.T, mode="r")[0][:30, :30])).min()
+        assert np.linalg.cond(A) == pytest.approx(1.1e10, rel=0.05)
+        assert smin == pytest.approx(4.9e-9, rel=0.05)
+        assert tol == pytest.approx(1.4e-6, rel=0.05)
+        assert rmin == pytest.approx(2.2e-5, rel=0.05)
+        assert smin <= tol < rmin
+        assert verify(problem, "inertia").status is not Status.FAILS
+        unguarded = verify(problem, "inertia", VerifyOptions(tol_rank=0.0))
+        assert unguarded.status is Status.FAILS
+        assert unguarded.diagnostics["inertia"] == (49, 31, 0)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("p", [30, 12])
+    def test_nonsymmetric_hessian_reads_as_its_symmetric_part(self, method, p):
+        base = generate(GeneratorSpec(n=30, m=10, p=p, seed=5))
+        K = np.random.default_rng(5).standard_normal((30, 30))
+        H = base.hessian + (K - K.T)
+        plain = verify(Problem(base.jacobian, H), method)
+        symmetric = verify(Problem(base.jacobian, (H + H.T) / 2), method)
+        assert plain.holds == base.truth
+        assert plain.status == symmetric.status
+        assert plain.step == symmetric.step
+        assert (plain.diagnostics["operator_products"]
+                == symmetric.diagnostics["operator_products"])
+
+    def test_fd_sigma_option_sets_the_step(self):
+        x0 = np.array([3.0, -1.0, 0.5, 2.0])
+        points = []
+
+        def grad(x):
+            points.append(np.array(x))
+            return np.array([1.0, 2.0, 3.0, 4.0]) * x
+
+        problem = Problem(jacobian=np.array([[1.0, 1.0, 0.0, 0.0]]),
+                          gradient=grad, x=x0)
+        verdict = verify(problem, "cholesky", VerifyOptions(fd_sigma=1e-3))
+        assert verdict.status is Status.HOLDS
+        assert len(points) == verdict.diagnostics["operator_products"] + 1
+        np.testing.assert_array_equal(points[0], x0)
+        steps = [np.linalg.norm(p - x0) for p in points[1:]]
+        np.testing.assert_allclose(steps, 1e-3 * (1.0 + 3.0), rtol=1e-9)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_cross_method_agreement_with_oracle(self, seed):
