@@ -96,7 +96,8 @@ def run_trial(
                 method=method,
                 verdict=verdict.status.value,
                 truth=problem.truth,
-                agree=(verdict.status is Status.HOLDS) == problem.truth,
+                agree=(None if problem.truth is None
+                       else (verdict.status is Status.HOLDS) == problem.truth),
                 wall_time_s=float(np.median(times)),
                 operator_products=int(verdict.diagnostics.get("operator_products", 0)),
                 continuations=int(verdict.diagnostics.get("continuations", 0)),

@@ -47,6 +47,15 @@ def _int_list(raw: str):
     return [int(tok) for tok in raw.split(",") if tok.strip()]
 
 
+def _positive_float(raw: str) -> float:
+    value = float(raw)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {raw!r}"
+        )
+    return value
+
+
 def _options_from_args(args) -> VerifyOptions:
     return VerifyOptions(
         variant=args.variant,
@@ -62,7 +71,9 @@ def _options_from_args(args) -> VerifyOptions:
 
 def _add_tolerance_args(parser):
     parser.add_argument("--variant", choices=["modified", "classical"],
-                        default="modified")
+                        default="modified",
+                        help="Gram-Schmidt variant of diagonalization; "
+                             "the other methods ignore it")
     parser.add_argument("--basis-method", choices=["qr_at", "svd", "qr_a", "lu_a"],
                         default="qr_at")
     parser.add_argument("--tol-alpha", type=float, default=0.0)
@@ -71,7 +82,7 @@ def _add_tolerance_args(parser):
     parser.add_argument("--tol-rank", type=float, default=None,
                         help="constraint rank guard; 0 disables, default scales "
                              "with the Jacobian norm")
-    parser.add_argument("--fd-sigma", type=float, default=1e-6)
+    parser.add_argument("--fd-sigma", type=_positive_float, default=1e-6)
     parser.add_argument("--seed", type=int, default=0)
 
 

@@ -8,8 +8,8 @@ inconclusive.
 
 The three matrix-free tests need only products ``s -> H s``:
 
-  - :func:`implicit_cholesky` runs the pivot recurrence of the Cholesky
-    factorization of the reduced matrix ``W^T H W`` without forming it;
+  - :func:`implicit_cholesky` forms the reduced matrix ``W^T H W`` from one
+    block product and reads its Cholesky pivots from LAPACK ``dpotrf``;
   - :func:`diagonalization` obliquely conjugates the basis so the reduced
     matrix becomes diagonal, one product per step;
   - :func:`continued_pcg` runs projected conjugate gradients and restarts
@@ -37,6 +37,8 @@ import time
 from typing import Optional, Union
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from . import problems as _problems
 from .linalg import (
@@ -56,11 +58,9 @@ from .linalg import (
 __all__ = [
     "Status",
     "SoscVerdict",
-    "CholeskyTrace",
     "VerifyOptions",
     "METHODS",
     "implicit_cholesky",
-    "cholesky_negative_direction",
     "diagonalization",
     "continued_pcg",
     "bordered_hessian_test",
@@ -99,19 +99,6 @@ class SoscVerdict:
     @property
     def holds(self) -> bool:
         return self.status is Status.HOLDS
-
-
-@dataclasses.dataclass
-class CholeskyTrace:
-    """Pivots and the triangular array of inner products of a Cholesky run.
-
-    ``cross[m, k]`` holds the inner product of the m-th conjugated vector
-    with the k-th basis column, stored as computed so the failure direction
-    needs no recomputation.
-    """
-
-    alphas: np.ndarray
-    cross: np.ndarray
 
 
 def _feasibility_defect(A: Optional[np.ndarray], d: np.ndarray) -> float:
@@ -169,25 +156,23 @@ def _classify(alpha: float, scale: float, tol_alpha: float) -> int:
 def implicit_cholesky(
     hessian: HessianOperator,
     basis: NullSpaceBasis,
-    variant: str = "modified",
     tol_alpha: float = 0.0,
     tol_feas: float = 1e-8,
 ) -> SoscVerdict:
-    """Pivot recurrence of the reduced Cholesky factorization, matrix-free.
+    """Cholesky factorization of the reduced matrix ``W^T H W``.
 
     The reduced matrix is positive definite exactly when every pivot is
     positive.  The Hessian is applied to the whole basis at once (L
-    products); the Gram-Schmidt style elimination then works on the
-    product block.  The "modified" variant subtracts each finished vector
-    from all later ones immediately; the "classical" variant accumulates
-    the subtractions when a vector is reached.  On a negative pivot the
-    stored trace is back-substituted into a feasible direction of negative
-    curvature; a pivot at the boundary (within ``tol_alpha`` of zero,
-    scaled) yields an inconclusive ERROR since definiteness is neither
-    verified nor refuted.
+    products), the reduced matrix comes from one block product, and LAPACK
+    ``dpotrf`` factors it; the pivots are the squared diagonal of the
+    triangular factor.  ``dpotrf`` stops at the first nonpositive pivot,
+    which is then recomputed from the partial factor so ``tol_alpha``
+    applies to it; two triangular solves turn the partial factor into a
+    feasible direction of negative curvature whose curvature is that
+    pivot.  A pivot at the boundary (within ``tol_alpha`` of zero, scaled)
+    or a non-finite pivot yields an inconclusive ERROR since definiteness
+    is neither verified nor refuted.
     """
-    if variant not in ("modified", "classical"):
-        raise ValueError("variant must be 'modified' or 'classical'")
     W = basis.matrix
     N, L = W.shape
     if hessian.dimension != N:
@@ -195,71 +180,52 @@ def implicit_cholesky(
 
     start = hessian.product_count
     V = hessian.apply_block(W)
-    alphas = np.zeros(L)
-    cross = np.zeros((L, L))
+    # the upper triangle of V^T W holds (H w_i) . w_j for i <= j, the inner
+    # products of the modified elimination recurrence; a finite-difference
+    # product block is not exactly symmetric, and this keeps its pivots
+    R = V.T @ W
+    U, info = dpotrf(R, lower=0, clean=0)
+    k = info - 1 if info > 0 else L
+    alphas = np.diag(U)[:k] ** 2
+    thresh = 0.0
+    if tol_alpha > 0:
+        # scale |w_n| |v_n| of each pivot, v_n being the n-th column of H W
+        # after elimination: V U^-1 diag(U)
+        Y = solve_triangular(U[:k, :k], V[:, :k].T, trans="T", check_finite=False)
+        scales = np.linalg.norm(W[:, :k], axis=0) * np.linalg.norm(Y, axis=1)
+        thresh = tol_alpha * scales * np.abs(np.diag(U)[:k])
+    # OpenBLAS dpotrf does not stop at a NaN pivot
+    rejected = np.flatnonzero(~(np.isfinite(alphas) & (alphas > thresh)))
 
-    failing = None
-    boundary = None
-    for n in range(L):
-        if variant == "classical" and n > 0:
-            # pivot numerators use the fixed basis column, so the whole
-            # inner loop collapses to one block operation
-            g = V[:, :n].T @ W[:, n]
-            cross[:n, n] = g
-            V[:, n] -= V[:, :n] @ (g / alphas[:n])
-        alpha = float(W[:, n] @ V[:, n])
-        scale = float(np.linalg.norm(W[:, n]) * np.linalg.norm(V[:, n]))
-        alphas[n] = alpha
-        kind = _classify(alpha, scale, tol_alpha)
-        if kind < 0:
-            failing = n
-            break
-        if kind == 0:
-            boundary = n
-            break
-        if variant == "modified" and n + 1 < L:
-            g = V[:, n] @ W[:, n + 1 :]
-            cross[n, n + 1 :] = g
-            V[:, n + 1 :] -= np.outer(V[:, n], g / alpha)
-
-    trace = CholeskyTrace(alphas, cross)
     diagnostics = {"operator_products": hessian.product_count - start}
-    if boundary is not None:
-        diagnostics["alpha"] = alphas[boundary]
+    if rejected.size:
+        diagnostics["alpha"] = alphas[rejected[0]]
         return SoscVerdict(
-            Status.ERROR, step=boundary + 1, reason="semidefinite_boundary",
-            diagnostics=diagnostics,
+            Status.ERROR, step=int(rejected[0]) + 1,
+            reason="semidefinite_boundary", diagnostics=diagnostics,
         )
-    if failing is None:
+    if k == L:
         diagnostics["alphas"] = alphas
         return SoscVerdict(Status.HOLDS, diagnostics=diagnostics)
 
-    d = cholesky_negative_direction(trace, W, failing + 1)
+    t = solve_triangular(U[:k, :k], R[:k, k], trans="T", check_finite=False)
+    s = solve_triangular(U[:k, :k], t, check_finite=False)
+    alpha = float(R[k, k] - t @ t)
+    scale = float(np.linalg.norm(W[:, k]) * np.linalg.norm(V[:, k] - V[:, :k] @ s))
+    diagnostics["alpha"] = alpha
+    if _classify(alpha, scale, tol_alpha) >= 0:
+        # dpotrf and the recomputation disagree on the sign, or the pivot
+        # is within tolerance of zero
+        return SoscVerdict(
+            Status.ERROR, step=k + 1, reason="semidefinite_boundary",
+            diagnostics=diagnostics,
+        )
+    d = W[:, k] - W[:, :k] @ s
     verdict = _certified_failure(
-        hessian, basis.jacobian, d, failing + 1, tol_feas, diagnostics
+        hessian, basis.jacobian, d, k + 1, tol_feas, diagnostics
     )
     verdict.diagnostics["operator_products"] = hessian.product_count - start
-    verdict.diagnostics["alpha"] = alphas[failing]
     return verdict
-
-
-def cholesky_negative_direction(trace: CholeskyTrace, W: np.ndarray, n: int) -> np.ndarray:
-    """Back-substitute the stored trace into the failure direction.
-
-    For a negative pivot at (1-based) step ``n`` the direction is a
-    combination of the first ``n`` basis columns with trailing coefficient
-    one; the earlier coefficients come from back substitution through the
-    triangular array of stored inner products, which makes the direction's
-    curvature equal the failing pivot.
-    """
-    idx = n - 1
-    if trace.alphas[idx] >= 0:
-        raise ValueError("trace does not fail at the requested step")
-    s = np.zeros(n)
-    s[idx] = 1.0
-    for m in range(idx - 1, -1, -1):
-        s[m] = -(trace.cross[m, m + 1 : n] @ s[m + 1 :]) / trace.alphas[m]
-    return W[:, :n] @ s
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +538,8 @@ def inertia_test(
 class VerifyOptions:
     """Tolerances and method switches shared by the verifiers.
 
+    ``variant`` ("modified" or "classical" Gram-Schmidt) applies to
+    ``diagonalization`` only; the other methods ignore it.
     ``tol_rank=None`` selects the scaled default constraint-rank guard;
     zero disables the guard so the tests run on whatever the factorizations
     produce (the benchmark harness does this to expose round-off behavior).
@@ -615,11 +583,16 @@ def verify(
             basis = null_space_basis(
                 problem.jacobian, options.basis_method, options.tol_rank
             )
-            runner = implicit_cholesky if method == "cholesky" else diagonalization
-            verdict = runner(
-                hessian, basis, variant=options.variant,
-                tol_alpha=options.tol_alpha, tol_feas=options.tol_feas,
-            )
+            if method == "cholesky":
+                verdict = implicit_cholesky(
+                    hessian, basis, tol_alpha=options.tol_alpha,
+                    tol_feas=options.tol_feas,
+                )
+            else:
+                verdict = diagonalization(
+                    hessian, basis, variant=options.variant,
+                    tol_alpha=options.tol_alpha, tol_feas=options.tol_feas,
+                )
         elif method == "pcg":
             check_full_rank(problem.jacobian, options.tol_rank)
             projector = NullSpaceProjector(problem.jacobian)

@@ -110,6 +110,19 @@ class TestBench:
         methods = {row[5] for row in rows[1:]}
         assert methods == {"cholesky", "inertia"}
 
+    def test_no_truth_leaves_truth_and_agree_empty(self, tmp_path, monkeypatch):
+        from curvcheck import bench
+
+        monkeypatch.setattr(bench, "generate", lambda spec: Problem(
+            jacobian=np.array([[0.0, 0.0, 1.0]]), hessian=np.eye(3)))
+        records = bench.run_trial(3, 1, 3, "well", seed=0, methods=("cholesky",))
+        assert records[0].truth is None and records[0].agree is None
+        out = tmp_path / "no_truth.csv"
+        bench.write_csv(records, out)
+        header, row = list(csv.reader(open(out)))
+        assert row[header.index("truth")] == ""
+        assert row[header.index("agree")] == ""
+
     def test_rejects_tiny_sizes(self, tmp_path):
         with pytest.raises(ValueError):
             main(["bench", "--n-list", "3", "--trials-per-n", "1",
@@ -168,6 +181,14 @@ class TestThomsonCommand:
         assert problem.n == 9 and problem.m == 6
         # the snapshot verifies through the file-based front end too
         assert main(["check", str(saved), "--method", "inertia"]) == 0
+
+
+    @pytest.mark.parametrize("sigma", ["0", "-1e-6", "nan", "inf", "abc"])
+    def test_fd_sigma_must_be_positive_and_finite(self, sigma, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["thomson", "--k-list", "4", "--fd-sigma", sigma])
+        assert exc.value.code == 2
+        assert "--fd-sigma" in capsys.readouterr().err
 
 
 class TestWorkerCount:

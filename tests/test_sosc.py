@@ -16,8 +16,8 @@ from curvcheck.sosc import (
     METHODS,
     Status,
     VerifyOptions,
+    _certified_failure,
     bordered_hessian_test,
-    cholesky_negative_direction,
     continued_pcg,
     diagonalization,
     implicit_cholesky,
@@ -36,6 +36,43 @@ def op(H):
     return HessianOperator.from_matrix(np.asarray(H, dtype=float))
 
 
+def reference_cholesky(hessian, basis, tol_alpha=0.0, tol_feas=1e-8):
+    """The modified pivot recurrence of the reduced Cholesky factorization,
+    one rank-1 update per step, kept as the oracle for the LAPACK kernel.
+
+    Returns the verdict and the pivots computed."""
+    W = basis.matrix
+    N, L = W.shape
+    start = hessian.product_count
+    V = hessian.apply_block(W)
+    alphas = np.zeros(L)
+    cross = np.zeros((L, L))
+    for n in range(L):
+        alpha = float(W[:, n] @ V[:, n])
+        scale = float(np.linalg.norm(W[:, n]) * np.linalg.norm(V[:, n]))
+        alphas[n] = alpha
+        thresh = tol_alpha * scale
+        if not alpha > thresh:
+            break
+        if n + 1 < L:
+            g = V[:, n] @ W[:, n + 1 :]
+            cross[n, n + 1 :] = g
+            V[:, n + 1 :] -= np.outer(V[:, n], g / alpha)
+    else:
+        return Status.HOLDS, None, None, hessian.product_count - start, alphas
+    if not alpha < -thresh:
+        return (Status.ERROR, n + 1, "semidefinite_boundary",
+                hessian.product_count - start, alphas[: n + 1])
+    s = np.zeros(n + 1)
+    s[n] = 1.0
+    for m in range(n - 1, -1, -1):
+        s[m] = -(cross[m, m + 1 : n + 1] @ s[m + 1 :]) / alphas[m]
+    verdict = _certified_failure(hessian, basis.jacobian, W[:, : n + 1] @ s,
+                                 n + 1, tol_feas, {})
+    return (verdict.status, n + 1, verdict.reason,
+            hessian.product_count - start, alphas[: n + 1])
+
+
 def eigen_oracle(problem):
     """Sign of the smallest reduced eigenvalue over the exact basis."""
     W = problem.exact_basis
@@ -49,18 +86,14 @@ def eigen_oracle(problem):
 
 
 class TestImplicitCholesky:
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_identity_holds(self, variant):
-        verdict = implicit_cholesky(op(np.eye(3)), adhoc_basis(np.eye(3)[:, :2]),
-                                    variant=variant)
+    def test_identity_holds(self):
+        verdict = implicit_cholesky(op(np.eye(3)), adhoc_basis(np.eye(3)[:, :2]))
         assert verdict.status is Status.HOLDS
         np.testing.assert_allclose(verdict.diagnostics["alphas"], [1.0, 1.0])
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_indefinite_fails_with_direction(self, variant):
+    def test_indefinite_fails_with_direction(self):
         H = np.diag([1.0, -1.0, 1.0])
-        verdict = implicit_cholesky(op(H), adhoc_basis(np.eye(3)[:, :2]),
-                                    variant=variant)
+        verdict = implicit_cholesky(op(H), adhoc_basis(np.eye(3)[:, :2]))
         assert verdict.status is Status.FAILS
         assert verdict.step == 2
         d = verdict.direction / np.linalg.norm(verdict.direction)
@@ -83,16 +116,15 @@ class TestImplicitCholesky:
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("seed", range(6))
     def test_direction_curvature_equals_pivot(self, variant, seed):
+        # variant selects diagonalization's recurrence; cholesky ignores it
         problem = generate(GeneratorSpec(n=20, m=6, p=int(seed % 13), seed=seed))
-        basis = null_space_basis(problem.jacobian)
-        hessian = op(problem.hessian)
-        verdict = implicit_cholesky(hessian, basis, variant=variant)
-        if verdict.status is Status.FAILS:
-            alpha = verdict.diagnostics["alpha"]
-            assert verdict.curvature == pytest.approx(alpha, rel=1e-8)
-            d = verdict.direction
-            feas = np.abs(problem.jacobian @ d).max()
-            assert feas <= 1e-8 * np.linalg.norm(d) * np.linalg.norm(problem.jacobian)
+        verdict = verify(problem, "cholesky", VerifyOptions(variant=variant))
+        assert verdict.status is Status.FAILS
+        alpha = verdict.diagnostics["alpha"]
+        assert verdict.curvature == pytest.approx(alpha, rel=1e-8)
+        d = verdict.direction
+        feas = np.abs(problem.jacobian @ d).max()
+        assert feas <= 1e-8 * np.linalg.norm(d) * np.linalg.norm(problem.jacobian)
 
     def test_generator_truth(self):
         holds = generate(GeneratorSpec(n=10, m=4, p=6, seed=0))
@@ -102,12 +134,73 @@ class TestImplicitCholesky:
         assert not implicit_cholesky(op(fails.hessian),
                                      null_space_basis(fails.jacobian)).holds
 
-    def test_trace_direction_requires_negative_pivot(self):
-        from curvcheck.sosc import CholeskyTrace
+    def test_matches_reference_recurrence(self):
+        # seeded draws across sizes, conditioning and pivot tolerances; the
+        # two larger tolerances reach the boundary path.  One operator per
+        # draw carries a small skew part, as a finite-difference one does.
+        paths = set()
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 151))
+            m = int(rng.integers(1, n))
+            p = int(rng.integers(0, n + 1))
+            conditioning = ("well", "ill")[seed % 2]
+            problem = generate(GeneratorSpec(n=n, m=m, p=p, seed=seed,
+                                             conditioning=conditioning))
+            basis = null_space_basis(problem.jacobian, tol_rank=0.0)
+            K = rng.standard_normal((n, n))
+            skewed = problem.hessian + 1e-6 * (K - K.T)
+            for tol_alpha in (0.0, 1e-3, 3e-2):
+                for hessian in (lambda: op(problem.hessian),
+                                lambda: HessianOperator.from_callback(
+                                    skewed.__matmul__, n)):
+                    status, step, reason, products, alphas = reference_cholesky(
+                        hessian(), basis, tol_alpha)
+                    verdict = implicit_cholesky(hessian(), basis, tol_alpha)
+                    assert (verdict.status, verdict.step, verdict.reason) == (
+                        status, step, reason), (seed, tol_alpha)
+                    assert verdict.diagnostics["operator_products"] == products
+                    got = verdict.diagnostics.get("alphas")
+                    if got is None:
+                        got = verdict.diagnostics["alpha"]
+                        alphas = alphas[-1]
+                    np.testing.assert_allclose(got, alphas, rtol=1e-9)
+                    paths.add((reason or status.value, tol_alpha))
+        assert paths >= {("holds", 0.0), ("fails", 0.0),
+                         ("semidefinite_boundary", 1e-3),
+                         ("semidefinite_boundary", 3e-2)}
 
-        trace = CholeskyTrace(np.array([1.0, 2.0]), np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            cholesky_negative_direction(trace, np.eye(2), 2)
+    @pytest.mark.parametrize("n", [10, 300])
+    @pytest.mark.parametrize("entry, value", [
+        ("first", np.nan), ("last", np.nan), ("off", np.nan), ("middle", np.inf),
+    ])
+    def test_non_finite_hessian_is_boundary_at_step_one(self, n, entry, value):
+        problem = generate(GeneratorSpec(n=n, m=n // 5, p=n, seed=n))
+        i, j = {"first": (0, 0), "last": (n - 1, n - 1), "off": (1, n - 2),
+                "middle": (n // 2, n // 2)}[entry]
+        H = problem.hessian.copy()
+        H[i, j] = value
+        verdict = verify(Problem(problem.jacobian, H), "cholesky")
+        assert verdict.status is Status.ERROR
+        assert verdict.reason == "semidefinite_boundary"
+        assert verdict.step == 1
+
+    def test_huge_finite_hessian_holds(self):
+        # products whose 2-norm overflows leave the pivots finite; at
+        # tol_alpha = 0 only their signs count
+        problem = generate(GeneratorSpec(n=12, m=3, p=12, seed=4))
+        scaled = Problem(problem.jacobian, 1e200 * problem.hessian)
+        assert verify(scaled, "cholesky").status is Status.HOLDS
+
+    def test_non_finite_product_is_boundary_at_its_step(self):
+        def matvec(s):
+            return np.full(5, np.nan) if s[2] != 0 else 2.0 * s
+
+        hessian = HessianOperator.from_callback(matvec, 5)
+        verdict = implicit_cholesky(hessian, adhoc_basis(np.eye(5)[:, :3]))
+        assert verdict.status is Status.ERROR
+        assert verdict.reason == "semidefinite_boundary"
+        assert verdict.step == 3
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +554,10 @@ class TestVerify:
 
     def test_classical_variants_cross_check(self):
         problem = generate(GeneratorSpec(n=30, m=10, p=12, seed=9))
-        for method in ("cholesky", "diagonalization"):
-            modified = verify(problem, method, VerifyOptions(variant="modified"))
-            classical = verify(problem, method, VerifyOptions(variant="classical"))
-            assert modified.status == classical.status
+        method = "diagonalization"
+        modified = verify(problem, method, VerifyOptions(variant="modified"))
+        classical = verify(problem, method, VerifyOptions(variant="classical"))
+        assert modified.status == classical.status
 
     def test_fd_backed_thomson_holds(self):
         from curvcheck.stationary import solve_thomson
