@@ -86,12 +86,19 @@ def eigen_oracle(problem):
 
 
 class TestImplicitCholesky:
-    def test_identity_holds(self):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_identity_holds(self, variant):
         verdict = implicit_cholesky(op(np.eye(3)), adhoc_basis(np.eye(3)[:, :2]))
         assert verdict.status is Status.HOLDS
         np.testing.assert_allclose(verdict.diagnostics["alphas"], [1.0, 1.0])
+        # variant selects diagonalization's recurrence; cholesky ignores it
+        problem = Problem(jacobian=np.array([[0.0, 0.0, 1.0]]), hessian=np.eye(3))
+        via_verify = verify(problem, "cholesky", VerifyOptions(variant=variant))
+        assert via_verify.status is Status.HOLDS
+        np.testing.assert_allclose(via_verify.diagnostics["alphas"], [1.0, 1.0])
 
-    def test_indefinite_fails_with_direction(self):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_indefinite_fails_with_direction(self, variant):
         H = np.diag([1.0, -1.0, 1.0])
         verdict = implicit_cholesky(op(H), adhoc_basis(np.eye(3)[:, :2]))
         assert verdict.status is Status.FAILS
@@ -99,6 +106,13 @@ class TestImplicitCholesky:
         d = verdict.direction / np.linalg.norm(verdict.direction)
         np.testing.assert_allclose(np.abs(d), [0.0, 1.0, 0.0], atol=1e-14)
         assert verdict.curvature == pytest.approx(-1.0)
+        # the same verdict through verify, whichever variant is asked for
+        problem = Problem(jacobian=np.array([[0.0, 0.0, 1.0]]), hessian=H)
+        via_verify = verify(problem, "cholesky", VerifyOptions(variant=variant))
+        assert via_verify.status is Status.FAILS
+        d = via_verify.direction / np.linalg.norm(via_verify.direction)
+        np.testing.assert_allclose(np.abs(d), [0.0, 1.0, 0.0], atol=1e-14)
+        assert via_verify.curvature == pytest.approx(-1.0)
 
     def test_failure_at_first_step_returns_first_column(self):
         verdict = implicit_cholesky(op(-np.eye(2)), adhoc_basis(np.eye(2)[:, :1]))
