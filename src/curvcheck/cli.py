@@ -111,7 +111,7 @@ def cmd_check(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    method = _canonical_method(args.method)
+    method = args.method
     verdict = verify(problem, method, _options_from_args(args))
     _print_verdict(verdict, method)
     if verdict.direction is not None:
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="verify one problem file")
     p_check.add_argument("problem")
-    p_check.add_argument("--method", default="cholesky")
+    p_check.add_argument("--method", type=_canonical_method, default="cholesky")
     p_check.add_argument("--direction-out", default=None)
     _add_tolerance_args(p_check)
     p_check.set_defaults(func=cmd_check)

@@ -15,7 +15,9 @@ built from:
     intersected with the complement of appended columns, maintained through
     a QR factorization of ``A^T`` that is updated (not rebuilt) per append.
   - :class:`BorderedLu`: an LU factorization of a matrix that grows by
-    symmetric borders, tracking determinant signs exactly.
+    symmetric borders, tracking determinant signs exactly; a border of k
+    columns is absorbed at once through the Cholesky factor of its Schur
+    complement.
   - :func:`ldl_factor`: symmetric-indefinite block LDL factorization with
     exact inertia extraction from the computed block-diagonal factor.
 
@@ -475,16 +477,22 @@ class NullSpaceProjector:
 class BorderedLu:
     """LU factorization of a matrix growing by bordering, with exact signs.
 
-    Starting from a partially pivoted LU of the seed, each
-    :meth:`update` appends a border column ``b`` and row ``(b, gamma)``:
-    the new column is pushed through the existing factors (two triangular
-    solves) and the new row is eliminated last with a single pivot
-    ``delta = gamma - x.T y``; pivoting is confined to the rows established
-    by the seed factorization so the border structure survives updates.
-    When the incoming pivot stalls relative to the border scale the grown
-    matrix is refactored densely with partial pivoting before a verdict on
-    the sign is made.  The sign of each determinant is computed exactly
-    from pivot signs and permutation parity of the computed factorization.
+    Starting from a partially pivoted LU of the seed ``B_n``, each
+    :meth:`update` appends a symmetric border of k columns ``b`` with its
+    k x k corner ``gamma`` and absorbs it at once: two triangular solves
+    push ``b`` through the current factors, one product forms the Schur
+    complement ``S = gamma - b^T B_n^-1 b``, and LAPACK ``dpotrf`` factors
+    ``S``.  As ``det(B_{n+j}) = det(B_n) det(S[:j, :j])``, a run of
+    positive Cholesky pivots keeps the determinant sign, and the Cholesky
+    factor extends the LU factors; pivoting stays confined to the seed rows
+    so the border structure survives updates.  The first pivot that is not
+    a healthy positive one (negative, stalled relative to its border
+    column's scale, at or below the singular floor, or not finite) is
+    recomputed from the partial factor, and that column takes the
+    single-column step: it is bordered with its pivot, or, when the pivot
+    stalls, the grown matrix is refactored densely with partial pivoting.
+    The sign of each determinant is computed exactly from pivot signs and
+    permutation parity of the computed factorization.
     """
 
     def __init__(self, seed: np.ndarray, pivot_tol: float = 1e-8):
@@ -493,7 +501,7 @@ class BorderedLu:
             raise DimensionMismatchError("seed must be square")
         self._pivot_tol = float(pivot_tol)
         self._matrix = B.copy()
-        self._refactor(B)
+        self._lower, self._upper, self._perm, self._parity = _lu_with_parity(B)
 
     @property
     def dim(self) -> int:
@@ -509,90 +517,155 @@ class BorderedLu:
             return 0
         return int(self._parity * np.prod(np.sign(udiag)))
 
-    def _refactor(self, B: np.ndarray) -> None:
-        n = B.shape[0]
-        if n == 0:
-            self._lower = np.zeros((0, 0))
-            self._upper = np.zeros((0, 0))
-            self._perm = np.arange(0)
-            self._parity = 1
-            return
-        with warnings.catch_warnings():
-            # exact zero pivots are handled through the singular guard
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lufac, piv = sla.lu_factor(B, check_finite=False)
-        perm = np.arange(n)
-        parity = 1
-        for i, p in enumerate(piv):
-            if p != i:
-                perm[i], perm[p] = perm[p], perm[i]
-                parity = -parity
-        self._lower = np.tril(lufac, -1) + np.eye(n)
-        self._upper = np.triu(lufac)
-        self._perm = perm
-        self._parity = parity
+    def update(self, b: np.ndarray, gamma):
+        """Grow by the border ``(b, gamma)``; return the new minors' signs.
 
-    def _singular_guard(self) -> None:
-        scale = float(np.linalg.norm(self._matrix, "fro"))
-        udiag = np.abs(np.diag(self._upper))
-        floor = self.dim * _EPS * max(scale, 1e-300)
-        if udiag.size and udiag.min() <= floor:
-            raise SingularMinorError(
-                f"pivot {udiag.min():.3e} at or below roundoff floor {floor:.3e}"
-            )
+        ``b`` is the n x k border and ``gamma`` its k x k corner, read from
+        its upper triangle like the columns it completes.  The update stops
+        after the first column whose pivot is not a healthy positive one and
+        returns the signs of the new leading minors up to that column; the
+        caller passes the remaining columns again.  A 1-D ``b`` with a
+        scalar ``gamma`` is the k = 1 case and returns one int.
 
-    def update(self, b: np.ndarray, gamma: float) -> int:
-        """Grow by the border ``(b, gamma)`` and return the new det sign.
-
-        Raises :class:`SingularMinorError` when the grown matrix is
-        numerically singular, which makes the sign meaningless.
+        Raises :class:`SingularMinorError` when the first new minor is
+        numerically singular, which makes its sign meaningless; a singular
+        minor later in the border ends the update just before it.
         """
         b = np.asarray(b, dtype=float)
+        single = b.ndim == 1
+        if single:
+            b = b[:, None]
         n = self.dim
-        if b.shape != (n,):
-            raise DimensionMismatchError(f"border must have length {n}")
-        grown = np.zeros((n + 1, n + 1))
-        grown[:n, :n] = self._matrix
-        grown[:n, n] = b
-        grown[n, :n] = b
-        grown[n, n] = gamma
-        self._matrix = grown
-
-        healthy = True
+        k = b.shape[1] if b.ndim == 2 else 0
+        if b.ndim != 2 or b.shape[0] != n or np.size(gamma) != k * k:
+            raise DimensionMismatchError(
+                f"border must have {n} rows and a square corner of its width"
+            )
+        if k == 0:
+            return np.zeros(0, dtype=int)
+        corner = np.triu(np.reshape(gamma, (k, k)))
         udiag = np.abs(np.diag(self._upper))
-        if udiag.size and udiag.min() == 0.0:
-            healthy = False
+        singular = udiag.size and udiag.min() == 0.0
+        if singular:
+            # an exactly singular factor cannot be bordered: the first
+            # column refactors and the caller passes the rest again
+            b, corner, k = b[:, :1], corner[:1, :1], 1
+        grown = np.empty((n + k, n + k))
+        grown[:n, :n] = self._matrix
+        grown[:n, n:] = b
+        grown[n:, :n] = b.T
+        grown[n:, n:] = corner + np.triu(corner, 1).T
+        b, corner = grown[:n, n:], grown[n:, n:]
 
-        if healthy and n > 0:
-            y = sla.solve_triangular(
+        # stall threshold and singular floor of each new minor, from the
+        # entries of each border column above and on the diagonal
+        above = np.triu(grown[:, n:], 1 - n)
+        diag = np.abs(np.diag(corner))
+        stall = self._pivot_tol * np.maximum(
+            np.maximum(np.abs(above).max(axis=0), diag), 1e-300
+        )
+        growth = 2.0 * np.einsum("ij,ij->j", above, above) + diag**2
+        del above
+        fro = np.sqrt(np.linalg.norm(self._matrix) ** 2 + np.cumsum(growth))
+        floor = (n + 1 + np.arange(k)) * _EPS * np.maximum(fro, 1e-300)
+
+        pivot = np.nan
+        if singular:
+            j = 0
+        else:
+            Y = sla.solve_triangular(
                 self._lower, b[self._perm], lower=True, unit_diagonal=True,
                 check_finite=False,
             )
-            x = sla.solve_triangular(
-                self._upper, b, lower=False, trans="T", check_finite=False
+            X = sla.solve_triangular(self._upper, b, trans="T", check_finite=False)
+            # the Schur complement of the current matrix in the grown one
+            chol, info = sla.lapack.dpotrf(corner - X.T @ Y, lower=0)
+            m = info - 1 if info > 0 else k
+            pivots = np.diag(chol)[:m] ** 2
+            smallest = np.minimum.accumulate(
+                np.minimum(pivots, udiag.min(initial=np.inf))
             )
-            delta = gamma - float(x @ y)
-            scale = max(abs(gamma), float(np.linalg.norm(b, np.inf)), 1e-300)
-            if abs(delta) <= self._pivot_tol * scale:
-                healthy = False
-            else:
-                self._lower = np.block(
-                    [[self._lower, np.zeros((n, 1))], [x.reshape(1, -1), np.ones((1, 1))]]
+            # OpenBLAS dpotrf does not stop at a NaN pivot
+            healthy = np.isfinite(pivots) & (pivots > stall[:m]) & (smallest > floor[:m])
+            j = m if healthy.all() else int(np.argmin(healthy))
+            if j < k:
+                # the pivot of column j, from the partial factor
+                col = corner[: j + 1, j] - X[:, : j + 1].T @ Y[:, j]
+                t = sla.solve_triangular(
+                    chol[:j, :j], col[:j], trans="T", check_finite=False
                 )
-                self._upper = np.block(
-                    [[self._upper, y.reshape(-1, 1)], [np.zeros((1, n)), np.full((1, 1), delta)]]
-                )
-                self._perm = np.append(self._perm, n)
-        elif healthy and n == 0:
-            self._lower = np.ones((1, 1))
-            self._upper = np.full((1, 1), float(gamma))
-            self._perm = np.arange(1)
-            self._parity = 1
+                pivot = float(col[j] - t @ t)
 
-        if not healthy:
-            self._refactor(self._matrix)
-        self._singular_guard()
-        return self.sign
+        commit = None
+        if j < k:
+            dim = n + j + 1
+            if np.isfinite(pivot) and abs(pivot) > stall[j]:
+                ubar = np.eye(j + 1)
+                ubar[:j, :j] = chol[:j, :j]
+                ubar[:j, j] = t
+                factors = self._bordered(
+                    X[:, : j + 1], Y[:, : j + 1], ubar, np.append(pivots[:j], pivot)
+                )
+            else:
+                factors = _lu_with_parity(grown[:dim, :dim])
+            least = np.abs(np.diag(factors[1])).min()
+            if least > floor[j]:
+                commit = grown[:dim, :dim], factors
+            elif j == 0:
+                raise SingularMinorError(
+                    f"pivot {least:.3e} at or below roundoff floor {floor[j]:.3e}"
+                )
+        if commit is None:
+            commit = (
+                grown[: n + j, : n + j],
+                self._bordered(X[:, :j], Y[:, :j], chol[:j, :j], pivots[:j]),
+            )
+
+        signs = [self.sign] * j
+        matrix, (self._lower, self._upper, self._perm, self._parity) = commit
+        self._matrix = matrix if matrix.shape[0] == n + k else matrix.copy()
+        if self.dim > n + j:
+            signs.append(self.sign)
+        return signs[0] if single else np.array(signs)
+
+    def _bordered(self, X, Y, ubar, pivots):
+        """Factors extended by a border whose images through the current
+        factors are ``X = U^-T b`` and ``Y = L^-1 b[perm]``: the lower factor
+        gains ``ubar^T`` scaled to a unit diagonal, the upper factor
+        ``diag(ubar) ubar`` with ``pivots`` on its diagonal."""
+        n, c = X.shape
+        scale = np.diag(ubar).copy()
+        lower = np.zeros((n + c, n + c))
+        lower[:n, :n] = self._lower
+        lower[n:, :n] = X.T
+        lower[n:, n:] = ubar.T
+        lower[n:, n:] /= scale
+        upper = np.zeros((n + c, n + c))
+        upper[:n, :n] = self._upper
+        upper[:n, n:] = Y
+        upper[n:, n:] = ubar
+        upper[n:, n:] *= scale[:, None]
+        np.fill_diagonal(upper[n:, n:], pivots)
+        return lower, upper, np.append(self._perm, np.arange(n, n + c)), self._parity
+
+
+def _lu_with_parity(B: np.ndarray):
+    """Partially pivoted LU ``B[perm] = lower @ upper`` and the parity of
+    ``perm``."""
+    n = B.shape[0]
+    if n == 0:
+        return np.zeros((0, 0)), np.zeros((0, 0)), np.arange(0), 1
+    with warnings.catch_warnings():
+        # exact zero pivots are handled through the singular guard
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lufac, piv = sla.lu_factor(B, check_finite=False)
+    perm = np.arange(n)
+    parity = 1
+    for i, p in enumerate(piv):
+        if p != i:
+            perm[i], perm[p] = perm[p], perm[i]
+            parity = -parity
+    return np.tril(lufac, -1) + np.eye(n), np.triu(lufac), perm, parity
 
 
 # ---------------------------------------------------------------------------
@@ -664,12 +737,14 @@ def _inertia_from_blocks(d: np.ndarray) -> tuple:
     return (pos, neg, zero)
 
 
-def ldl_factor(K: np.ndarray) -> LdlFactorization:
+def ldl_factor(K: np.ndarray, check_finite: bool = True) -> LdlFactorization:
     """Bunch-Kaufman block LDL factorization of a symmetric matrix.
 
     The factorization always completes; zero pivots surface as zero
     eigenvalue counts in the inertia.  ``K`` must be symmetric to a relative
     1e-8; it is factored as given, from its lower triangle.
+    ``check_finite=False`` skips the backend's NaN/inf scan for a caller
+    that has checked the entries itself.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -677,5 +752,5 @@ def ldl_factor(K: np.ndarray) -> LdlFactorization:
     scale = float(np.linalg.norm(K, "fro"))
     if scale > 0 and float(np.linalg.norm(K - K.T, "fro")) > 1e-8 * scale:
         raise ValueError("matrix is not symmetric")
-    lower, diag, perm = sla.ldl(K, lower=True)
+    lower, diag, perm = sla.ldl(K, lower=True, check_finite=check_finite)
     return LdlFactorization(lower, diag, perm, _inertia_from_blocks(diag))

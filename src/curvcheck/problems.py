@@ -485,12 +485,12 @@ def problem_from_dict(doc: dict) -> Problem:
         A = np.asarray(doc["A"], dtype=float).reshape(m, n)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed problem document: {exc}") from exc
-    H = None
-    if "H" in doc:
-        H = np.asarray(doc["H"], dtype=float)
-        if H.size != n * n:
-            raise ValueError("H has the wrong number of entries")
-        H = H.reshape(n, n)
+    if "H" not in doc:
+        raise ValueError("problem document has no Hessian \"H\"")
+    H = np.asarray(doc["H"], dtype=float)
+    if H.size != n * n:
+        raise ValueError("H has the wrong number of entries")
+    H = H.reshape(n, n)
     x = np.asarray(doc["x"], dtype=float) if "x" in doc else None
     lam = np.asarray(doc["lambda"], dtype=float) if "lambda" in doc else None
     truth = bool(doc["truth"]) if "truth" in doc else None

@@ -19,8 +19,9 @@ The three matrix-free tests need only products ``s -> H s``:
 The two classical tests need the Hessian entries explicitly:
 
   - :func:`bordered_hessian_test` checks the signs of the trailing leading
-    principal minors of the bordered matrix through updated LU
-    factorizations;
+    principal minors of the bordered matrix: one LU of the 2M x 2M seed,
+    then the Cholesky pivots of the Schur complement of the whole border
+    (two triangular solves, one product and LAPACK ``dpotrf``);
   - :func:`inertia_test` factors the saddle-point matrix once (block LDL)
     and compares its inertia against (N, M, 0).
 
@@ -139,8 +140,12 @@ def _certified_failure(
 
 
 def _classify(alpha: float, scale: float, tol_alpha: float) -> int:
-    """Three-way pivot sign: +1 accept, -1 negative curvature, 0 boundary."""
-    thresh = tol_alpha * scale
+    """Three-way pivot sign: +1 accept, -1 negative curvature, 0 boundary.
+
+    The threshold is exactly 0 at ``tol_alpha = 0``, also when ``scale``
+    overflowed to inf.
+    """
+    thresh = tol_alpha * scale if tol_alpha else 0.0
     if alpha > thresh:
         return 1
     if alpha < -thresh:
@@ -455,6 +460,17 @@ def _dense_hessian(hessian: Union[HessianOperator, np.ndarray]) -> np.ndarray:
     return hessian.materialize()
 
 
+def _non_finite(*arrays: np.ndarray) -> Optional[SoscVerdict]:
+    """ERROR ``non_finite`` when one of ``arrays`` holds NaN or inf, else
+    None."""
+    if all(np.isfinite(a).all() for a in arrays):
+        return None
+    return SoscVerdict(
+        Status.ERROR, reason="non_finite",
+        diagnostics={"detail": "input holds NaN or inf"},
+    )
+
+
 def bordered_hessian_test(
     hessian: Union[HessianOperator, np.ndarray],
     A: np.ndarray,
@@ -464,37 +480,48 @@ def bordered_hessian_test(
     matrix.
 
     The condition holds exactly when the last L leading principal minors
-    of [[0, A], [A^T, H]] all have sign (-1)^M.  The minors are factored
-    through one growing LU updated border by border instead of L
-    independent factorizations.  Needs the Hessian entries explicitly
-    (operator-backed Hessians are materialized first); provides no
-    direction of negative curvature on failure.  A numerically singular
+    of [[0, A], [A^T, H]] all have sign (-1)^M.  The 2M x 2M seed is
+    factored once and the whole L-column border is absorbed by one
+    :meth:`BorderedLu.update`: the signs follow from the Cholesky pivots
+    of the border's Schur complement.  An irregular pivot (negative,
+    stalled or singular) ends that update at its column, and the
+    remaining columns are passed again.  Needs the Hessian entries
+    explicitly (operator-backed Hessians are materialized first); provides
+    no direction of negative curvature on failure.  A numerically singular
     minor makes the test inconclusive, which is reported as ERROR rather
-    than as a failure of the condition.
+    than as a failure of the condition; so is NaN or inf in H or A.
     """
     H = _dense_hessian(hessian)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     M, N = A.shape
     if H.shape[0] != N:
         raise DimensionMismatchError("H and A dimensions are inconsistent")
+    rejected = _non_finite(H, A)
+    if rejected is not None:
+        return rejected
     L = N - M
     B = _problems.build_bordered(H, A)
     expected = -1 if M % 2 else 1
 
     lu = BorderedLu(B[: 2 * M, : 2 * M], pivot_tol=pivot_tol)
-    for i in range(1, L + 1):
+    i = 0
+    while i < L:
         dim = 2 * M + i
         try:
-            sign = lu.update(B[: dim - 1, dim - 1], B[dim - 1, dim - 1])
+            signs = lu.update(B[:dim, dim:], B[dim:, dim:])
         except SingularMinorError as exc:
             return SoscVerdict(
-                Status.ERROR, step=i, reason="singular_minor",
-                diagnostics={"minors": i, "detail": str(exc)},
+                Status.ERROR, step=i + 1, reason="singular_minor",
+                diagnostics={"minors": i + 1, "detail": str(exc)},
             )
-        if sign != expected:
+        wrong = np.flatnonzero(signs != expected)
+        if wrong.size:
+            step = i + int(wrong[0]) + 1
             return SoscVerdict(
-                Status.FAILS, step=i, diagnostics={"minors": i, "sign": sign}
+                Status.FAILS, step=step,
+                diagnostics={"minors": step, "sign": int(signs[wrong[0]])},
             )
+        i += signs.size
     return SoscVerdict(Status.HOLDS, diagnostics={"minors": L})
 
 
@@ -514,15 +541,19 @@ def inertia_test(
     symmetric-indefinite LDL factorization; this is exact for the computed
     factor even in floating point, though the computed factor itself may
     misrepresent a matrix with eigenvalues at roundoff scale.  No
-    direction of negative curvature is available on failure.
+    direction of negative curvature is available on failure.  NaN or inf
+    in H or A gives ERROR ``non_finite``.
     """
     H = _dense_hessian(hessian)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     M, N = A.shape
     if H.shape[0] != N:
         raise DimensionMismatchError("H and A dimensions are inconsistent")
+    rejected = _non_finite(H, A)
+    if rejected is not None:
+        return rejected
     K = _problems.build_kkt(H, A)
-    fact = ldl_factor(K)
+    fact = ldl_factor(K, check_finite=False)
     diagnostics = {"inertia": fact.inertia}
     if fact.inertia == (N, M, 0):
         return SoscVerdict(Status.HOLDS, diagnostics=diagnostics)
@@ -566,8 +597,8 @@ def verify(
     needs, hands the two classical tests that same operator (they read its
     dense matrix, or materialize a product-backed one), and attaches wall
     time and the operator-product count to the verdict diagnostics.  Rank-deficient
-    constraints (failed LICQ guard) produce an ERROR verdict rather than
-    an exception.
+    constraints (failed LICQ guard) and NaN or inf in the Jacobian produce
+    an ERROR verdict rather than an exception.
     """
     if options is None:
         options = VerifyOptions()
@@ -579,7 +610,11 @@ def verify(
     verdict: SoscVerdict
 
     try:
-        if method in ("cholesky", "diagonalization"):
+        # the bases and the rank guard would raise on a non-finite Jacobian
+        rejected = _non_finite(problem.jacobian)
+        if rejected is not None:
+            verdict = rejected
+        elif method in ("cholesky", "diagonalization"):
             basis = null_space_basis(
                 problem.jacobian, options.basis_method, options.tol_rank
             )

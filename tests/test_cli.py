@@ -80,6 +80,30 @@ class TestCheck:
               "--direction-out", str(target)])
         assert target.exists()
 
+    def test_unknown_method_is_a_usage_error(self, identity_problem, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(identity_problem), "--method", "foo"])
+        assert exc.value.code == 2
+        assert "unknown method 'foo'" in capsys.readouterr().err
+
+    def test_document_without_hessian_exit_three(self, tmp_path, capsys):
+        path = tmp_path / "no_hessian.json"
+        path.write_text(json.dumps(
+            {"schema": "dense-v1", "N": 3, "M": 1, "A": [0.0, 0.0, 1.0]}
+        ), encoding="utf-8")
+        assert main(["check", str(path)]) == 3
+        assert "no Hessian" in capsys.readouterr().err
+        assert main(["compare", str(path)]) == 3
+
+    @pytest.mark.parametrize("method", ["bht", "inertia"])
+    def test_non_finite_hessian_exit_two(self, tmp_path, method, capsys):
+        path = tmp_path / "nan.json"
+        H = np.eye(3)
+        H[0, 1] = np.nan
+        save_problem(Problem(jacobian=np.array([[0.0, 0.0, 1.0]]), hessian=H), path)
+        assert main(["check", str(path), "--method", method]) == 2
+        assert "non_finite" in capsys.readouterr().out
+
 
 class TestBench:
     def test_csv_schema_and_determinism(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from curvcheck import linalg
 from curvcheck.linalg import (
     BorderedLu,
     DependentColumnError,
@@ -296,6 +297,73 @@ class TestBorderedLu:
         lu = BorderedLu(B[:1, :1])
         assert lu.update(B[:1, 1], B[1, 1]) == naive_det_sign(B[:2, :2])
         assert lu.update(B[:2, 2], B[2, 2]) == naive_det_sign(B)
+
+    @staticmethod
+    def grow(B, n0, width):
+        """Signs of the leading minors of B past the n0 x n0 seed, from
+        single-column updates (``width`` None) or from borders of up to
+        ``width`` columns, passing the rest again after a short update.
+        Also returns the dimension of the minor that raised
+        :class:`SingularMinorError`, or None."""
+        lu = BorderedLu(B[:n0, :n0])
+        signs = []
+        d = n0
+        while d < B.shape[0]:
+            e = d + 1 if width is None else min(d + width, B.shape[0])
+            try:
+                if width is None:
+                    got = [lu.update(B[:d, d], B[d, d])]
+                else:
+                    got = list(lu.update(B[:d, d:e], B[d:e, d:e]))
+            except SingularMinorError:
+                return signs, d + 1
+            assert 1 <= len(got) <= e - d
+            signs += got
+            d += len(got)
+        return signs, None
+
+    @pytest.mark.parametrize("case", ["random", "zero_seed", "stall", "singular"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_block_border_matches_single_columns(self, case, seed, monkeypatch):
+        # "zero_seed": the seed minor is exactly zero, so the first column
+        # refactors; "stall": one pivot is cut to 1e-10 of its column scale,
+        # below the stall threshold and above the singular floor, so the
+        # grown matrix is refactored; "singular": one leading minor has a
+        # zero column and must raise at the same dimension on every path
+        rng = np.random.default_rng(seed)
+        total = int(rng.integers(12, 80))
+        B = rng.standard_normal((total, total))
+        B = 0.5 * (B + B.T)
+        n0 = 1 if case == "zero_seed" else int(rng.integers(0, 5))
+        d = int(rng.integers(n0 + 3, total - 1))
+        if case == "zero_seed":
+            B[0, 0] = 0.0
+        elif case == "stall":
+            b = B[: d - 1, d - 1]
+            scale = np.abs(B[:d, d - 1]).max()
+            B[d - 1, d - 1] = (b @ np.linalg.solve(B[: d - 1, : d - 1], b)
+                               + rng.choice([-1.0, 1.0]) * 1e-10 * scale)
+        elif case == "singular":
+            B[:d, d - 1] = 0.0
+            B[d - 1, :d] = 0.0
+
+        refactors = []
+        original = linalg._lu_with_parity
+        monkeypatch.setattr(
+            linalg, "_lu_with_parity",
+            lambda C: refactors.append(C.shape[0]) or original(C),
+        )
+        single = self.grow(B, n0, None)
+        for width in (1, 3, total):
+            refactors.clear()
+            assert self.grow(B, n0, width) == single, f"width {width}"
+            if case in ("zero_seed", "stall"):
+                # the constructor factors the seed; the rest are refactors
+                assert len(refactors) > 1
+        signs, raised = single
+        assert raised == (d if case == "singular" else None)
+        for dim, sign in enumerate(signs, start=n0 + 1):
+            assert sign == naive_det_sign(B[:dim, :dim]), f"minor {dim}"
 
 
 # ---------------------------------------------------------------------------

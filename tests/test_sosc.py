@@ -1,5 +1,7 @@
 """Verifier-level tests: hand cases, certificates, cross-method agreement."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -11,7 +13,15 @@ from curvcheck.linalg import (
     default_rank_tolerance,
     null_space_basis,
 )
-from curvcheck.problems import GeneratorSpec, Problem, generate, near_rank_deficient_kkt
+from curvcheck.problems import (
+    GeneratorSpec,
+    Problem,
+    ThomsonInstance,
+    ThomsonProblem,
+    build_bordered,
+    generate,
+    near_rank_deficient_kkt,
+)
 from curvcheck.sosc import (
     METHODS,
     Status,
@@ -71,6 +81,53 @@ def reference_cholesky(hessian, basis, tol_alpha=0.0, tol_feas=1e-8):
                                  n + 1, tol_feas, {})
     return (verdict.status, n + 1, verdict.reason,
             hessian.product_count - start, alphas[: n + 1])
+
+
+def reference_bht(H, A, pivot_tol=1e-8):
+    """The bordered Hessian test with one LU update per column, kept as the
+    oracle for the Schur-complement kernel: each column is pushed through
+    the factors by two triangular solves and eliminated with one pivot; a
+    stalled pivot refactors the grown matrix densely.
+
+    Returns status, step, reason and the number of minors computed."""
+    M, N = A.shape
+    B = build_bordered(0.5 * (H + H.T), A)
+    expected = -1 if M % 2 else 1
+    eps = np.finfo(float).eps
+
+    def factor(C):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lufac, piv = sla.lu_factor(C)
+        perm, parity = np.arange(C.shape[0]), 1
+        for i, p in enumerate(piv):
+            if p != i:
+                perm[i], perm[p] = perm[p], perm[i]
+                parity = -parity
+        return np.tril(lufac, -1) + np.eye(C.shape[0]), np.triu(lufac), perm, parity
+
+    lower, upper, perm, parity = factor(B[: 2 * M, : 2 * M])
+    for i in range(1, N - M + 1):
+        n = 2 * M + i - 1
+        b, gamma = B[:n, n], B[n, n]
+        delta = None
+        if np.abs(np.diag(upper)).min() > 0.0:
+            y = sla.solve_triangular(lower, b[perm], lower=True, unit_diagonal=True)
+            x = sla.solve_triangular(upper, b, trans="T")
+            delta = gamma - x @ y
+        if delta is not None and abs(delta) > pivot_tol * max(abs(gamma), np.abs(b).max(), 1e-300):
+            lower = np.block([[lower, np.zeros((n, 1))], [x[None, :], np.ones((1, 1))]])
+            upper = np.block([[upper, y[:, None]], [np.zeros((1, n)), np.full((1, 1), delta)]])
+            perm = np.append(perm, n)
+        else:
+            lower, upper, perm, parity = factor(B[: n + 1, : n + 1])
+        udiag = np.diag(upper)
+        floor = (n + 1) * eps * max(np.linalg.norm(B[: n + 1, : n + 1]), 1e-300)
+        if np.abs(udiag).min() <= floor:
+            return Status.ERROR, i, "singular_minor", i
+        if parity * np.prod(np.sign(udiag)) != expected:
+            return Status.FAILS, i, None, i
+    return Status.HOLDS, None, None, N - M
 
 
 def eigen_oracle(problem):
@@ -403,6 +460,44 @@ class TestBorderedHessian:
         assert verdict.status is Status.HOLDS
         assert hessian.product_count == 2
 
+    def test_matches_per_column_reference(self):
+        # seeded draws across sizes and conditioning (the ill-conditioned
+        # ones reach the singular-minor path), then frame-fixed Thomson
+        # points, whose Jacobian pins coordinates so that the leading M x M
+        # block of A, and with it the seed, is exactly singular; the stall
+        # and refactor paths are covered in tests/test_linalg.py
+        from curvcheck.stationary import solve_thomson
+
+        def check(H, A, label):
+            verdict = bordered_hessian_test(H, A)
+            got = (verdict.status, verdict.step, verdict.reason,
+                   verdict.diagnostics["minors"])
+            assert got == reference_bht(H, A), label
+            return verdict
+
+        rng = np.random.default_rng(20240605)
+        verdicts = set()
+        for trial in range(300):
+            n = int(rng.integers(4, 201))
+            m = int(rng.integers(1, n))
+            p = int(rng.integers(0, n + 1))
+            conditioning = ("well", "ill")[trial % 2]
+            problem = generate(GeneratorSpec(
+                n=n, m=m, p=p, seed=int(rng.integers(2**31)), conditioning=conditioning,
+            ))
+            verdict = check(problem.hessian, problem.jacobian,
+                            f"draw {trial}: n={n} m={m} p={p} {conditioning}")
+            verdicts.add((verdict.status, verdict.reason))
+        assert verdicts == {(Status.HOLDS, None), (Status.FAILS, None),
+                            (Status.ERROR, "singular_minor")}
+
+        for k in (4, 5, 6):
+            point = solve_thomson(k, seed=0)
+            tp = ThomsonProblem(ThomsonInstance(k))
+            verdict = check(tp.lagrangian_hessian(point.x, point.lam),
+                            tp.jacobian(point.x), f"Thomson K={k}")
+            assert verdict.reason == "singular_minor"
+
     @pytest.mark.parametrize("seed", range(10))
     def test_sign_sequence_matches_truth(self, seed):
         rng = np.random.default_rng(seed)
@@ -463,6 +558,45 @@ class TestInertia:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("method", ["bht", "inertia"])
+    @pytest.mark.parametrize("where", ["H", "A"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_classical_tests_reject_non_finite_input(self, method, where, value):
+        problem = generate(GeneratorSpec(n=10, m=3, p=10, seed=1))
+        H, A = problem.hessian.copy(), problem.jacobian.copy()
+        (H if where == "H" else A)[1, 2] = value
+        runner = bordered_hessian_test if method == "bht" else inertia_test
+        for verdict in (runner(H, A), verify(Problem(A, H), method)):
+            assert verdict.status is Status.ERROR
+            assert verdict.reason == "non_finite"
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_non_finite_jacobian_is_error(self, method):
+        problem = generate(GeneratorSpec(n=10, m=3, p=10, seed=1))
+        A = problem.jacobian.copy()
+        A[0, 4] = np.nan
+        verdict = verify(Problem(A, problem.hessian), method)
+        assert verdict.status is Status.ERROR
+        assert verdict.reason == "non_finite"
+
+    @pytest.mark.parametrize("p, expected", [(12, Status.HOLDS), (8, Status.FAILS)])
+    def test_overflowing_product_norms_keep_a_zero_threshold(self, p, expected):
+        # |v| |Hv| overflows to inf for H near 1e200; at tol_alpha = 0 the
+        # threshold stays 0, so only the pivot signs count
+        problem = generate(GeneratorSpec(n=12, m=3, p=p, seed=4))
+        assert problem.truth is (expected is Status.HOLDS)
+        scaled = Problem(problem.jacobian, 1e200 * problem.hessian)
+        methods = ("diagonalization", "pcg") if p == 12 else (
+            "cholesky", "diagonalization", "pcg")
+        for method in methods:
+            with np.errstate(over="ignore"):
+                verdict = verify(scaled, method)
+            assert verdict.status is expected, method
+            if expected is Status.FAILS:
+                assert verdict.curvature < 0
+                assert np.abs(problem.jacobian @ verdict.direction).max() <= (
+                    1e-8 * np.linalg.norm(verdict.direction))
+
     def test_identity_problem_all_methods(self):
         problem = Problem(jacobian=np.array([[0.0, 0.0, 1.0]]), hessian=np.eye(3))
         for method in ("cholesky", "diagonalization", "pcg", "inertia"):
