@@ -737,14 +737,12 @@ def _inertia_from_blocks(d: np.ndarray) -> tuple:
     return (pos, neg, zero)
 
 
-def ldl_factor(K: np.ndarray, check_finite: bool = True) -> LdlFactorization:
+def ldl_factor(K: np.ndarray) -> LdlFactorization:
     """Bunch-Kaufman block LDL factorization of a symmetric matrix.
 
     The factorization always completes; zero pivots surface as zero
     eigenvalue counts in the inertia.  ``K`` must be symmetric to a relative
     1e-8; it is factored as given, from its lower triangle.
-    ``check_finite=False`` skips the backend's NaN/inf scan for a caller
-    that has checked the entries itself.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -752,5 +750,5 @@ def ldl_factor(K: np.ndarray, check_finite: bool = True) -> LdlFactorization:
     scale = float(np.linalg.norm(K, "fro"))
     if scale > 0 and float(np.linalg.norm(K - K.T, "fro")) > 1e-8 * scale:
         raise ValueError("matrix is not symmetric")
-    lower, diag, perm = sla.ldl(K, lower=True, check_finite=check_finite)
+    lower, diag, perm = sla.ldl(K, lower=True)
     return LdlFactorization(lower, diag, perm, _inertia_from_blocks(diag))

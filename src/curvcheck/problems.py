@@ -454,15 +454,20 @@ _SCHEMA = "dense-v1"
 
 
 def problem_to_dict(problem: Problem) -> dict:
-    """Dense JSON document for a problem (row-major flat arrays)."""
+    """Dense JSON document for a problem (row-major flat arrays).
+
+    The document needs the dense Hessian: a problem backed only by a
+    product or gradient callback raises ``ValueError``.
+    """
+    if problem.hessian is None:
+        raise ValueError("problem has no dense Hessian to write")
     doc = {
         "schema": _SCHEMA,
         "N": problem.n,
         "M": problem.m,
         "A": [float(v) for v in problem.jacobian.reshape(-1)],
+        "H": [float(v) for v in problem.hessian.reshape(-1)],
     }
-    if problem.hessian is not None:
-        doc["H"] = [float(v) for v in problem.hessian.reshape(-1)]
     if problem.x is not None:
         doc["x"] = [float(v) for v in problem.x]
     if problem.lam is not None:
@@ -501,8 +506,9 @@ def problem_from_dict(doc: dict) -> Problem:
 
 
 def save_problem(problem: Problem, path) -> None:
+    doc = problem_to_dict(problem)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_dict(problem), fh)
+        json.dump(doc, fh)
         fh.write("\n")
 
 

@@ -553,7 +553,7 @@ def inertia_test(
     if rejected is not None:
         return rejected
     K = _problems.build_kkt(H, A)
-    fact = ldl_factor(K, check_finite=False)
+    fact = ldl_factor(K)
     diagnostics = {"inertia": fact.inertia}
     if fact.inertia == (N, M, 0):
         return SoscVerdict(Status.HOLDS, diagnostics=diagnostics)

@@ -377,6 +377,26 @@ class TestSerialization:
                 {"schema": "dense-v1", "N": 2, "M": 1, "A": [1, 0], "H": [1.0]}
             )
 
+    def test_callback_backed_problem_is_not_written(self, tmp_path):
+        # dense-v1 needs H, and load_problem rejects a document without it,
+        # so the writer refuses such a problem instead of writing that file
+        tp = ThomsonProblem(ThomsonInstance(4))
+        x = np.array(
+            [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0],
+             [-1.0, -1.0, 1.0]]
+        ).reshape(-1) / np.sqrt(3.0)
+        gradient_backed = tp.as_problem(x, np.zeros(tp.instance.m))
+        A = np.array([[1.0, 0.0, 0.0]])
+        matvec_backed = Problem(jacobian=A, matvec=lambda v: 2.0 * v)
+        for problem in (gradient_backed, matvec_backed):
+            assert problem.hessian is None
+            with pytest.raises(ValueError, match="no dense Hessian"):
+                problem_to_dict(problem)
+            path = tmp_path / "problem.json"
+            with pytest.raises(ValueError, match="no dense Hessian"):
+                save_problem(problem, path)
+            assert not path.exists()
+
     def test_document_shape(self):
         problem = generate(GeneratorSpec(n=5, m=2, p=3, seed=0))
         doc = problem_to_dict(problem)
