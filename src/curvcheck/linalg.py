@@ -7,7 +7,8 @@ built from:
     callable, built from an explicit dense matrix (kept, symmetrized once,
     for the classical tests), a matrix-vector callback, or a directional
     finite difference of a Lagrangian-gradient callback.
-  - :func:`null_space_basis`: bases of ``null(A)`` via SVD, QR of ``A^T``,
+  - :func:`null_space_basis`: bases of ``null(A)`` via SVD, QR of ``A^T``
+    (its reflectors applied to ``[0; I_L]``, the full Q never formed),
     QR of ``A``, or LU of ``A``, each guarded by the pivots of its own
     factorization; :func:`check_full_rank` is the SVD guard for the tests
     that need no basis.
@@ -299,9 +300,10 @@ def null_space_basis(
     A : ndarray, shape (M, N), M < N
         Constraint Jacobian (rows are constraint gradients).
     method : {"qr_at", "svd", "qr_a", "lu_a"}
-        "svd" and "qr_at" produce orthonormal bases; "qr_a" and "lu_a" use
-        a triangular solve against the trailing block and carry an identity
-        lower block.
+        "svd" and "qr_at" produce orthonormal bases; "qr_at" gives the last
+        L columns of the orthogonal factor of ``A^T = Q R``.  "qr_a" and
+        "lu_a" use a triangular solve against the trailing block and carry
+        an identity lower block.
     tol_rank : float, optional
         Rank guard threshold; None selects sqrt(eps)*|A|_F, zero disables.
 
@@ -327,9 +329,15 @@ def null_space_basis(
         W = Vt[M:].T
         orthonormal = True
     elif method == "qr_at":
-        Q, R = sla.qr(A.T, mode="full")
-        _check_pivots(np.abs(np.diag(R[:M, :M])), tol_rank, "|R_ii|")
-        W = Q[:, M:]
+        # only the trailing L columns of Q are needed: they are Q [0; I_L],
+        # applied from the Householder reflectors without forming Q
+        lwork, _ = sla.lapack.dgeqrf_lwork(N, M)
+        qr, tau, _, _ = sla.lapack.dgeqrf(np.asarray_chkfinite(A.T), lwork=int(lwork))
+        _check_pivots(np.abs(np.diag(qr[:M, :M])), tol_rank, "|R_ii|")
+        W = np.zeros((N, L), order="F")
+        W[M:] = np.eye(L)
+        _, work, _ = sla.lapack.dormqr("L", "N", qr, tau, W, -1)
+        W, _, _ = sla.lapack.dormqr("L", "N", qr, tau, W, int(work[0]), overwrite_c=1)
         orthonormal = True
     elif method == "qr_a":
         Q, R = sla.qr(A, mode="economic")
@@ -558,15 +566,18 @@ class BorderedLu:
         b, corner = grown[:n, n:], grown[n:, n:]
 
         # stall threshold and singular floor of each new minor, from the
-        # entries of each border column above and on the diagonal
-        above = np.triu(grown[:, n:], 1 - n)
+        # entries of each border column above and on the diagonal; the
+        # Frobenius norms are summed relative to the largest entry, since
+        # the squares of finite entries can overflow or underflow
+        above = np.abs(np.triu(grown[:, n:], 1 - n))
         diag = np.abs(np.diag(corner))
-        stall = self._pivot_tol * np.maximum(
-            np.maximum(np.abs(above).max(axis=0), diag), 1e-300
-        )
-        growth = 2.0 * np.einsum("ij,ij->j", above, above) + diag**2
+        colmax = np.maximum(above.max(axis=0), diag)
+        stall = self._pivot_tol * np.maximum(colmax, 1e-300)
+        big = max(np.abs(self._matrix).max(initial=0.0), colmax.max()) or 1.0
+        above /= big
+        growth = 2.0 * np.einsum("ij,ij->j", above, above) + (diag / big) ** 2
         del above
-        fro = np.sqrt(np.linalg.norm(self._matrix) ** 2 + np.cumsum(growth))
+        fro = big * np.sqrt(np.linalg.norm(self._matrix / big) ** 2 + np.cumsum(growth))
         floor = (n + 1 + np.arange(k)) * _EPS * np.maximum(fro, 1e-300)
 
         pivot = np.nan

@@ -64,7 +64,8 @@ class Problem:
     callback ``matvec``, or a Lagrangian-gradient callback ``gradient``
     (finite differencing) together with the evaluation point ``x`` and
     multipliers ``lam``.  ``hessian`` is kept as given; the operator
-    symmetrizes it.
+    symmetrizes it.  ``ValueError`` is raised when ``hessian`` is not
+    N x N, ``x`` not of length N or ``lam`` not of length M.
     """
 
     jacobian: np.ndarray
@@ -87,8 +88,14 @@ class Problem:
                 )
         if self.x is not None:
             self.x = np.asarray(self.x, dtype=float)
+            if self.x.shape != (self.n,):
+                raise ValueError(f"x shape {self.x.shape} inconsistent with N={self.n}")
         if self.lam is not None:
             self.lam = np.asarray(self.lam, dtype=float)
+            if self.lam.shape != (self.m,):
+                raise ValueError(
+                    f"lambda shape {self.lam.shape} inconsistent with M={self.m}"
+                )
 
     @property
     def n(self) -> int:

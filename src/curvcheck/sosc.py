@@ -11,7 +11,9 @@ The three matrix-free tests need only products ``s -> H s``:
   - :func:`implicit_cholesky` forms the reduced matrix ``W^T H W`` from one
     block product and reads its Cholesky pivots from LAPACK ``dpotrf``;
   - :func:`diagonalization` obliquely conjugates the basis so the reduced
-    matrix becomes diagonal, one product per step;
+    matrix becomes diagonal, one product per step; the modified variant
+    applies earlier steps to each 64-column panel with two matrix
+    products and runs rank-1 updates only inside the panel;
   - :func:`continued_pcg` runs projected conjugate gradients and restarts
     in the conjugate complement of the searched directions until the null
     space is exhausted or negative curvature appears.
@@ -237,6 +239,11 @@ def implicit_cholesky(
 # Oblique diagonalization
 # ---------------------------------------------------------------------------
 
+# columns per panel of the modified diagonalization: wide enough that the
+# two panel products run at matrix-product speed, narrow enough that the
+# rank-1 updates inside a panel stay cheap
+_PANEL = 64
+
 
 def diagonalization(
     hessian: HessianOperator,
@@ -247,10 +254,22 @@ def diagonalization(
 ) -> SoscVerdict:
     """Oblique Gram-Schmidt conjugation of the basis, one product per step.
 
-    The basis is transformed in place so the reduced matrix becomes
-    diagonal; its entries are the pivots.  Unlike the Cholesky form the
-    failing conjugated vector itself is the feasible direction of negative
+    The basis is transformed so the reduced matrix becomes diagonal; its
+    entries are the pivots.  Unlike the Cholesky form the failing
+    conjugated vector itself is the feasible direction of negative
     curvature, with no back substitution.
+
+    In the ``modified`` variant step m subtracts ``(z_m . w_j / alpha_m)
+    v_m`` from every later column j, with ``z_m = H v_m``; the coefficient
+    reads the original basis column ``w_j``, so the updates can be applied
+    in any grouping.  The columns are taken in panels of
+    :data:`_PANEL` columns: on entering a panel, all earlier steps are
+    applied to it at once by two matrix products, ``V_J -= V_{<J}
+    ((Z_{<J}^T W_J) / alpha_{<J})``, and the steps inside the panel update
+    only the panel's later columns.  A failure pays only for the panels it
+    reached.  The ``classical`` variant conjugates each column against all
+    earlier ones in turn, its coefficients reading the column as it is
+    being updated.
     """
     if variant not in ("modified", "classical"):
         raise ValueError("variant must be 'modified' or 'classical'")
@@ -262,7 +281,7 @@ def diagonalization(
     start = hessian.product_count
     V = W.copy()
     alphas = np.zeros(L)
-    Z = np.zeros((N, L)) if variant == "classical" else None
+    Z = np.empty((N, L))
 
     failing = None
     boundary = None
@@ -272,6 +291,10 @@ def diagonalization(
             for m in range(n):
                 v -= ((Z[:, m] @ v) / alphas[m]) * V[:, m]
             V[:, n] = v
+        elif n % _PANEL == 0:
+            end = min(n + _PANEL, L)
+            if n:
+                V[:, n:end] -= V[:, :n] @ ((Z[:, :n].T @ W[:, n:end]) / alphas[:n, None])
         z = hessian.apply(V[:, n])
         alpha = float(V[:, n] @ z)
         scale = float(np.linalg.norm(V[:, n]) * np.linalg.norm(z))
@@ -283,10 +306,9 @@ def diagonalization(
         if kind == 0:
             boundary = n
             break
-        if variant == "classical":
-            Z[:, n] = z
-        elif n + 1 < L:
-            V[:, n + 1 :] -= np.outer(V[:, n], (z @ W[:, n + 1 :]) / alpha)
+        Z[:, n] = z
+        if variant == "modified" and n + 1 < end:
+            V[:, n + 1 : end] -= np.outer(V[:, n], (z @ W[:, n + 1 : end]) / alpha)
 
     diagnostics = {"operator_products": hessian.product_count - start}
     if boundary is not None:

@@ -95,6 +95,17 @@ class TestCheck:
         assert "no Hessian" in capsys.readouterr().err
         assert main(["compare", str(path)]) == 3
 
+    @pytest.mark.parametrize("field, length", [("x", 5), ("lambda", 7)])
+    def test_wrong_length_point_exit_three(self, tmp_path, capsys, field, length):
+        path = tmp_path / "bad_point.json"
+        path.write_text(json.dumps({
+            "schema": "dense-v1", "N": 3, "M": 1, "A": [0.0, 0.0, 1.0],
+            "H": np.eye(3).reshape(-1).tolist(), field: [0.0] * length,
+        }), encoding="utf-8")
+        assert main(["check", str(path)]) == 3
+        assert "inconsistent" in capsys.readouterr().err
+        assert main(["compare", str(path)]) == 3
+
     @pytest.mark.parametrize("method", ["bht", "inertia"])
     def test_non_finite_hessian_exit_two(self, tmp_path, method, capsys):
         path = tmp_path / "nan.json"

@@ -182,6 +182,22 @@ class TestNullSpaceBasis:
         if basis.orthonormal:
             assert np.abs(W.T @ W - np.eye(L)).max() <= 1e-12
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_qr_at_is_the_trailing_columns_of_q(self, seed):
+        # the basis is built without forming Q; it must still be the last
+        # L columns of the full Q, so the verdicts do not depend on how
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 301))
+        m = int(rng.integers(1, n))
+        A = rng.standard_normal((m, n))
+        Q, _ = sla.qr(A.T)
+        W = null_space_basis(A, "qr_at", tol_rank=0.0).matrix
+        assert W.flags.c_contiguous
+        np.testing.assert_allclose(W, Q[:, m:], rtol=0, atol=1e-13)
+        A[0, 1] = np.nan
+        with pytest.raises(ValueError):
+            null_space_basis(A, "qr_at")
+
     def test_unconstrained_identity(self):
         basis = null_space_basis(np.empty((0, 4)))
         np.testing.assert_array_equal(basis.matrix, np.eye(4))

@@ -377,6 +377,18 @@ class TestSerialization:
                 {"schema": "dense-v1", "N": 2, "M": 1, "A": [1, 0], "H": [1.0]}
             )
 
+    def test_point_and_multipliers_must_match_the_jacobian(self):
+        A = np.array([[1.0, 0.0, 0.0]])
+        for kwargs in ({"x": np.zeros(5)}, {"lam": np.zeros(7)},
+                       {"x": np.zeros((3, 1))}, {"lam": np.zeros(())}):
+            with pytest.raises(ValueError, match="inconsistent"):
+                Problem(jacobian=A, hessian=np.eye(3), **kwargs)
+        problem = Problem(jacobian=A, hessian=np.eye(3), x=[1, 2, 3], lam=[0.5])
+        assert problem.x.shape == (3,) and problem.lam.shape == (1,)
+        unconstrained = Problem(jacobian=np.empty((0, 2)), hessian=np.eye(2),
+                                lam=np.empty(0))
+        assert unconstrained.lam.shape == (0,)
+
     def test_callback_backed_problem_is_not_written(self, tmp_path):
         # dense-v1 needs H, and load_problem rejects a document without it,
         # so the writer refuses such a problem instead of writing that file

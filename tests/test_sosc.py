@@ -83,6 +83,46 @@ def reference_cholesky(hessian, basis, tol_alpha=0.0, tol_feas=1e-8):
             hessian.product_count - start, alphas[: n + 1])
 
 
+def reference_diagonalization(hessian, basis, variant="modified", tol_alpha=0.0,
+                              tol_feas=1e-8):
+    """Oblique diagonalization with one rank-1 update of the whole trailing
+    basis per step (modified) or one column at a time (classical), kept as
+    the oracle for the panel-blocked kernel.
+
+    Returns status, step, reason, products and the pivots computed."""
+    W = basis.matrix
+    N, L = W.shape
+    start = hessian.product_count
+    V = W.copy()
+    alphas = np.zeros(L)
+    Z = np.zeros((N, L))
+    for n in range(L):
+        if variant == "classical":
+            v = W[:, n].copy()
+            for m in range(n):
+                v -= ((Z[:, m] @ v) / alphas[m]) * V[:, m]
+            V[:, n] = v
+        z = hessian.apply(V[:, n])
+        alpha = float(V[:, n] @ z)
+        scale = float(np.linalg.norm(V[:, n]) * np.linalg.norm(z))
+        alphas[n] = alpha
+        thresh = tol_alpha * scale if tol_alpha else 0.0
+        if not alpha > thresh:
+            break
+        Z[:, n] = z
+        if variant == "modified" and n + 1 < L:
+            V[:, n + 1 :] -= np.outer(V[:, n], (z @ W[:, n + 1 :]) / alpha)
+    else:
+        return Status.HOLDS, None, None, hessian.product_count - start, alphas
+    if not alpha < -thresh:
+        return (Status.ERROR, n + 1, "semidefinite_boundary",
+                hessian.product_count - start, alphas[: n + 1])
+    verdict = _certified_failure(hessian, basis.jacobian, V[:, n].copy(), n + 1,
+                                 tol_feas, {})
+    return (verdict.status, n + 1, verdict.reason,
+            hessian.product_count - start, alphas[: n + 1])
+
+
 def reference_bht(H, A, pivot_tol=1e-8):
     """The bordered Hessian test with one LU update per column, kept as the
     oracle for the Schur-complement kernel: each column is pushed through
@@ -294,6 +334,79 @@ class TestDiagonalization:
         assert verdict.status is Status.FAILS and verdict.step == 2
         np.testing.assert_allclose(verdict.direction, [0.0, 1.0, 0.0], atol=1e-14)
 
+    def test_matches_reference_recurrence(self):
+        # seeded draws up to N = 200, so that the modified variant crosses
+        # several 64-column panels; every third draw has L > 130 and either
+        # holds or has one or two negative reduced eigenvalues, which tends
+        # to fail late
+        def check(hessian, basis, variant, tol_alpha, label, rtol=1e-12, atol=0.0):
+            status, step, reason, products, alphas = reference_diagonalization(
+                hessian(), basis, variant, tol_alpha)
+            verdict = diagonalization(hessian(), basis, variant, tol_alpha)
+            assert (verdict.status, verdict.step, verdict.reason) == (
+                status, step, reason), label
+            assert verdict.diagnostics["operator_products"] == products, label
+            got = verdict.diagnostics.get("alphas")
+            if got is None:
+                got, alphas = verdict.diagnostics["alpha"], alphas[-1]
+            np.testing.assert_allclose(got, alphas, rtol=rtol, atol=atol,
+                                       err_msg=label)
+            return verdict
+
+        rng = np.random.default_rng(20241018)
+        outcomes = set()
+        for trial in range(300):
+            if trial % 3:
+                n = int(rng.integers(4, 201))
+                m = int(rng.integers(1, n))
+                p = int(rng.integers(0, n + 1))
+            else:
+                n = int(rng.integers(140, 201))
+                m = int(rng.integers(1, n - 130))
+                p = (n - m - 1, n - m - 2, n)[(trial // 3) % 3]
+            l = n - m
+            conditioning = ("well", "ill")[trial % 2]
+            problem = generate(GeneratorSpec(
+                n=n, m=m, p=p, seed=int(rng.integers(2**31)), conditioning=conditioning,
+            ))
+            basis = null_space_basis(problem.jacobian, tol_rank=0.0)
+            tol_alpha = (0.0, 1e-6)[(trial // 2) % 2]
+            # the classical variant's column-by-column loop is slow at large L
+            for variant in VARIANTS[: 1 + (trial % 4 == 1)]:
+                verdict = check(lambda: op(problem.hessian), basis, variant, tol_alpha,
+                                f"draw {trial}: n={n} m={m} p={p} {conditioning} "
+                                f"{variant} tol_alpha={tol_alpha}")
+                panel = (l if verdict.holds else verdict.step - 1) // 64
+                outcomes.add((verdict.reason or verdict.status.value, min(panel, 2)))
+        assert outcomes >= {("holds", 2), ("fails", 0), ("fails", 1)}
+
+        # a hand-built reduced matrix whose pivot 70 is 1e-9 while its
+        # conjugated vector's image has unit size: with tol_alpha = 1e-6
+        # that pivot is at the boundary, and at tol_alpha = 0 the next
+        # pivot, 0 - 1/1e-9, fails.  Pivot 70 is left by cancellation of
+        # unit-sized terms, so it is compared to 1e-12 of that size, and
+        # pivot 71 inherits its relative error, about eps / 1e-9.
+        rng = np.random.default_rng(7)
+        K = rng.standard_normal((69, 69))
+        lead = K @ K.T / 69 + np.eye(69)
+        cross = 0.1 * rng.standard_normal((69, 2))
+        schur = np.array([[1e-9, 1.0], [1.0, 0.0]])
+        H = np.zeros((100, 100))
+        H[:69, :69] = lead
+        H[:69, 69:71] = cross
+        H[69:71, :69] = cross.T
+        H[69:71, 69:71] = schur + cross.T @ np.linalg.solve(lead, cross)
+        H[71:, 71:] = np.eye(29)
+        basis = adhoc_basis(np.eye(100))
+        for variant in VARIANTS:
+            boundary = check(lambda: op(H), basis, variant, 1e-6, f"{variant} 1e-6",
+                             atol=1e-12)
+            assert (boundary.status, boundary.step, boundary.reason) == (
+                Status.ERROR, 70, "semidefinite_boundary")
+            failing = check(lambda: op(H), basis, variant, 0.0, f"{variant} 0",
+                            rtol=1e-5)
+            assert (failing.status, failing.step) == (Status.FAILS, 71)
+
     @pytest.mark.parametrize("seed", range(40))
     def test_agrees_with_cholesky(self, seed):
         rng = np.random.default_rng(seed)
@@ -497,6 +610,19 @@ class TestBorderedHessian:
             verdict = check(tp.lagrangian_hessian(point.x, point.lam),
                             tp.jacobian(point.x), f"Thomson K={k}")
             assert verdict.reason == "singular_minor"
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-300])
+    def test_uniformly_scaled_input_keeps_its_verdict(self, scale):
+        # scaling H and A alike scales the bordered matrix, its pivots and
+        # its singular floor together; |B|_F^2 must not overflow on the way
+        for p, expected in ((12, Status.HOLDS), (8, Status.FAILS)):
+            problem = generate(GeneratorSpec(n=12, m=3, p=p, seed=4))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                verdict = bordered_hessian_test(scale * problem.hessian,
+                                                scale * problem.jacobian)
+            assert (verdict.status, verdict.step) == (
+                expected, bordered_hessian_test(problem.hessian, problem.jacobian).step)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_sign_sequence_matches_truth(self, seed):
