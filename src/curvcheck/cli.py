@@ -116,16 +116,20 @@ def cmd_check(args) -> int:
     _print_verdict(verdict, method)
     if verdict.direction is not None:
         sidecar = args.direction_out or (str(args.problem) + ".direction.json")
-        with open(sidecar, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "direction": [float(v) for v in verdict.direction],
-                    "curvature": verdict.curvature,
-                    "step": verdict.step,
-                },
-                fh,
-            )
-            fh.write("\n")
+        try:
+            with open(sidecar, "w", encoding="utf-8") as fh:
+                json.dump(
+                    {
+                        "direction": [float(v) for v in verdict.direction],
+                        "curvature": verdict.curvature,
+                        "step": verdict.step,
+                    },
+                    fh,
+                )
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
         print(f"direction written to {sidecar}")
     if verdict.status is Status.HOLDS:
         return 0
@@ -144,8 +148,12 @@ def cmd_bench(args) -> int:
         base_seed=args.seed,
         options=_options_from_args(args),
     )
-    _bench.write_csv(records, args.out)
     print(_bench.summarize(records))
+    try:
+        _bench.write_csv(records, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     print(f"{len(records)} records written to {args.out}")
     return 0
 
@@ -175,7 +183,11 @@ def cmd_thomson(args) -> int:
                 provenance=problem.provenance,
             )
             dest = f"{args.save_problems}thomson_k{k}.json"
-            _problems.save_problem(snapshot, dest)
+            try:
+                _problems.save_problem(snapshot, dest)
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 3
             print(f"K={k}: problem written to {dest}")
         print(f"K={k}: energy {energy:.12g}, stationarity residual "
               f"{point.fonc_residual:.3g}")
@@ -201,14 +213,18 @@ def cmd_thomson(args) -> int:
                     rel = times[method] / times["inertia"]
                     print(f"  time({method}) / time(inertia) = {rel:.2f}")
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([
-                "K", "N", "M", "method", "verdict", "energy",
-                "fonc_residual", "wall_time_s", "operator_products",
-                "continuations",
-            ])
-            writer.writerows(rows)
+        try:
+            with open(args.out, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow([
+                    "K", "N", "M", "method", "verdict", "energy",
+                    "fonc_residual", "wall_time_s", "operator_products",
+                    "continuations",
+                ])
+                writer.writerows(rows)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
         print(f"rows written to {args.out}")
     return 0
 

@@ -13,8 +13,9 @@ built from:
     factorization; :func:`check_full_rank` is the SVD guard for the tests
     that need no basis.
   - :class:`NullSpaceProjector`: the orthogonal projector onto ``null(A)``
-    intersected with the complement of appended columns, maintained through
-    a QR factorization of ``A^T`` that is updated (not rebuilt) per append.
+    intersected with the complement of appended columns, through an
+    orthonormal basis of that subspace that starts as the ``qr_at`` basis
+    and loses one column per append to one Householder reflector.
   - :class:`BorderedLu`: an LU factorization of a matrix that grows by
     symmetric borders, tracking determinant signs exactly; a border of k
     columns is absorbed at once through the Cholesky factor of its Schur
@@ -246,8 +247,13 @@ class NullSpaceBasis:
 
 
 def default_rank_tolerance(A: np.ndarray) -> float:
-    """Default LICQ guard: sqrt(machine eps) times the Frobenius norm."""
-    return np.sqrt(_EPS) * float(np.linalg.norm(A, "fro"))
+    """Default LICQ guard: sqrt(machine eps) times the Frobenius norm.
+
+    BLAS ``dnrm2`` scales as it sums, so the squares of finite entries
+    neither overflow nor underflow.
+    """
+    A = np.asarray(A, dtype=float)
+    return np.sqrt(_EPS) * float(sla.blas.dnrm2(A.ravel())) if A.size else 0.0
 
 
 def _as_jacobian(A: np.ndarray) -> np.ndarray:
@@ -286,6 +292,23 @@ def check_full_rank(A: np.ndarray, tol_rank: Optional[float] = None) -> None:
     # the SVD is only paid for when the guard is on
     if A.shape[0] > 0 and tol_rank > 0:
         _check_pivots(np.linalg.svd(A, compute_uv=False), tol_rank, "singular value")
+
+
+def _qr_at(A: np.ndarray):
+    """The diagonal of R and the trailing L columns of Q, Fortran-ordered,
+    from a Householder QR ``A^T = Q R`` of an M x N Jacobian with M > 0.
+
+    Only ``Q [0; I_L]`` is needed, so the reflectors are applied to it
+    without forming Q.
+    """
+    M, N = A.shape
+    lwork, _ = sla.lapack.dgeqrf_lwork(N, M)
+    qr, tau, _, _ = sla.lapack.dgeqrf(np.asarray_chkfinite(A.T), lwork=int(lwork))
+    W = np.zeros((N, N - M), order="F")
+    W[M:] = np.eye(N - M)
+    _, work, _ = sla.lapack.dormqr("L", "N", qr, tau, W, -1)
+    W, _, _ = sla.lapack.dormqr("L", "N", qr, tau, W, int(work[0]), overwrite_c=1)
+    return np.diag(qr[:M, :M]), W
 
 
 def null_space_basis(
@@ -329,15 +352,8 @@ def null_space_basis(
         W = Vt[M:].T
         orthonormal = True
     elif method == "qr_at":
-        # only the trailing L columns of Q are needed: they are Q [0; I_L],
-        # applied from the Householder reflectors without forming Q
-        lwork, _ = sla.lapack.dgeqrf_lwork(N, M)
-        qr, tau, _, _ = sla.lapack.dgeqrf(np.asarray_chkfinite(A.T), lwork=int(lwork))
-        _check_pivots(np.abs(np.diag(qr[:M, :M])), tol_rank, "|R_ii|")
-        W = np.zeros((N, L), order="F")
-        W[M:] = np.eye(L)
-        _, work, _ = sla.lapack.dormqr("L", "N", qr, tau, W, -1)
-        W, _, _ = sla.lapack.dormqr("L", "N", qr, tau, W, int(work[0]), overwrite_c=1)
+        rdiag, W = _qr_at(A)
+        _check_pivots(np.abs(rdiag), tol_rank, "|R_ii|")
         orthonormal = True
     elif method == "qr_a":
         Q, R = sla.qr(A, mode="economic")
@@ -365,57 +381,25 @@ def null_space_basis(
 class NullSpaceProjector:
     """Orthogonal projector onto ``null(A)`` minus appended directions.
 
-    The projector holds a Householder QR factorization of the N x (M+k)
-    matrix whose first M columns are ``A^T`` and whose later k columns were
-    appended through :meth:`append_column`.  The reflectors are kept in
-    compact WY form (Q = I - V T V^T), so one projection costs four slim
-    matrix-vector products, O(N(M+k)), and each append adds exactly one new
-    reflector in O(N(M+k)) work rather than refactoring.
+    The projector holds ``Z``, an orthonormal N x d basis of the subspace
+    still to be searched: ``null(A)`` intersected with the orthogonal
+    complement of the columns appended through :meth:`append_column`.  It
+    starts as the trailing L columns of Q from a Householder QR of ``A^T``
+    (``Z = I_N`` when M = 0).  One projection ``Z (Z^T r)`` costs two slim
+    matrix-vector products, O(N d).  An append rotates ``Z`` by one
+    Householder reflector, so that its first column carries the part of the
+    new column inside the subspace, and drops that column; as ``Z`` only
+    changes through orthogonal transformations it stays orthonormal and
+    inside ``null(A)`` to working precision.
     """
 
     def __init__(self, A: np.ndarray):
         A = _as_jacobian(A)
         self._jacobian = A
-        self._m = A.shape[0]
-        self._n = A.shape[1]
-        n, m = self._n, self._m
-        self._refl = np.zeros((n, m))      # Householder vectors, column j
-        self._tmat = np.zeros((m, m))      # triangular factor of the WY form
-        self._ncols = 0
+        self._m, self._n = A.shape
+        # Fortran order: dropping the first column leaves a contiguous view
+        self._basis = _qr_at(A)[1] if self._m else np.eye(self._n, order="F")
         self._k = 0
-        if m > 0:
-            (packed, tau), _ = sla.qr(A.T, mode="raw")
-            for j in range(m):
-                v = np.zeros(n)
-                v[j] = 1.0
-                v[j + 1 :] = packed[j + 1 :, j]
-                self._grow_wy(v, float(tau[j]))
-        self._ncols = m
-
-    def _grow_wy(self, v: np.ndarray, beta: float) -> None:
-        c = self._ncols
-        if c >= self._refl.shape[1]:
-            grow = max(8, self._refl.shape[1])
-            self._refl = np.hstack([self._refl, np.zeros((self._n, grow))])
-            tnew = np.zeros((c + grow, c + grow))
-            tnew[:c, :c] = self._tmat[:c, :c]
-            self._tmat = tnew
-        self._refl[:, c] = v
-        self._tmat[:c, c] = -beta * (self._tmat[:c, :c] @ (self._refl[:, :c].T @ v))
-        self._tmat[c, c] = beta
-        self._ncols = c + 1
-
-    def _qt_apply(self, r: np.ndarray) -> np.ndarray:
-        # Q^T r = r - V T^T (V^T r)
-        V = self._refl[:, : self._ncols]
-        T = self._tmat[: self._ncols, : self._ncols]
-        return r - V @ (T.T @ (V.T @ r))
-
-    def _q_apply(self, t: np.ndarray) -> np.ndarray:
-        # Q t = t - V T (V^T t)
-        V = self._refl[:, : self._ncols]
-        T = self._tmat[: self._ncols, : self._ncols]
-        return t - V @ (T @ (V.T @ t))
 
     @property
     def dimension(self) -> int:
@@ -440,14 +424,11 @@ class NullSpaceProjector:
             raise DimensionMismatchError(
                 f"expected vector of length {self._n}, got shape {r.shape}"
             )
-        if self._ncols == 0:
-            return r.copy()
-        t = self._qt_apply(r)
-        t[: self._ncols] = 0.0
-        return self._q_apply(t)
+        Z = self._basis
+        return Z @ (Z.T @ r)
 
     def append_column(self, q: np.ndarray, tol: Optional[float] = None) -> None:
-        """Extend the annihilated span by ``q`` with one new reflector.
+        """Remove the direction of ``q`` from the subspace.
 
         Raises :class:`DependentColumnError` when the projection of ``q``
         onto the current subspace is negligible, i.e. ``q`` adds nothing;
@@ -460,20 +441,19 @@ class NullSpaceProjector:
             )
         if tol is None:
             tol = np.sqrt(_EPS) * float(np.linalg.norm(q))
-        c = self._ncols
-        t = self._qt_apply(q) if c else q.astype(float, copy=True)
-        tail = t[c:]
-        residual = float(np.linalg.norm(tail))
-        if c >= self._n or residual <= tol:
+        Z = self._basis
+        w = Z.T @ q
+        residual = float(np.linalg.norm(w))
+        if w.size == 0 or residual <= tol:
             raise DependentColumnError(
                 f"appended column residual {residual:.3e} below tolerance"
             )
-        alpha = -np.copysign(residual, tail[0] if tail[0] != 0 else 1.0)
-        u = np.zeros(self._n)
-        u[c:] = tail
-        u[c] -= alpha
+        # the reflector I - beta u u^T maps w onto a multiple of e_1
+        u = w
+        u[0] += np.copysign(residual, w[0])
         beta = 2.0 / float(u @ u)
-        self._grow_wy(u, beta)
+        Z = sla.blas.dger(-beta, Z @ u, u, a=Z, overwrite_a=1)
+        self._basis = Z[:, 1:]
         self._k += 1
 
 
@@ -714,7 +694,11 @@ def _inertia_from_blocks(d: np.ndarray) -> tuple:
     i = 0
     while i < n:
         if i + 1 < n and d[i + 1, i] != 0.0:
-            a, bb, c = d[i, i], d[i + 1, i], d[i + 1, i + 1]
+            a, bb, c = float(d[i, i]), float(d[i + 1, i]), float(d[i + 1, i + 1])
+            # scaled by its largest entry, the block keeps the signs of its
+            # determinant and trace, and neither overflows nor underflows
+            big = max(abs(a), abs(bb), abs(c))
+            a, bb, c = a / big, bb / big, c / big
             det = a * c - bb * bb
             if det < 0.0:
                 pos += 1

@@ -41,6 +41,7 @@ from typing import Optional, Union
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dnrm2
 from scipy.linalg.lapack import dpotrf
 
 from . import problems as _problems
@@ -105,11 +106,14 @@ class SoscVerdict:
 
 
 def _feasibility_defect(A: Optional[np.ndarray], d: np.ndarray) -> float:
-    """|A d|_inf relative to |d| |A|_F; zero when no Jacobian is attached."""
+    """|A d|_inf relative to |d| |A|_F; zero when no Jacobian is attached.
+
+    BLAS ``dnrm2`` scales as it sums, so |A|_F of a finite A cannot
+    overflow and turn the defect into zero."""
     if A is None or A.shape[0] == 0:
         return 0.0
-    scale = float(np.linalg.norm(d)) * float(np.linalg.norm(A, "fro"))
-    if scale == 0.0:
+    scale = float(dnrm2(d)) * float(dnrm2(A.ravel()))
+    if not scale > 0.0:
         return np.inf
     return float(np.linalg.norm(A @ d, np.inf)) / scale
 

@@ -80,6 +80,14 @@ class TestCheck:
               "--direction-out", str(target)])
         assert target.exists()
 
+    def test_unwritable_direction_out_exit_three(self, indefinite_problem, tmp_path,
+                                                 capsys):
+        # exit 1 would read as "the condition fails"
+        dest = tmp_path / "no" / "such" / "dir.json"
+        assert main(["check", str(indefinite_problem), "--method", "pcg",
+                     "--direction-out", str(dest)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_method_is_a_usage_error(self, identity_problem, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", str(identity_problem), "--method", "foo"])
@@ -135,6 +143,12 @@ class TestBench:
             assert ra == rb
         summary = capsys.readouterr().out
         assert "pcg" in summary and "inertia" in summary
+
+    def test_unwritable_out_exit_three(self, tmp_path, capsys):
+        assert main(["bench", "--n-list", "8", "--trials-per-n", "1",
+                     "--methods", "inertia",
+                     "--out", str(tmp_path / "no" / "such.csv")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_methods_subset(self, tmp_path):
         out = tmp_path / "subset.csv"
@@ -217,6 +231,13 @@ class TestThomsonCommand:
         # the snapshot verifies through the file-based front end too
         assert main(["check", str(saved), "--method", "inertia"]) == 0
 
+
+    @pytest.mark.parametrize("flag", ["--out", "--save-problems"])
+    def test_unwritable_output_exit_three(self, tmp_path, flag, capsys):
+        dest = str(tmp_path / "no" / "such") + "/"
+        assert main(["thomson", "--k-list", "2", "--methods", "inertia",
+                     flag, dest]) == 3
+        assert "error: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("sigma", ["0", "-1e-6", "nan", "inf", "abc"])
     def test_fd_sigma_must_be_positive_and_finite(self, sigma, capsys):

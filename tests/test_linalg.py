@@ -23,6 +23,7 @@ from curvcheck.problems import (
     ThomsonProblem,
     generate,
 )
+from curvcheck.sosc import continued_pcg
 
 
 def naive_det_sign(B):
@@ -208,6 +209,69 @@ class TestNullSpaceBasis:
 # ---------------------------------------------------------------------------
 
 
+class ReferenceProjector:
+    """The projector kept in compact WY form, kept as the oracle for the
+    orthonormal-basis kernel: a Householder QR of ``[A^T, appended]`` grown
+    by one reflector per constraint and per append; a projection applies
+    ``Q^T``, zeroes the leading coordinates and applies ``Q``."""
+
+    def __init__(self, A):
+        A = np.asarray(A, dtype=float)
+        self.jacobian = A
+        self.n_constraints, self.dimension = A.shape
+        n = self.dimension
+        self._refl = np.zeros((n, 0))
+        self._tmat = np.zeros((0, 0))
+        if self.n_constraints:
+            (packed, tau), _ = sla.qr(A.T, mode="raw")
+            for j in range(self.n_constraints):
+                v = np.zeros(n)
+                v[j] = 1.0
+                v[j + 1 :] = packed[j + 1 :, j]
+                self._grow(v, float(tau[j]))
+
+    def _grow(self, v, beta):
+        c = self._refl.shape[1]
+        tcol = -beta * (self._tmat @ (self._refl.T @ v))
+        self._tmat = np.block([[self._tmat, tcol[:, None]],
+                               [np.zeros((1, c)), np.full((1, 1), beta)]])
+        self._refl = np.column_stack([self._refl, v])
+
+    def _qt(self, r):
+        V, T = self._refl, self._tmat
+        return r - V @ (T.T @ (V.T @ r))
+
+    def project(self, r):
+        c = self._refl.shape[1]
+        t = self._qt(np.asarray(r, dtype=float))
+        t[:c] = 0.0
+        V, T = self._refl, self._tmat
+        return t - V @ (T @ (V.T @ t))
+
+    def append_column(self, q, tol=None):
+        q = np.asarray(q, dtype=float)
+        if tol is None:
+            tol = np.sqrt(np.finfo(float).eps) * np.linalg.norm(q)
+        c = self._refl.shape[1]
+        tail = self._qt(q)[c:]
+        residual = float(np.linalg.norm(tail))
+        if c >= self.dimension or residual <= tol:
+            raise DependentColumnError(f"residual {residual:.3e}")
+        alpha = -np.copysign(residual, tail[0] if tail[0] != 0 else 1.0)
+        u = np.zeros(self.dimension)
+        u[c:] = tail
+        u[c] -= alpha
+        self._grow(u, 2.0 / float(u @ u))
+
+
+def pcg_outcome(problem, projector_class, seed):
+    verdict = continued_pcg(HessianOperator.from_matrix(problem.hessian),
+                            projector_class(problem.jacobian), seed=seed)
+    diag = verdict.diagnostics
+    return (verdict.status, verdict.step, verdict.reason,
+            diag["operator_products"], diag["continuations"])
+
+
 class TestProjector:
     def test_hand_case(self):
         proj = NullSpaceProjector(np.array([[1.0, 0.0]]))
@@ -263,6 +327,87 @@ class TestProjector:
             for prior in appended:
                 assert abs(prior @ p) <= 1e-10 * np.linalg.norm(r) * np.linalg.norm(prior)
             assert np.abs(A @ p).max() <= 1e-10 * np.linalg.norm(r) * np.linalg.norm(A)
+
+    @pytest.mark.parametrize("m", [0, 1, 7, 20])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_householder_reference(self, m, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        A = rng.standard_normal((m, n))
+        proj, ref = NullSpaceProjector(A), ReferenceProjector(A)
+        for k in range(n - m):
+            r = rng.standard_normal(n)
+            np.testing.assert_allclose(proj.project(r), ref.project(r),
+                                       rtol=0, atol=1e-12 * np.linalg.norm(r))
+            q = rng.standard_normal(n)
+            proj.append_column(q)
+            ref.append_column(q)
+        assert proj.n_appended == n - m
+        np.testing.assert_array_equal(proj.project(rng.standard_normal(n)), 0.0)
+        # nothing is left to remove
+        for projector in (proj, ref):
+            with pytest.raises(DependentColumnError):
+                projector.append_column(rng.standard_normal(n))
+
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_dependent_column_rejected_like_reference(self, m):
+        rng = np.random.default_rng(m)
+        n = 12
+        A = rng.standard_normal((m, n))
+        appended = rng.standard_normal((n, 3))
+        proj, ref = NullSpaceProjector(A), ReferenceProjector(A)
+        for projector in (proj, ref):
+            for q in appended.T:
+                projector.append_column(q)
+        # a combination of the rows of A and of the appended columns adds
+        # nothing, nor does one that leaves the span by less than
+        # sqrt(eps) |q|; both projectors keep their state after rejecting it
+        q = appended @ rng.standard_normal(3) + A.T @ rng.standard_normal(m)
+        inside = proj.project(rng.standard_normal(n))
+        inside *= np.linalg.norm(q) / np.linalg.norm(inside)
+        for q_out in (q, q + 1e-9 * inside):
+            for projector in (proj, ref):
+                with pytest.raises(DependentColumnError):
+                    projector.append_column(q_out)
+        assert proj.n_appended == 3
+        r = rng.standard_normal(n)
+        np.testing.assert_allclose(proj.project(r), ref.project(r),
+                                   rtol=0, atol=1e-12 * np.linalg.norm(r))
+        # just above the threshold the column is taken
+        for projector in (proj, ref):
+            projector.append_column(q + 1e-7 * inside)
+        assert proj.n_appended == 4
+
+    def test_symmetric_and_idempotent_after_many_appends(self):
+        rng = np.random.default_rng(7)
+        n, m = 120, 30
+        A = rng.standard_normal((m, n))
+        proj = NullSpaceProjector(A)
+        for _ in range(n - m - 4):
+            proj.append_column(rng.standard_normal(n))
+        for _ in range(5):
+            r, s = rng.standard_normal(n), rng.standard_normal(n)
+            pr, ps = proj.project(r), proj.project(s)
+            scale = np.linalg.norm(r) * np.linalg.norm(s)
+            assert abs(s @ pr - r @ ps) <= 1e-13 * scale
+            np.testing.assert_allclose(proj.project(pr), pr, rtol=0,
+                                       atol=1e-13 * np.linalg.norm(r))
+            assert np.abs(A @ pr).max() <= 1e-13 * np.linalg.norm(r) * np.linalg.norm(A)
+
+    def test_continued_pcg_matches_householder_reference(self):
+        # seeded generator draws at N 4-200, alternately well and
+        # ill-conditioned, alternately holding and failing
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 201))
+            m = int(rng.integers(1, n))
+            p = int(rng.integers(n - m, n + 1) if seed % 2 else rng.integers(0, n - m))
+            problem = generate(GeneratorSpec(
+                n=n, m=m, p=p, seed=seed,
+                conditioning="ill" if seed % 4 >= 2 else "well",
+            ))
+            assert (pcg_outcome(problem, NullSpaceProjector, seed)
+                    == pcg_outcome(problem, ReferenceProjector, seed)), seed
 
 
 # ---------------------------------------------------------------------------

@@ -677,6 +677,17 @@ class TestInertia:
         verdict = inertia_test(problem.hessian, problem.jacobian)
         assert verdict.holds == problem.truth
 
+    def test_overflowing_two_by_two_block_keeps_its_signs(self):
+        # a*c - b*b of a 2 x 2 block of D near 1e200 is inf - inf; scaled by
+        # the block's largest entry, its sign is that of the unscaled inertia
+        problem = generate(GeneratorSpec(n=12, m=3, p=8, seed=4))
+        plain = inertia_test(problem.hessian, problem.jacobian)
+        assert plain.diagnostics["inertia"] == (11, 4, 0)
+        with np.errstate(over="ignore"):
+            scaled = inertia_test(1e200 * problem.hessian, problem.jacobian)
+        assert scaled.status is Status.FAILS
+        assert scaled.diagnostics["inertia"] == (11, 4, 0)
+
 
 # ---------------------------------------------------------------------------
 # Dispatcher
@@ -722,6 +733,33 @@ class TestVerify:
                 assert verdict.curvature < 0
                 assert np.abs(problem.jacobian @ verdict.direction).max() <= (
                     1e-8 * np.linalg.norm(verdict.direction))
+
+    @pytest.mark.parametrize("p, expected", [(12, Status.HOLDS), (8, Status.FAILS)])
+    def test_overflowing_jacobian_norm_keeps_the_rank_guard(self, p, expected):
+        # |A|_F overflows for entries near 1e200; the default tolerance must
+        # follow it without calling a full-rank Jacobian rank deficient
+        problem = generate(GeneratorSpec(n=12, m=3, p=p, seed=4))
+        assert problem.truth is (expected is Status.HOLDS)
+        scaled = Problem(1e200 * problem.jacobian, problem.hessian)
+        for method in ("cholesky", "diagonalization", "pcg", "inertia"):
+            with np.errstate(over="ignore"):
+                verdict = verify(scaled, method)
+                unguarded = verify(scaled, method, VerifyOptions(tol_rank=0.0))
+            assert verdict.status is expected, method
+            assert (verdict.status, verdict.step) == (unguarded.status, unguarded.step)
+        # the scale of H against A is still out of reach of bht's floor
+        with np.errstate(over="ignore"):
+            assert verify(scaled, "bht").reason == "singular_minor"
+
+    def test_overflowing_jacobian_norm_keeps_the_feasibility_check(self):
+        # |A|_F overflows for a row near 1e200; the defect of an infeasible
+        # certificate must not read as |A d| / inf = 0
+        A = np.array([[1e200, 0.0]])
+        H = op(-np.eye(2))
+        infeasible = _certified_failure(H, A, np.array([1.0, 1.0]), 1, 1e-8, {})
+        assert infeasible.reason == "verification_failed"
+        feasible = _certified_failure(H, A, np.array([0.0, 1.0]), 1, 1e-8, {})
+        assert feasible.status is Status.FAILS
 
     def test_identity_problem_all_methods(self):
         problem = Problem(jacobian=np.array([[0.0, 0.0, 1.0]]), hessian=np.eye(3))
