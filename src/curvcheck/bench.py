@@ -170,12 +170,17 @@ def run_campaign(
     return records
 
 
-def write_csv(records: Sequence[TrialRecord], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for rec in records:
-            writer.writerow(rec.row())
+def write_csv(records: Sequence[TrialRecord], dest) -> None:
+    """Write the header and one row per record to ``dest``, a path or a text
+    file opened with ``newline=""``."""
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w", newline="", encoding="utf-8") as fh:
+            write_csv(records, fh)
+        return
+    writer = csv.writer(dest)
+    writer.writerow(CSV_HEADER)
+    for rec in records:
+        writer.writerow(rec.row())
 
 
 def _rate(num: int, den: int) -> str:

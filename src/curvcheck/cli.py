@@ -138,28 +138,43 @@ def cmd_check(args) -> int:
     return 2
 
 
-def cmd_bench(args) -> int:
-    methods = _method_list(args.methods)
-    records = _bench.run_campaign(
-        args.n_list,
-        args.trials_per_n,
-        conditioning=args.conditioning,
-        methods=methods,
-        base_seed=args.seed,
-        options=_options_from_args(args),
-    )
-    print(_bench.summarize(records))
+def _open_out(path):
+    """Open ``path`` for a CSV before the work that fills it, so that an
+    unwritable path is reported at once; None after printing the error."""
     try:
-        _bench.write_csv(records, args.out)
+        return open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_bench(args) -> int:
+    out = _open_out(args.out)
+    if out is None:
         return 3
+    with out:
+        records = _bench.run_campaign(
+            args.n_list,
+            args.trials_per_n,
+            conditioning=args.conditioning,
+            methods=args.methods,
+            base_seed=args.seed,
+            options=_options_from_args(args),
+        )
+        print(_bench.summarize(records))
+        try:
+            _bench.write_csv(records, out)
+            out.flush()
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
     print(f"{len(records)} records written to {args.out}")
     return 0
 
 
-def cmd_thomson(args) -> int:
-    methods = _method_list(args.methods)
+def _thomson_rows(args):
+    """Solve and verify each K of ``--k-list``; the CSV rows, or None after
+    a problem snapshot could not be written."""
     rows = []
     for k in args.k_list:
         try:
@@ -187,12 +202,12 @@ def cmd_thomson(args) -> int:
                 _problems.save_problem(snapshot, dest)
             except OSError as exc:
                 print(f"error: {exc}", file=sys.stderr)
-                return 3
+                return None
             print(f"K={k}: problem written to {dest}")
         print(f"K={k}: energy {energy:.12g}, stationarity residual "
               f"{point.fonc_residual:.3g}")
         times = {}
-        for method in methods:
+        for method in args.methods:
             verdict = verify(problem, method, _options_from_args(args))
             diag = verdict.diagnostics
             times[method] = diag["wall_time_s"]
@@ -208,24 +223,36 @@ def cmd_thomson(args) -> int:
                 diag.get("continuations", 0),
             ])
         if "inertia" in times and times["inertia"] > 0:
-            for method in methods:
+            for method in args.methods:
                 if method != "inertia":
                     rel = times[method] / times["inertia"]
                     print(f"  time({method}) / time(inertia) = {rel:.2f}")
-    if args.out:
+    return rows
+
+
+def cmd_thomson(args) -> int:
+    if not args.out:
+        return 3 if _thomson_rows(args) is None else 0
+    out = _open_out(args.out)
+    if out is None:
+        return 3
+    with out:
+        rows = _thomson_rows(args)
+        if rows is None:
+            return 3
         try:
-            with open(args.out, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow([
-                    "K", "N", "M", "method", "verdict", "energy",
-                    "fonc_residual", "wall_time_s", "operator_products",
-                    "continuations",
-                ])
-                writer.writerows(rows)
+            writer = csv.writer(out)
+            writer.writerow([
+                "K", "N", "M", "method", "verdict", "energy",
+                "fonc_residual", "wall_time_s", "operator_products",
+                "continuations",
+            ])
+            writer.writerows(rows)
+            out.flush()
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
-        print(f"rows written to {args.out}")
+    print(f"rows written to {args.out}")
     return 0
 
 
@@ -246,7 +273,10 @@ def cmd_compare(args) -> int:
         print(f"  {method:>16}: {verdict.status.value}{step}{reason}")
 
     H = problem.operator(options.fd_sigma).matrix
-    if H is not None and problem.n <= 500:
+    if H is not None and not (np.isfinite(H).all() and np.isfinite(problem.jacobian).all()):
+        # the eigensolvers would raise on NaN or inf
+        print(f"  {'eigen-oracle':>16}: skipped (H or A holds NaN or inf)")
+    elif H is not None and problem.n <= 500:
         from .linalg import null_space_basis
 
         basis = null_space_basis(problem.jacobian, "svd", tol_rank=0.0)
@@ -286,14 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--n-list", type=_int_list, required=True)
     p_bench.add_argument("--trials-per-n", type=int, default=50)
     p_bench.add_argument("--conditioning", choices=["well", "ill"], default="well")
-    p_bench.add_argument("--methods", default=",".join(METHODS))
+    p_bench.add_argument("--methods", type=_method_list, default=",".join(METHODS))
     p_bench.add_argument("--out", required=True)
     _add_tolerance_args(p_bench)
     p_bench.set_defaults(func=cmd_bench, tol_rank=0.0)
 
     p_th = sub.add_parser("thomson", help="solve and verify sphere problems")
     p_th.add_argument("--k-list", type=_int_list, required=True)
-    p_th.add_argument("--methods", default="cholesky,diagonalization,inertia")
+    p_th.add_argument("--methods", type=_method_list,
+                      default="cholesky,diagonalization,inertia")
     p_th.add_argument("--tol-fonc", type=float, default=1e-9)
     p_th.add_argument("--out", default=None)
     p_th.add_argument("--save-problems", default=None, metavar="PREFIX",

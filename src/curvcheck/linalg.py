@@ -20,8 +20,9 @@ built from:
     symmetric borders, tracking determinant signs exactly; a border of k
     columns is absorbed at once through the Cholesky factor of its Schur
     complement.
-  - :func:`ldl_factor`: symmetric-indefinite block LDL factorization with
-    exact inertia extraction from the computed block-diagonal factor.
+  - :func:`ldl_factor`: one blocked Bunch-Kaufman LDL factorization
+    (LAPACK ``dsytrf``), with the inertia counted exactly from the 1x1 and
+    2x2 blocks of D, which ``ipiv`` locates.
 
 Dense Hessians are symmetrized only in :meth:`HessianOperator.from_matrix`;
 the kernels below take their inputs as given.
@@ -666,84 +667,80 @@ def _lu_with_parity(B: np.ndarray):
 
 @dataclasses.dataclass
 class LdlFactorization:
-    """Block LDL factorization ``K = L D L^T`` with permutation and inertia.
+    """Bunch-Kaufman factorization ``P K P^T = L D L^T`` as LAPACK stores it.
 
-    ``lower`` is the (row-permuted) factor as returned by the backend;
-    ``lower[perm]`` is unit lower triangular.  ``diag`` is block diagonal
-    with 1x1 and 2x2 blocks.  ``inertia`` holds the counts of positive,
-    negative, and zero eigenvalues, computed exactly from the blocks of
-    the factor: Sylvester's law makes the inertia of D equal that of K.
+    ``factor`` and ``ipiv`` are the output of LAPACK ``dsytrf`` with
+    ``lower=1``: D's diagonal sits on the diagonal of ``factor``, the
+    subdiagonal entry of each 2x2 block of D just below it, and the
+    multipliers of L under the diagonal.  ``ipiv`` is 1-based; a 2x2 block
+    at rows k, k+1 shows as ``ipiv[k] = ipiv[k+1] < 0``.  LAPACK ``dsytrs``
+    solves with the pair.  ``inertia`` holds the counts of positive,
+    negative and zero eigenvalues, computed exactly from the blocks of D:
+    Sylvester's law makes the inertia of D equal that of K.
     """
 
-    lower: np.ndarray
-    diag: np.ndarray
-    perm: np.ndarray
+    factor: np.ndarray
+    ipiv: np.ndarray
     inertia: tuple
 
-    def reconstruct(self) -> np.ndarray:
-        return self.lower @ self.diag @ self.lower.T
 
-    @property
-    def permuted_lower(self) -> np.ndarray:
-        return self.lower[self.perm]
+def _inertia(factor: np.ndarray, ipiv: np.ndarray) -> tuple:
+    """Inertia of the block-diagonal D held in ``dsytrf`` output.
 
-
-def _inertia_from_blocks(d: np.ndarray) -> tuple:
-    n = d.shape[0]
-    pos = neg = zero = 0
-    i = 0
-    while i < n:
-        if i + 1 < n and d[i + 1, i] != 0.0:
-            a, bb, c = float(d[i, i]), float(d[i + 1, i]), float(d[i + 1, i + 1])
-            # scaled by its largest entry, the block keeps the signs of its
-            # determinant and trace, and neither overflows nor underflows
-            big = max(abs(a), abs(bb), abs(c))
-            a, bb, c = a / big, bb / big, c / big
-            det = a * c - bb * bb
-            if det < 0.0:
-                pos += 1
-                neg += 1
-            else:
-                tr = a + c
-                if det > 0.0:
-                    if tr > 0.0:
-                        pos += 2
-                    else:
-                        neg += 2
-                else:
-                    # one zero eigenvalue; other has the sign of the trace
-                    zero += 1
-                    if tr > 0.0:
-                        pos += 1
-                    elif tr < 0.0:
-                        neg += 1
-                    else:
-                        zero += 1
-            i += 2
-        else:
-            v = d[i, i]
-            if v > 0.0:
-                pos += 1
-            elif v < 0.0:
-                neg += 1
-            else:
-                zero += 1
-            i += 1
+    A 1x1 pivot counts by its sign, an exact 0 (or NaN) as a zero
+    eigenvalue.  A 2x2 block ``[[a, b], [b, c]]`` is scaled by its largest
+    entry, so that the signs of its determinant and trace neither overflow
+    nor underflow, and counts (1, 1) when the determinant is negative, two
+    of the trace's sign when it is positive, and one zero plus one of the
+    trace's sign when it is zero.
+    """
+    d = np.diag(factor)
+    paired = ipiv < 0
+    ones = d[~paired]
+    pos = int(np.count_nonzero(ones > 0.0))
+    neg = int(np.count_nonzero(ones < 0.0))
+    zero = ones.size - pos - neg
+    k = np.flatnonzero(paired)[0::2]
+    if k.size:
+        a, b, c = d[k], factor[k + 1, k], d[k + 1]
+        with np.errstate(all="ignore"):
+            # a block that overflowed to inf or NaN in the factorization
+            # counts its NaN determinant or trace as zeros, without a warning
+            big = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+            a, b, c = a / big, b / big, c / big
+            det = a * c - b * b
+            tr = a + c
+        split = det < 0.0
+        definite = det > 0.0
+        singular = ~(split | definite)
+        up, down = tr > 0.0, tr < 0.0
+        pos += int(np.count_nonzero(split) + 2 * np.count_nonzero(definite & up)
+                   + np.count_nonzero(singular & up))
+        neg += int(np.count_nonzero(split) + 2 * np.count_nonzero(definite & ~up)
+                   + np.count_nonzero(singular & down))
+        zero += int(np.count_nonzero(singular) + np.count_nonzero(singular & ~up & ~down))
     return (pos, neg, zero)
 
 
 def ldl_factor(K: np.ndarray) -> LdlFactorization:
     """Bunch-Kaufman block LDL factorization of a symmetric matrix.
 
-    The factorization always completes; zero pivots surface as zero
-    eigenvalue counts in the inertia.  ``K`` must be symmetric to a relative
-    1e-8; it is factored as given, from its lower triangle.
+    One blocked LAPACK ``dsytrf`` call factors ``K`` from its lower
+    triangle, as given (the caller's array is not overwritten); the
+    inertia is read from D's diagonal and ``ipiv``.  The factorization
+    always completes; zero pivots surface as zero eigenvalue counts in the
+    inertia.  ``K`` must be finite and symmetric to a relative 1e-8 in the
+    Frobenius norm, taken with BLAS ``dnrm2`` so that it does not overflow.
     """
-    K = np.asarray(K, dtype=float)
+    K = np.asarray_chkfinite(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise DimensionMismatchError("matrix must be square")
-    scale = float(np.linalg.norm(K, "fro"))
-    if scale > 0 and float(np.linalg.norm(K - K.T, "fro")) > 1e-8 * scale:
+    scale = float(sla.blas.dnrm2(K.ravel())) if K.size else 0.0
+    if scale > 0 and float(sla.blas.dnrm2((K - K.T).ravel())) > 1e-8 * scale:
         raise ValueError("matrix is not symmetric")
-    lower, diag, perm = sla.ldl(K, lower=True)
-    return LdlFactorization(lower, diag, perm, _inertia_from_blocks(diag))
+    # without lwork dsytrf runs unblocked, about 2x slower at n = 1000
+    lwork, _ = sla.lapack.dsytrf_lwork(K.shape[0], lower=1)
+    factor, ipiv, info = sla.lapack.dsytrf(K, lower=1, lwork=int(lwork))
+    if info < 0:
+        raise ValueError(f"dsytrf: illegal value in argument {-info}")
+    return LdlFactorization(factor, ipiv, _inertia(factor, ipiv))

@@ -563,8 +563,9 @@ def inertia_test(
     """Single-factorization test on the saddle-point matrix.
 
     The condition holds exactly when the inertia of [[H, A^T], [A, 0]] is
-    (N, M, 0).  The inertia is read off the block-diagonal factor of one
-    symmetric-indefinite LDL factorization; this is exact for the computed
+    (N, M, 0).  The inertia is counted from the 1x1 and 2x2 blocks of D in
+    one Bunch-Kaufman factorization (LAPACK ``dsytrf``, the blocks located
+    through its pivot vector); this is exact for the computed
     factor even in floating point, though the computed factor itself may
     misrepresent a matrix with eigenvalues at roundoff scale.  No
     direction of negative curvature is available on failure.  NaN or inf

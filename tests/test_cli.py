@@ -144,11 +144,27 @@ class TestBench:
         summary = capsys.readouterr().out
         assert "pcg" in summary and "inertia" in summary
 
-    def test_unwritable_out_exit_three(self, tmp_path, capsys):
+    def test_unwritable_out_exit_three(self, tmp_path, capsys, monkeypatch):
+        # the path is opened before any trial runs
+        from curvcheck import cli
+
+        calls = []
+        monkeypatch.setattr(cli._bench, "run_campaign",
+                            lambda *args, **kwargs: calls.append(args) or [])
         assert main(["bench", "--n-list", "8", "--trials-per-n", "1",
                      "--methods", "inertia",
                      "--out", str(tmp_path / "no" / "such.csv")]) == 3
         assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["bench", "thomson"])
+    def test_unknown_method_in_list_is_a_usage_error(self, tmp_path, command, capsys):
+        sizes = ["--n-list", "8"] if command == "bench" else ["--k-list", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *sizes, "--methods", "inertia,foo",
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "unknown method 'foo'" in capsys.readouterr().err
 
     def test_methods_subset(self, tmp_path):
         out = tmp_path / "subset.csv"
@@ -205,6 +221,21 @@ class TestCompare:
     def test_bad_file(self, tmp_path):
         assert main(["compare", str(tmp_path / "absent.json")]) == 3
 
+    @pytest.mark.parametrize("field", ["A", "H"])
+    def test_non_finite_problem_skips_the_oracle(self, tmp_path, field, capsys):
+        # the eigensolvers of the oracle would raise on NaN
+        problem = generate(GeneratorSpec(n=12, m=5, p=7, seed=3))
+        doc = {"schema": "dense-v1", "N": 12, "M": 5,
+               "A": problem.jacobian.reshape(-1).tolist(),
+               "H": problem.hessian.reshape(-1).tolist()}
+        doc[field][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["compare", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "eigen-oracle: skipped (H or A holds NaN or inf)" in out
+        assert "near-singular" not in out
+
 
 class TestThomsonCommand:
     def test_small_pipeline(self, tmp_path, capsys):
@@ -231,6 +262,18 @@ class TestThomsonCommand:
         # the snapshot verifies through the file-based front end too
         assert main(["check", str(saved), "--method", "inertia"]) == 0
 
+
+    def test_unwritable_out_exit_three_before_solving(self, tmp_path, capsys,
+                                                      monkeypatch):
+        from curvcheck import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "solve_thomson",
+                            lambda *args, **kwargs: calls.append(args))
+        assert main(["thomson", "--k-list", "2,3", "--methods", "inertia",
+                     "--out", str(tmp_path / "no" / "such.csv")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
 
     @pytest.mark.parametrize("flag", ["--out", "--save-problems"])
     def test_unwritable_output_exit_three(self, tmp_path, flag, capsys):

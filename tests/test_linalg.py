@@ -1,5 +1,7 @@
 """Kernel-level tests: operators, bases, projectors, bordered LU, LDL."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -21,9 +23,11 @@ from curvcheck.problems import (
     GeneratorSpec,
     ThomsonInstance,
     ThomsonProblem,
+    build_kkt,
     generate,
 )
 from curvcheck.sosc import continued_pcg
+from curvcheck.stationary import solve_thomson
 
 
 def naive_det_sign(B):
@@ -532,6 +536,97 @@ class TestBorderedLu:
 # ---------------------------------------------------------------------------
 
 
+def reference_ldl_inertia(K):
+    """The inertia read kept as the oracle for the ``dsytrf`` read:
+    ``scipy.linalg.ldl`` builds D as a matrix, and a loop walks its blocks,
+    taking a nonzero subdiagonal entry as the start of a 2x2 block that it
+    scales by its largest entry before reading the signs of its determinant
+    and trace."""
+    _, d, _ = sla.ldl(K, lower=True)
+    n = d.shape[0]
+    pos = neg = zero = 0
+    i = 0
+    while i < n:
+        if i + 1 < n and d[i + 1, i] != 0.0:
+            a, bb, c = float(d[i, i]), float(d[i + 1, i]), float(d[i + 1, i + 1])
+            big = max(abs(a), abs(bb), abs(c))
+            a, bb, c = a / big, bb / big, c / big
+            det = a * c - bb * bb
+            tr = a + c
+            if det < 0.0:
+                pos += 1
+                neg += 1
+            elif det > 0.0:
+                if tr > 0.0:
+                    pos += 2
+                else:
+                    neg += 2
+            else:
+                # one zero eigenvalue; the other has the sign of the trace
+                zero += 1
+                if tr > 0.0:
+                    pos += 1
+                elif tr < 0.0:
+                    neg += 1
+                else:
+                    zero += 1
+            i += 2
+        else:
+            v = d[i, i]
+            if v > 0.0:
+                pos += 1
+            elif v < 0.0:
+                neg += 1
+            else:
+                zero += 1
+            i += 1
+    return (pos, neg, zero)
+
+
+def _symmetric(rng, n):
+    K = rng.standard_normal((n, n))
+    return K + K.T
+
+
+ORACLE_KINDS = ("random", "kkt", "zero_diagonal", "singular", "one_by_one", "thomson")
+
+
+def _oracle_cases(kind):
+    """Seeded symmetric matrices of one kind for the inertia oracle."""
+    if kind == "thomson":
+        for k in range(4, 13):
+            point = solve_thomson(k, seed=0)
+            tprob = ThomsonProblem(ThomsonInstance(k, "frame_fixed"))
+            yield build_kkt(tprob.lagrangian_hessian(point.x, point.lam),
+                            tprob.jacobian(point.x))
+        return
+    for seed in range(60 if kind in ("random", "kkt") else 30):
+        rng = np.random.default_rng([seed, ORACLE_KINDS.index(kind)])
+        n = int(rng.integers(1, 61))
+        if kind == "random":
+            yield _symmetric(rng, n)
+        elif kind == "kkt":
+            # M = 0 on every fourth draw, H = 0 on every fifth
+            m = 0 if seed % 4 == 0 else int(rng.integers(1, n + 1))
+            H = np.zeros((n, n)) if seed % 5 == 0 else _symmetric(rng, n)
+            yield build_kkt(H, rng.standard_normal((m, n)))
+        elif kind == "zero_diagonal":
+            K = _symmetric(rng, n + 1)
+            np.fill_diagonal(K, 0.0)
+            yield K
+        elif kind == "singular":
+            # integer entries, one row and column repeated and one zeroed
+            K = rng.integers(-3, 4, (n + 2, n + 2)).astype(float)
+            K = K + K.T
+            i, j, z = rng.choice(n + 2, 3, replace=False)
+            K[j], K[:, j] = K[i], K[:, i]
+            K[j, j] = K[i, i]
+            K[z], K[:, z] = 0.0, 0.0
+            yield K
+        else:  # one_by_one
+            yield np.array([[(-1.0, 0.0, 1.0)[seed % 3] * rng.random()]])
+
+
 class TestLdlFactor:
     def test_signature_matrix(self):
         fact = ldl_factor(np.diag([1.0, -1.0]))
@@ -551,6 +646,24 @@ class TestLdlFactor:
         with pytest.raises(ValueError):
             ldl_factor(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_symmetry_check_does_not_overflow(self):
+        # |K|_F of a 1e200 matrix overflows as a plain sum of squares
+        problem = generate(GeneratorSpec(n=12, m=3, p=12, seed=4))
+        K = build_kkt(problem.hessian, problem.jacobian)
+        scaled = 1e200 * K
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ldl_factor(scaled).inertia == ldl_factor(K).inertia == (12, 3, 0)
+            scaled[0, 1] += 1e199
+            with pytest.raises(ValueError, match="not symmetric"):
+                ldl_factor(scaled)
+
+    def test_input_not_overwritten(self):
+        K = _symmetric(np.random.default_rng(3), 30)
+        kept = K.copy()
+        ldl_factor(K)
+        np.testing.assert_array_equal(K, kept)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_inertia_matches_eigensolver(self, seed):
         rng = np.random.default_rng(seed)
@@ -563,13 +676,38 @@ class TestLdlFactor:
         fact = ldl_factor(K)
         expected = (int(np.sum(eigs > 0)), int(np.sum(eigs < 0)), 0)
         assert fact.inertia == expected
-        # reconstruction sanity on the small ones
-        if n <= 40:
-            err = np.linalg.norm(fact.reconstruct() - K, "fro")
-            assert err <= 1e-10 * np.linalg.norm(K, "fro")
+        # the factor is a valid one: LAPACK solves K x = b with it
+        b = rng.standard_normal((n, 2))
+        x, info = sla.lapack.dsytrs(fact.factor, fact.ipiv, b, lower=1)
+        assert info == 0
+        residual = np.linalg.norm(K @ x - b)
+        assert residual <= 1e-10 * np.linalg.norm(K, 2) * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_inertia_matches_reference(self, kind):
+        cases = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for K in _oracle_cases(kind):
+                for scale in (1.0, 1e200, 1e-200):
+                    inertia = ldl_factor(scale * K).inertia
+                    assert inertia == reference_ldl_inertia(scale * K), (kind, cases)
+                    # a zeroed row and column leave an exact zero pivot
+                    assert kind != "singular" or inertia[2] >= 1
+                    cases += 1
+        assert cases >= 27
+
+    def test_zero_diagonal_forces_consecutive_blocks(self):
+        # the zero-diagonal oracle cases do exercise runs of 2x2 blocks
+        runs = 0
+        for K in _oracle_cases("zero_diagonal"):
+            starts = np.flatnonzero(ldl_factor(K).ipiv < 0)[0::2]
+            runs += int(np.any(np.diff(starts) == 2))
+        assert runs > 0
 
     def test_two_by_two_blocks_present(self):
         # strongly indefinite with zero diagonal forces 2x2 pivots
         K = np.array([[0.0, 1.0], [1.0, 0.0]])
         fact = ldl_factor(K)
         assert fact.inertia == (1, 1, 0)
+        np.testing.assert_array_equal(fact.ipiv, [-2, -2])
