@@ -1,14 +1,11 @@
 """Randomized accuracy/timing campaigns over the dense generator.
 
 One :class:`TrialRecord` is produced per (trial, method) pair.  Trials are
-seeded individually so a campaign is reproducible from its base seed and
-can be dispatched across a process pool; the CSV collector runs in the
-parent process only.
+seeded individually so a campaign is reproducible from its base seed.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import dataclasses
 import os
@@ -26,7 +23,6 @@ __all__ = [
     "run_campaign",
     "write_csv",
     "summarize",
-    "worker_count",
 ]
 
 # CSV column names, in order
@@ -120,20 +116,6 @@ def _trial_args(n_list, trials_per_n, base_seed):
     return out
 
 
-def _run_one(args):
-    n, m, p, seed, conditioning, methods, options, repeats = args
-    return run_trial(n, m, p, conditioning, seed, methods, options, repeats)
-
-
-def worker_count() -> int:
-    """Pool size: CURVCHECK_THREADS when set, otherwise 1 (sequential)."""
-    raw = os.environ.get("CURVCHECK_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_campaign(
     n_list: Sequence[int],
     trials_per_n: int,
@@ -141,7 +123,6 @@ def run_campaign(
     methods: Sequence[str] = METHODS,
     base_seed: int = 0,
     options: Optional[VerifyOptions] = None,
-    jobs: Optional[int] = None,
 ) -> list:
     """Run trials_per_n random problems at each size with every method.
 
@@ -154,19 +135,10 @@ def run_campaign(
             raise ValueError("benchmark sizes must be at least 4")
     if options is None:
         options = VerifyOptions(tol_rank=0.0)
-    jobs = worker_count() if jobs is None else max(1, jobs)
-    tasks = [
-        (n, m, p, seed, conditioning, tuple(methods), options, 3 if n >= 500 else 1)
-        for (n, m, p, seed) in _trial_args(n_list, trials_per_n, base_seed)
-    ]
     records = []
-    if jobs == 1:
-        for task in tasks:
-            records.extend(_run_one(task))
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_run_one, tasks):
-                records.extend(chunk)
+    for n, m, p, seed in _trial_args(n_list, trials_per_n, base_seed):
+        records.extend(run_trial(n, m, p, conditioning, seed, methods, options,
+                                 3 if n >= 500 else 1))
     return records
 
 

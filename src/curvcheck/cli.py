@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 
@@ -74,7 +75,7 @@ def _add_tolerance_args(parser):
                         default="modified",
                         help="Gram-Schmidt variant of diagonalization; "
                              "the other methods ignore it")
-    parser.add_argument("--basis-method", choices=["qr_at", "svd", "qr_a", "lu_a"],
+    parser.add_argument("--basis-method", choices=["qr_at", "svd", "qr_a"],
                         default="qr_at")
     parser.add_argument("--tol-alpha", type=float, default=0.0)
     parser.add_argument("--tol-feas", type=float, default=1e-8)
@@ -231,6 +232,13 @@ def _thomson_rows(args):
 
 
 def cmd_thomson(args) -> int:
+    if args.save_problems:
+        # a per-K snapshot path cannot be opened before its K is solved;
+        # its directory can be checked
+        folder = os.path.dirname(args.save_problems) or "."
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            print(f"error: cannot write problems to {folder!r}", file=sys.stderr)
+            return 3
     if not args.out:
         return 3 if _thomson_rows(args) is None else 0
     out = _open_out(args.out)

@@ -7,15 +7,19 @@ built from:
     callable, built from an explicit dense matrix (kept, symmetrized once,
     for the classical tests), a matrix-vector callback, or a directional
     finite difference of a Lagrangian-gradient callback.
-  - :func:`null_space_basis`: bases of ``null(A)`` via SVD, QR of ``A^T``
+  - :func:`check_full_rank`: the one constraint-rank guard, which reads
+    |R_ii| of a column-pivoted Householder QR of ``A^T`` (LAPACK
+    ``dgeqp3``), or the rank-revealing diagonal of a factorization the
+    caller already holds.
+  - :func:`null_space_basis`: bases of ``null(A)`` from that QR of ``A^T``
     (its reflectors applied to ``[0; I_L]``, the full Q never formed),
-    QR of ``A``, or LU of ``A``, each guarded by the pivots of its own
-    factorization; :func:`check_full_rank` is the SVD guard for the tests
-    that need no basis.
+    from an SVD, or from a column-pivoted QR of ``A``, each guarded by
+    the diagonal of its own factorization.
   - :class:`NullSpaceProjector`: the orthogonal projector onto ``null(A)``
     intersected with the complement of appended columns, through an
-    orthonormal basis of that subspace that starts as the ``qr_at`` basis
-    and loses one column per append to one Householder reflector.
+    orthonormal basis of that subspace that starts as the ``qr_at`` basis,
+    guarded by the same QR, and loses one column per append to one
+    Householder reflector.
   - :class:`BorderedLu`: an LU factorization of a matrix that grows by
     symmetric borders, tracking determinant signs exactly; a border of k
     columns is absorbed at once through the Cholesky factor of its Schur
@@ -57,7 +61,7 @@ __all__ = [
     "ldl_factor",
 ]
 
-BASIS_METHODS = ("svd", "qr_at", "qr_a", "lu_a")
+BASIS_METHODS = ("svd", "qr_at", "qr_a")
 
 _EPS = float(np.finfo(float).eps)
 
@@ -271,18 +275,32 @@ def _as_jacobian(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _check_pivots(pivots: np.ndarray, tol_rank: float, what: str) -> None:
-    """Raise :class:`RankDeficientError` when the smallest of ``pivots`` is at
-    or below ``tol_rank``; a nonpositive ``tol_rank`` disables the guard."""
-    if tol_rank > 0 and pivots.min(initial=np.inf) <= tol_rank:
-        raise RankDeficientError(
-            f"smallest {what} {pivots.min():.3e} <= tolerance {tol_rank:.3e}"
-        )
+def _pivoted_qr(X: np.ndarray):
+    """Column-pivoted Householder QR ``X P = Q R`` (LAPACK ``dgeqp3``): the
+    reflectors with R in their upper triangle, their scalars, and the
+    0-based column order of P.
+
+    The workspace is queried first: at its default ``lwork`` ``dgeqp3``
+    runs unblocked, about 1.4x slower on a 1000 x 250 matrix.
+    """
+    X = np.asarray_chkfinite(X, dtype=float)
+    work = sla.lapack.dgeqp3(X, lwork=-1)[3]
+    qr, jpvt, tau, _, _ = sla.lapack.dgeqp3(X, lwork=int(work[0]))
+    return qr, tau, jpvt - 1
 
 
-def check_full_rank(A: np.ndarray, tol_rank: Optional[float] = None) -> None:
+def check_full_rank(
+    A: np.ndarray,
+    tol_rank: Optional[float] = None,
+    pivots: Optional[np.ndarray] = None,
+) -> None:
     """Raise :class:`RankDeficientError` when A is rank deficient to tol.
 
+    The guard compares the smallest of ``pivots`` in absolute value with
+    ``tol_rank``.  ``pivots`` is the rank-revealing diagonal of a
+    factorization the caller already holds: |R_ii| of a column-pivoted QR
+    of ``A^T`` or of ``A``, or the singular values of A.  Without it the
+    pivoted QR of ``A^T`` is computed here, and only when the guard is on.
     ``tol_rank=None`` uses :func:`default_rank_tolerance`; ``tol_rank=0``
     disables the guard entirely (only exact rank collapse is reported by
     downstream factorizations).
@@ -290,26 +308,31 @@ def check_full_rank(A: np.ndarray, tol_rank: Optional[float] = None) -> None:
     A = _as_jacobian(A)
     if tol_rank is None:
         tol_rank = default_rank_tolerance(A)
-    # the SVD is only paid for when the guard is on
-    if A.shape[0] > 0 and tol_rank > 0:
-        _check_pivots(np.linalg.svd(A, compute_uv=False), tol_rank, "singular value")
+    if A.shape[0] == 0 or not tol_rank > 0:
+        return
+    if pivots is None:
+        pivots = np.diag(_pivoted_qr(A.T)[0])
+    smallest = np.abs(pivots).min()
+    if smallest <= tol_rank:
+        raise RankDeficientError(
+            f"smallest pivot {smallest:.3e} <= tolerance {tol_rank:.3e}"
+        )
 
 
-def _qr_at(A: np.ndarray):
-    """The diagonal of R and the trailing L columns of Q, Fortran-ordered,
-    from a Householder QR ``A^T = Q R`` of an M x N Jacobian with M > 0.
-
-    Only ``Q [0; I_L]`` is needed, so the reflectors are applied to it
-    without forming Q.
-    """
+def _qr_at(A: np.ndarray, tol_rank: Optional[float]) -> np.ndarray:
+    """The trailing L columns of Q, Fortran-ordered, from the column-pivoted
+    QR ``A^T P = Q R`` of an M x N Jacobian with M > 0, once the rank guard
+    has passed on its |R_ii|.  Pivoting reorders the rows of A only, so
+    these columns span ``null(A)``; the reflectors are applied to
+    ``[0; I_L]`` without forming Q."""
     M, N = A.shape
-    lwork, _ = sla.lapack.dgeqrf_lwork(N, M)
-    qr, tau, _, _ = sla.lapack.dgeqrf(np.asarray_chkfinite(A.T), lwork=int(lwork))
+    qr, tau, _ = _pivoted_qr(A.T)
+    check_full_rank(A, tol_rank, np.diag(qr))
     W = np.zeros((N, N - M), order="F")
     W[M:] = np.eye(N - M)
     _, work, _ = sla.lapack.dormqr("L", "N", qr, tau, W, -1)
     W, _, _ = sla.lapack.dormqr("L", "N", qr, tau, W, int(work[0]), overwrite_c=1)
-    return np.diag(qr[:M, :M]), W
+    return W
 
 
 def null_space_basis(
@@ -323,13 +346,16 @@ def null_space_basis(
     ----------
     A : ndarray, shape (M, N), M < N
         Constraint Jacobian (rows are constraint gradients).
-    method : {"qr_at", "svd", "qr_a", "lu_a"}
+    method : {"qr_at", "svd", "qr_a"}
         "svd" and "qr_at" produce orthonormal bases; "qr_at" gives the last
-        L columns of the orthogonal factor of ``A^T = Q R``.  "qr_a" and
-        "lu_a" use a triangular solve against the trailing block and carry
-        an identity lower block.
+        L columns of the orthogonal factor of the column-pivoted QR
+        ``A^T P = Q R``.  "qr_a" takes the column-pivoted QR
+        ``A P = Q [R1 R2]`` and gives ``P [-R1^-1 R2; I]``, which carries an
+        identity block in the rows of the non-pivot variables.
     tol_rank : float, optional
-        Rank guard threshold; None selects sqrt(eps)*|A|_F, zero disables.
+        Rank guard threshold (:func:`check_full_rank`), read from the
+        diagonal of the method's own factorization; None selects
+        sqrt(eps)*|A|_F, zero disables.
 
     Raises
     ------
@@ -339,39 +365,30 @@ def null_space_basis(
     """
     A = _as_jacobian(A)
     M, N = A.shape
-    L = N - M
     if method not in BASIS_METHODS:
         raise ValueError(f"unknown basis method {method!r}")
     if M == 0:
         return NullSpaceBasis(np.eye(N), method, True, A)
-    if tol_rank is None:
-        tol_rank = default_rank_tolerance(A)
 
     if method == "svd":
         _, svals, Vt = np.linalg.svd(A, full_matrices=True)
-        _check_pivots(svals, tol_rank, "singular value")
+        check_full_rank(A, tol_rank, svals)
         W = Vt[M:].T
-        orthonormal = True
     elif method == "qr_at":
-        rdiag, W = _qr_at(A)
-        _check_pivots(np.abs(rdiag), tol_rank, "|R_ii|")
-        orthonormal = True
-    elif method == "qr_a":
-        Q, R = sla.qr(A, mode="economic")
-        R1, S = R[:, :M], R[:, M:]
-        _check_pivots(np.abs(np.diag(R1)), tol_rank, "|R_ii|")
-        T = sla.solve_triangular(R1, S, lower=False)
-        W = np.vstack([-T, np.eye(L)])
-        orthonormal = False
-    else:  # lu_a
-        _, _, U = sla.lu(A)
-        U1, U2 = U[:, :M], U[:, M:]
-        _check_pivots(np.abs(np.diag(U1)), tol_rank, "|U_ii|")
-        T = sla.solve_triangular(U1, U2, lower=False)
-        W = np.vstack([-T, np.eye(L)])
-        orthonormal = False
+        W = _qr_at(A, tol_rank)
+    else:  # qr_a
+        R, _, perm = _pivoted_qr(A)
+        check_full_rank(A, tol_rank, np.diag(R))
+        try:
+            T = sla.solve_triangular(R[:, :M], R[:, M:], check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            # an exactly zero pivot with the guard off
+            raise RankDeficientError(str(exc)) from None
+        W = np.empty((N, N - M))
+        W[perm[:M]] = -T
+        W[perm[M:]] = np.eye(N - M)
 
-    return NullSpaceBasis(np.ascontiguousarray(W), method, orthonormal, A)
+    return NullSpaceBasis(np.ascontiguousarray(W), method, method != "qr_a", A)
 
 
 # ---------------------------------------------------------------------------
@@ -385,21 +402,23 @@ class NullSpaceProjector:
     The projector holds ``Z``, an orthonormal N x d basis of the subspace
     still to be searched: ``null(A)`` intersected with the orthogonal
     complement of the columns appended through :meth:`append_column`.  It
-    starts as the trailing L columns of Q from a Householder QR of ``A^T``
-    (``Z = I_N`` when M = 0).  One projection ``Z (Z^T r)`` costs two slim
-    matrix-vector products, O(N d).  An append rotates ``Z`` by one
-    Householder reflector, so that its first column carries the part of the
-    new column inside the subspace, and drops that column; as ``Z`` only
-    changes through orthogonal transformations it stays orthonormal and
-    inside ``null(A)`` to working precision.
+    starts as the trailing L columns of Q from the column-pivoted
+    Householder QR of ``A^T`` (``Z = I_N`` when M = 0), whose |R_ii| the
+    rank guard reads at ``tol_rank`` as in :func:`null_space_basis`.  One
+    projection ``Z (Z^T r)`` costs two slim matrix-vector products, O(N d).
+    An append rotates ``Z`` by one Householder reflector, so that its first
+    column carries the part of the new column inside the subspace, and
+    drops that column; as ``Z`` only changes through orthogonal
+    transformations it stays orthonormal and inside ``null(A)`` to working
+    precision.
     """
 
-    def __init__(self, A: np.ndarray):
+    def __init__(self, A: np.ndarray, tol_rank: Optional[float] = None):
         A = _as_jacobian(A)
         self._jacobian = A
         self._m, self._n = A.shape
         # Fortran order: dropping the first column leaves a contiguous view
-        self._basis = _qr_at(A)[1] if self._m else np.eye(self._n, order="F")
+        self._basis = _qr_at(A, tol_rank) if self._m else np.eye(self._n, order="F")
         self._k = 0
 
     @property
@@ -730,14 +749,16 @@ def ldl_factor(K: np.ndarray) -> LdlFactorization:
     inertia is read from D's diagonal and ``ipiv``.  The factorization
     always completes; zero pivots surface as zero eigenvalue counts in the
     inertia.  ``K`` must be finite and symmetric to a relative 1e-8 in the
-    Frobenius norm, taken with BLAS ``dnrm2`` so that it does not overflow.
+    Frobenius norm, taken with BLAS ``dnrm2`` so that it does not overflow;
+    that norm is only computed for a ``K`` that is not exactly symmetric.
     """
     K = np.asarray_chkfinite(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise DimensionMismatchError("matrix must be square")
-    scale = float(sla.blas.dnrm2(K.ravel())) if K.size else 0.0
-    if scale > 0 and float(sla.blas.dnrm2((K - K.T).ravel())) > 1e-8 * scale:
-        raise ValueError("matrix is not symmetric")
+    if not np.array_equal(K, K.T):
+        scale = float(sla.blas.dnrm2(K.ravel()))
+        if float(sla.blas.dnrm2((K - K.T).ravel())) > 1e-8 * scale:
+            raise ValueError("matrix is not symmetric")
     # without lwork dsytrf runs unblocked, about 2x slower at n = 1000
     lwork, _ = sla.lapack.dsytrf_lwork(K.shape[0], lower=1)
     factor, ipiv, info = sla.lapack.dsytrf(K, lower=1, lwork=int(lwork))

@@ -34,7 +34,6 @@ __all__ = [
     "near_rank_deficient_kkt",
     "ThomsonInstance",
     "ThomsonProblem",
-    "cube_sqp_iterates",
     "problem_to_dict",
     "problem_from_dict",
     "save_problem",
@@ -437,20 +436,6 @@ class ThomsonProblem:
             provenance={"kind": "thomson", "k": self.instance.k,
                         "variant": self.instance.variant},
         )
-
-
-def cube_sqp_iterates(x0: float, n: int) -> np.ndarray:
-    """Successive halvings x0, x0/2, ..., x0/2^n.
-
-    This is the iterate sequence a quadratic-model step produces on the
-    scalar cubic objective, which converges to a point where the curvature
-    test must report the boundary case (zero second derivative), not a pass.
-    """
-    if x0 <= 0:
-        raise ValueError("x0 must be positive")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return x0 / (2.0 ** np.arange(n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -623,7 +623,11 @@ def verify(
     Builds the Hessian operator and the basis or projector the method
     needs, hands the two classical tests that same operator (they read its
     dense matrix, or materialize a product-backed one), and attaches wall
-    time and the operator-product count to the verdict diagnostics.  Rank-deficient
+    time and the operator-product count to the verdict diagnostics.  Every
+    method guards the constraint rank with :func:`check_full_rank` on the
+    column-pivoted QR of ``A^T``: the default ``qr_at`` basis and the
+    projector read it from the QR they are built from, ``bht`` and
+    ``inertia`` pay for the QR only when the guard is on.  Rank-deficient
     constraints (failed LICQ guard) and NaN or inf in the Jacobian produce
     an ERROR verdict rather than an exception.
     """
@@ -656,8 +660,7 @@ def verify(
                     tol_alpha=options.tol_alpha, tol_feas=options.tol_feas,
                 )
         elif method == "pcg":
-            check_full_rank(problem.jacobian, options.tol_rank)
-            projector = NullSpaceProjector(problem.jacobian)
+            projector = NullSpaceProjector(problem.jacobian, options.tol_rank)
             verdict = continued_pcg(
                 hessian, projector, tol=options.pcg_tol,
                 tol_alpha=options.tol_alpha, tol_feas=options.tol_feas,

@@ -275,6 +275,19 @@ class TestThomsonCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert calls == []
 
+    def test_unwritable_save_problems_exit_three_before_solving(
+            self, tmp_path, capsys, monkeypatch):
+        from curvcheck import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "solve_thomson",
+                            lambda *args, **kwargs: calls.append(args))
+        prefix = str(tmp_path / "no" / "such") + "/"
+        assert main(["thomson", "--k-list", "2,3", "--methods", "inertia",
+                     "--save-problems", prefix]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
+
     @pytest.mark.parametrize("flag", ["--out", "--save-problems"])
     def test_unwritable_output_exit_three(self, tmp_path, flag, capsys):
         dest = str(tmp_path / "no" / "such") + "/"
@@ -288,15 +301,3 @@ class TestThomsonCommand:
             main(["thomson", "--k-list", "4", "--fd-sigma", sigma])
         assert exc.value.code == 2
         assert "--fd-sigma" in capsys.readouterr().err
-
-
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        from curvcheck.bench import worker_count
-
-        monkeypatch.delenv("CURVCHECK_THREADS", raising=False)
-        assert worker_count() == 1
-        monkeypatch.setenv("CURVCHECK_THREADS", "6")
-        assert worker_count() == 6
-        monkeypatch.setenv("CURVCHECK_THREADS", "junk")
-        assert worker_count() == 1

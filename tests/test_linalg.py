@@ -1,5 +1,6 @@
 """Kernel-level tests: operators, bases, projectors, bordered LU, LDL."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -158,7 +159,7 @@ class TestNullSpaceBasis:
 
     def test_matches_exact_generator_basis(self):
         problem = generate(GeneratorSpec(n=30, m=12, p=20, seed=3))
-        for method in ("svd", "qr_at", "qr_a", "lu_a"):
+        for method in ("svd", "qr_at", "qr_a"):
             basis = null_space_basis(problem.jacobian, method)
             angles = sla.subspace_angles(basis.matrix, problem.exact_basis)
             assert angles.max(initial=0.0) <= 1e-8
@@ -169,8 +170,13 @@ class TestNullSpaceBasis:
             null_space_basis(A, "qr_at")
         with pytest.raises(RankDeficientError):
             null_space_basis(A, "svd")
+        # with the guard off, an exactly zero pivot of the pivoted QR of A
+        # still cannot be solved against
+        with pytest.raises(RankDeficientError):
+            null_space_basis(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), "qr_a",
+                             tol_rank=0.0)
 
-    @pytest.mark.parametrize("method", ["svd", "qr_at", "qr_a", "lu_a"])
+    @pytest.mark.parametrize("method", ["svd", "qr_at", "qr_a"])
     @pytest.mark.parametrize("seed", range(4))
     def test_invariants_random(self, method, seed):
         rng = np.random.default_rng(seed)
@@ -190,12 +196,13 @@ class TestNullSpaceBasis:
     @pytest.mark.parametrize("seed", range(4))
     def test_qr_at_is_the_trailing_columns_of_q(self, seed):
         # the basis is built without forming Q; it must still be the last
-        # L columns of the full Q, so the verdicts do not depend on how
+        # L columns of the full Q of the column-pivoted QR, so the verdicts
+        # do not depend on how
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 301))
         m = int(rng.integers(1, n))
         A = rng.standard_normal((m, n))
-        Q, _ = sla.qr(A.T)
+        Q, _, _ = sla.qr(A.T, pivoting=True)
         W = null_space_basis(A, "qr_at", tol_rank=0.0).matrix
         assert W.flags.c_contiguous
         np.testing.assert_allclose(W, Q[:, m:], rtol=0, atol=1e-13)
@@ -215,9 +222,11 @@ class TestNullSpaceBasis:
 
 class ReferenceProjector:
     """The projector kept in compact WY form, kept as the oracle for the
-    orthonormal-basis kernel: a Householder QR of ``[A^T, appended]`` grown
-    by one reflector per constraint and per append; a projection applies
-    ``Q^T``, zeroes the leading coordinates and applies ``Q``."""
+    orthonormal-basis kernel: a Householder QR of ``[A^T P, appended]``,
+    P the column pivoting of ``A^T``, grown by one reflector per constraint
+    and per append; a projection applies ``Q^T``, zeroes the leading
+    coordinates and applies ``Q``.  Like the projector at ``tol_rank=0``
+    it has no rank guard."""
 
     def __init__(self, A):
         A = np.asarray(A, dtype=float)
@@ -227,7 +236,7 @@ class ReferenceProjector:
         self._refl = np.zeros((n, 0))
         self._tmat = np.zeros((0, 0))
         if self.n_constraints:
-            (packed, tau), _ = sla.qr(A.T, mode="raw")
+            (packed, tau), _, _ = sla.qr(A.T, mode="raw", pivoting=True)
             for j in range(self.n_constraints):
                 v = np.zeros(n)
                 v[j] = 1.0
@@ -400,7 +409,9 @@ class TestProjector:
 
     def test_continued_pcg_matches_householder_reference(self):
         # seeded generator draws at N 4-200, alternately well and
-        # ill-conditioned, alternately holding and failing
+        # ill-conditioned, alternately holding and failing; the oracle has
+        # no rank guard, so neither has the projector
+        unguarded = functools.partial(NullSpaceProjector, tol_rank=0.0)
         for seed in range(200):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(4, 201))
@@ -410,7 +421,7 @@ class TestProjector:
                 n=n, m=m, p=p, seed=seed,
                 conditioning="ill" if seed % 4 >= 2 else "well",
             ))
-            assert (pcg_outcome(problem, NullSpaceProjector, seed)
+            assert (pcg_outcome(problem, unguarded, seed)
                     == pcg_outcome(problem, ReferenceProjector, seed)), seed
 
 

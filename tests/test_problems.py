@@ -15,7 +15,6 @@ from curvcheck.problems import (
     ThomsonProblem,
     build_bordered,
     build_kkt,
-    cube_sqp_iterates,
     generate,
     load_problem,
     near_rank_deficient_kkt,
@@ -326,11 +325,6 @@ class TestThomson:
 
 
 class TestCubeIterates:
-    def test_halving_sequence(self):
-        np.testing.assert_allclose(cube_sqp_iterates(1.0, 3), [1, 0.5, 0.25, 0.125])
-        np.testing.assert_allclose(cube_sqp_iterates(2.0, 3),
-                                   2 * np.asarray(cube_sqp_iterates(1.0, 3)))
-
     def test_limit_point_is_boundary_case(self):
         # second derivative of the cubic vanishes at the limit: the check
         # must not report a pass there
@@ -342,10 +336,6 @@ class TestCubeIterates:
         verdict = verify(problem, "cholesky")
         assert verdict.status is Status.ERROR
         assert verdict.reason == "semidefinite_boundary"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cube_sqp_iterates(-1.0, 3)
 
 
 # ---------------------------------------------------------------------------

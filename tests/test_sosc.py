@@ -10,6 +10,8 @@ from curvcheck.linalg import (
     HessianOperator,
     NullSpaceBasis,
     NullSpaceProjector,
+    RankDeficientError,
+    check_full_rank,
     default_rank_tolerance,
     null_space_basis,
 )
@@ -247,10 +249,11 @@ class TestImplicitCholesky:
 
     def test_matches_reference_recurrence(self):
         # seeded draws across sizes, conditioning and pivot tolerances; the
-        # two larger tolerances reach the boundary path.  One operator per
-        # draw carries a small skew part, as a finite-difference one does.
+        # two larger tolerances reach the boundary path, 1e-3 on about one
+        # draw in a hundred.  One operator per draw carries a small skew
+        # part, as a finite-difference one does.
         paths = set()
-        for seed in range(60):
+        for seed in range(250):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(4, 151))
             m = int(rng.integers(1, n))
@@ -881,3 +884,87 @@ class TestVerify:
         verdict = verify(problem, "diagonalization")
         assert verdict.status is Status.HOLDS
         assert verdict.diagnostics["operator_products"] == 3  # L = 2K - 3
+
+
+# ---------------------------------------------------------------------------
+# One rank guard
+# ---------------------------------------------------------------------------
+
+
+def thomson_problem(k, dense=False):
+    """The frame-fixed Thomson problem at a solved point: behind the
+    finite-difference operator, or with its analytic Hessian."""
+    from curvcheck.stationary import solve_thomson
+
+    point = solve_thomson(k, seed=0)
+    tp = ThomsonProblem(ThomsonInstance(k))
+    if dense:
+        return Problem(tp.jacobian(point.x), tp.lagrangian_hessian(point.x, point.lam))
+    return tp.as_problem(point.x, point.lam)
+
+
+class TestOneRankGuard:
+    @pytest.mark.parametrize("spec", [
+        GeneratorSpec(n=50, m=30, p=22, seed=1844278217),
+        GeneratorSpec(n=1000, m=250, p=749, seed=4),
+    ])
+    def test_all_methods_decline_the_same_jacobian(self, spec):
+        # full rank but ill-conditioned: the basis, projector and guard of
+        # every method read one pivoted QR of A^T and trip together
+        problem = generate(spec)
+        for method in METHODS:
+            verdict = verify(problem, method)
+            assert (verdict.status, verdict.reason) == (
+                Status.ERROR, "rank_deficient"), method
+
+    def test_no_verify_path_runs_an_svd(self, monkeypatch):
+        problems = [generate(GeneratorSpec(n=30, m=10, p=30, seed=1)),
+                    generate(GeneratorSpec(n=30, m=10, p=12, seed=1)),
+                    thomson_problem(4)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("SVD called")
+
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        monkeypatch.setattr(sla, "svd", forbidden)
+        for problem in problems:
+            for method in METHODS:
+                verdict = verify(problem, method)
+                # bht's leading block is singular at Thomson points
+                assert verdict.status is not Status.ERROR or (
+                    method == "bht" and verdict.reason == "singular_minor"), method
+
+    def test_pivoted_guard_agrees_with_the_svd(self):
+        # ill-conditioned seeded draws at N 10-200; the pivoted guard reads
+        # |R_MM| >= sigma_min, so it can only miss an SVD trip, never add one
+        trips = missed = 0
+        draws = 400
+        for seed in range(draws):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(10, 201))
+            m = int(rng.integers(1, n))
+            A = generate(GeneratorSpec(n=n, m=m, p=n, seed=seed,
+                                       conditioning="ill")).jacobian
+            oracle = np.linalg.svd(A, compute_uv=False)[-1] <= default_rank_tolerance(A)
+            try:
+                check_full_rank(A)
+                tripped = False
+            except RankDeficientError:
+                tripped = True
+            assert oracle or not tripped, seed
+            trips += tripped
+            missed += oracle and not tripped
+        assert trips >= draws // 2
+        assert missed <= draws // 100
+
+    @pytest.mark.parametrize("tol_rank", [None, 0.0])
+    def test_qr_a_basis_on_a_singular_leading_block(self, tol_rank):
+        # the leading block of A is singular here; the pivoted QR of A
+        # moves its pivot columns first
+        options = VerifyOptions(basis_method="qr_a", tol_rank=tol_rank)
+        problems = [Problem(np.array([[0.0, 0.0, 1.0]]), np.eye(3))]
+        problems += [thomson_problem(k, dense=True) for k in (3, 4, 6)]
+        for problem in problems:
+            for method in ("cholesky", "diagonalization"):
+                verdict = verify(problem, method, options)
+                assert verdict.status is Status.HOLDS, (problem.n, method)
