@@ -460,18 +460,21 @@ class NullSpaceProjector:
                 f"expected vector of length {self._n}, got shape {q.shape}"
             )
         if tol is None:
-            tol = np.sqrt(_EPS) * float(np.linalg.norm(q))
+            tol = np.sqrt(_EPS) * float(sla.blas.dnrm2(q))
         Z = self._basis
         w = Z.T @ q
-        residual = float(np.linalg.norm(w))
+        # BLAS dnrm2 raises on an empty vector, the exhausted subspace
+        residual = float(sla.blas.dnrm2(w)) if w.size else 0.0
         if w.size == 0 or residual <= tol:
             raise DependentColumnError(
                 f"appended column residual {residual:.3e} below tolerance"
             )
-        # the reflector I - beta u u^T maps w onto a multiple of e_1
-        u = w
-        u[0] += np.copysign(residual, w[0])
-        beta = 2.0 / float(u @ u)
+        # the reflector I - beta u u^T maps w onto a multiple of e_1; u is
+        # taken from the unit vector w / |w|, so that u . u = 2 |u_0| lies
+        # in [2, 4] and cannot overflow for a finite w
+        u = w / residual
+        u[0] += np.copysign(1.0, u[0])
+        beta = 1.0 / abs(u[0])
         Z = sla.blas.dger(-beta, Z @ u, u, a=Z, overwrite_a=1)
         self._basis = Z[:, 1:]
         self._k += 1

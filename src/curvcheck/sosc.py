@@ -13,7 +13,8 @@ The three matrix-free tests need only products ``s -> H s``:
   - :func:`diagonalization` obliquely conjugates the basis so the reduced
     matrix becomes diagonal, one product per step; the modified variant
     applies earlier steps to each 64-column panel with two matrix
-    products and runs rank-1 updates only inside the panel;
+    products, and each step inside a panel applies the panel's earlier
+    steps to its own column only (two matrix-vector products);
   - :func:`continued_pcg` runs projected conjugate gradients and restarts
     in the conjugate complement of the searched directions until the null
     space is exhausted or negative curvature appears.
@@ -145,6 +146,15 @@ def _certified_failure(
     )
 
 
+def _norms(X: np.ndarray, axis: int) -> np.ndarray:
+    """Euclidean norms of the columns (``axis=0``) or rows of ``X``, each
+    summed relative to its largest entry as BLAS ``dnrm2`` does, so that
+    finite entries cannot overflow."""
+    big = np.abs(X).max(axis=axis, keepdims=True, initial=0.0)
+    big[big == 0.0] = 1.0
+    return (big * np.linalg.norm(X / big, axis=axis, keepdims=True)).squeeze(axis)
+
+
 def _classify(alpha: float, scale: float, tol_alpha: float) -> int:
     """Three-way pivot sign: +1 accept, -1 negative curvature, 0 boundary.
 
@@ -203,7 +213,7 @@ def implicit_cholesky(
         # scale |w_n| |v_n| of each pivot, v_n being the n-th column of H W
         # after elimination: V U^-1 diag(U)
         Y = solve_triangular(U[:k, :k], V[:, :k].T, trans="T", check_finite=False)
-        scales = np.linalg.norm(W[:, :k], axis=0) * np.linalg.norm(Y, axis=1)
+        scales = _norms(W[:, :k], axis=0) * _norms(Y, axis=1)
         thresh = tol_alpha * scales * np.abs(np.diag(U)[:k])
     # OpenBLAS dpotrf does not stop at a NaN pivot
     rejected = np.flatnonzero(~(np.isfinite(alphas) & (alphas > thresh)))
@@ -222,7 +232,7 @@ def implicit_cholesky(
     t = solve_triangular(U[:k, :k], R[:k, k], trans="T", check_finite=False)
     s = solve_triangular(U[:k, :k], t, check_finite=False)
     alpha = float(R[k, k] - t @ t)
-    scale = float(np.linalg.norm(W[:, k]) * np.linalg.norm(V[:, k] - V[:, :k] @ s))
+    scale = float(dnrm2(W[:, k])) * float(dnrm2(V[:, k] - V[:, :k] @ s))
     diagnostics["alpha"] = alpha
     if _classify(alpha, scale, tol_alpha) >= 0:
         # dpotrf and the recomputation disagree on the sign, or the pivot
@@ -244,8 +254,8 @@ def implicit_cholesky(
 # ---------------------------------------------------------------------------
 
 # columns per panel of the modified diagonalization: wide enough that the
-# two panel products run at matrix-product speed, narrow enough that the
-# rank-1 updates inside a panel stay cheap
+# two panel-entry products run at matrix-product speed, narrow enough that
+# the left-looking update of each column inside a panel stays cheap
 _PANEL = 64
 
 
@@ -269,11 +279,13 @@ def diagonalization(
     in any grouping.  The columns are taken in panels of
     :data:`_PANEL` columns: on entering a panel, all earlier steps are
     applied to it at once by two matrix products, ``V_J -= V_{<J}
-    ((Z_{<J}^T W_J) / alpha_{<J})``, and the steps inside the panel update
-    only the panel's later columns.  A failure pays only for the panels it
-    reached.  The ``classical`` variant conjugates each column against all
-    earlier ones in turn, its coefficients reading the column as it is
-    being updated.
+    ((Z_{<J}^T W_J) / alpha_{<J})``.  Inside a panel starting at column s
+    the update is left-looking: step n applies the panel's earlier steps
+    to its own column only, ``v_n -= V_{s:n} ((Z_{s:n}^T w_n) /
+    alpha_{s:n})``, with V and Z in Fortran order so that each column is
+    contiguous.  A failure pays only for the steps it reached.  The
+    ``classical`` variant conjugates each column against all earlier ones
+    in turn, its coefficients reading the column as it is being updated.
     """
     if variant not in ("modified", "classical"):
         raise ValueError("variant must be 'modified' or 'classical'")
@@ -283,25 +295,27 @@ def diagonalization(
         raise DimensionMismatchError("operator and basis dimensions differ")
 
     start = hessian.product_count
-    V = W.copy()
+    V = np.array(W, order="F")
     alphas = np.zeros(L)
-    Z = np.empty((N, L))
+    Z = np.empty((N, L), order="F")
 
     failing = None
     boundary = None
     for n in range(L):
+        v = V[:, n]
         if variant == "classical":
-            v = W[:, n].copy()
             for m in range(n):
                 v -= ((Z[:, m] @ v) / alphas[m]) * V[:, m]
-            V[:, n] = v
         elif n % _PANEL == 0:
-            end = min(n + _PANEL, L)
+            s = n
             if n:
+                end = min(n + _PANEL, L)
                 V[:, n:end] -= V[:, :n] @ ((Z[:, :n].T @ W[:, n:end]) / alphas[:n, None])
-        z = hessian.apply(V[:, n])
-        alpha = float(V[:, n] @ z)
-        scale = float(np.linalg.norm(V[:, n]) * np.linalg.norm(z))
+        else:
+            v -= V[:, s:n] @ ((W[:, n] @ Z[:, s:n]) / alphas[s:n])
+        z = hessian.apply(v)
+        alpha = float(v @ z)
+        scale = float(dnrm2(v)) * float(dnrm2(z))
         alphas[n] = alpha
         kind = _classify(alpha, scale, tol_alpha)
         if kind < 0:
@@ -311,8 +325,6 @@ def diagonalization(
             boundary = n
             break
         Z[:, n] = z
-        if variant == "modified" and n + 1 < end:
-            V[:, n + 1 : end] -= np.outer(V[:, n], (z @ W[:, n + 1 : end]) / alpha)
 
     diagnostics = {"operator_products": hessian.product_count - start}
     if boundary is not None:
@@ -380,7 +392,7 @@ def continued_pcg(
     def draw_seed() -> Optional[np.ndarray]:
         for _ in range(max_seed_draws):
             cand = projector.project(rng.standard_normal(N))
-            if float(np.linalg.norm(cand)) >= tol:
+            if float(dnrm2(cand)) >= tol:
                 return cand
         return None
 
@@ -398,7 +410,7 @@ def continued_pcg(
     n_conj = 0
     if b0 is not None:
         b = projector.project(np.asarray(b0, dtype=float))
-        if float(np.linalg.norm(b)) < tol:
+        if float(dnrm2(b)) < tol:
             b = draw_seed()
     else:
         b = draw_seed()
@@ -408,7 +420,7 @@ def continued_pcg(
         )
 
     while True:
-        r = b / float(np.linalg.norm(b))
+        r = b / float(dnrm2(b))
         s = projector.project(r)
         omega = float(r @ s)
         p = s.copy()
@@ -420,7 +432,7 @@ def continued_pcg(
             tau = omega
             q = hessian.apply(p)
             eta = float(p @ q)
-            scale = float(np.linalg.norm(p) * np.linalg.norm(q))
+            scale = float(dnrm2(p)) * float(dnrm2(q))
             kind = _classify(eta, scale, tol_alpha)
             if kind < 0:
                 diagnostics = {"eta": eta}

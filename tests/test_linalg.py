@@ -320,6 +320,16 @@ class TestProjector:
                                    [0.0, 1.0, 0.0], atol=1e-14)
         assert proj.n_appended == 1
 
+    def test_append_removes_the_direction_of_a_huge_column(self):
+        # the reflector of a column near 1e200 must not overflow, which
+        # would leave it the identity and drop the basis's first column
+        # instead of the column's direction
+        proj = NullSpaceProjector(np.empty((0, 4)))
+        with np.errstate(over="raise"):
+            proj.append_column(np.array([0.0, 1e200, 0.0, 0.0]))
+        np.testing.assert_allclose(proj.project(np.ones(4)), [1.0, 0.0, 1.0, 1.0],
+                                   atol=1e-14)
+
     def test_dependent_column_rejected(self):
         proj = NullSpaceProjector(np.array([[0.0, 0.0, 1.0]]))
         with pytest.raises(DependentColumnError):

@@ -1,0 +1,44 @@
+"""Property tests over seeded generator draws: verdicts that must not depend
+on how a problem is written down, and must not contradict each other."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from curvcheck.problems import GeneratorSpec, Problem, generate
+from curvcheck.sosc import METHODS, Status, verify
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+@st.composite
+def generator_specs(draw):
+    n = draw(st.integers(4, 60))
+    m = draw(st.integers(1, n - 1))
+    return GeneratorSpec(
+        n=n, m=m, p=draw(st.integers(0, n)),
+        conditioning=draw(st.sampled_from(["well", "ill"])),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(spec=generator_specs(), order=st.randoms(use_true_random=False))
+def test_symmetric_permutation_keeps_every_verdict(spec, order):
+    # x -> P x maps (H, A) to (P H P^T, A P^T), which leaves the condition
+    # and its null space unchanged up to the same permutation
+    problem = generate(spec)
+    perm = list(range(spec.n))
+    order.shuffle(perm)
+    permuted = Problem(problem.jacobian[:, perm], problem.hessian[np.ix_(perm, perm)])
+    for method in METHODS:
+        before, after = verify(problem, method), verify(permuted, method)
+        assert (after.status, after.reason) == (before.status, before.reason), method
+
+
+@PROPERTY_SETTINGS
+@given(spec=generator_specs())
+def test_no_draw_both_holds_and_fails(spec):
+    problem = generate(spec)
+    statuses = {method: verify(problem, method).status for method in METHODS}
+    conclusive = set(statuses.values()) - {Status.ERROR}
+    assert len(conclusive) <= 1, statuses

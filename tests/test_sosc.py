@@ -91,22 +91,28 @@ def reference_diagonalization(hessian, basis, variant="modified", tol_alpha=0.0,
     basis per step (modified) or one column at a time (classical), kept as
     the oracle for the panel-blocked kernel.
 
+    The recurrence runs in ``np.longdouble`` on the operator's stored
+    matrix, one product per step, so that a pivot left by cancellation is
+    not compared against an oracle that rounds as much as the kernel; only
+    the certificate of a failure goes through the operator.
+
     Returns status, step, reason, products and the pivots computed."""
-    W = basis.matrix
+    H = hessian.matrix.astype(np.longdouble)
+    W = basis.matrix.astype(np.longdouble)
     N, L = W.shape
     start = hessian.product_count
     V = W.copy()
-    alphas = np.zeros(L)
-    Z = np.zeros((N, L))
+    alphas = np.zeros(L, dtype=np.longdouble)
+    Z = np.zeros((N, L), dtype=np.longdouble)
     for n in range(L):
         if variant == "classical":
             v = W[:, n].copy()
             for m in range(n):
                 v -= ((Z[:, m] @ v) / alphas[m]) * V[:, m]
             V[:, n] = v
-        z = hessian.apply(V[:, n])
-        alpha = float(V[:, n] @ z)
-        scale = float(np.linalg.norm(V[:, n]) * np.linalg.norm(z))
+        z = H @ V[:, n]
+        alpha = V[:, n] @ z
+        scale = np.sqrt(V[:, n] @ V[:, n]) * np.sqrt(z @ z)
         alphas[n] = alpha
         thresh = tol_alpha * scale if tol_alpha else 0.0
         if not alpha > thresh:
@@ -115,14 +121,14 @@ def reference_diagonalization(hessian, basis, variant="modified", tol_alpha=0.0,
         if variant == "modified" and n + 1 < L:
             V[:, n + 1 :] -= np.outer(V[:, n], (z @ W[:, n + 1 :]) / alpha)
     else:
-        return Status.HOLDS, None, None, hessian.product_count - start, alphas
+        return Status.HOLDS, None, None, L, alphas.astype(float)
+    alphas = alphas[: n + 1].astype(float)
     if not alpha < -thresh:
-        return (Status.ERROR, n + 1, "semidefinite_boundary",
-                hessian.product_count - start, alphas[: n + 1])
-    verdict = _certified_failure(hessian, basis.jacobian, V[:, n].copy(), n + 1,
-                                 tol_feas, {})
+        return Status.ERROR, n + 1, "semidefinite_boundary", n + 1, alphas
+    verdict = _certified_failure(hessian, basis.jacobian, V[:, n].astype(float),
+                                 n + 1, tol_feas, {})
     return (verdict.status, n + 1, verdict.reason,
-            hessian.product_count - start, alphas[: n + 1])
+            n + 1 + hessian.product_count - start, alphas)
 
 
 def reference_bht(H, A, pivot_tol=1e-8):
@@ -499,6 +505,17 @@ class TestContinuedPcg:
         d = verdict.direction / np.linalg.norm(verdict.direction)
         np.testing.assert_allclose(np.abs(d), [0.0, 1.0], atol=1e-10)
 
+    def test_continuation_past_a_huge_image_keeps_the_negative_direction(self):
+        # the first sweep converges on the positive direction e_2 with an
+        # image near 1e200; appending it must remove e_2, not e_1, which
+        # carries the negative curvature
+        H = 1e200 * np.diag([-1.0, 1.0, 1.0, 1.0])
+        with np.errstate(over="raise"):
+            verdict = continued_pcg(op(H), trivial_projector(4),
+                                    b0=np.array([0.0, 1.0, 0.0, 0.0]))
+        assert verdict.status is Status.FAILS
+        assert verdict.diagnostics["continuations"] == 1
+
     def test_identity_holds_with_unit_product_budget(self):
         n = 7
         verdict = continued_pcg(op(np.eye(n)), trivial_projector(n), seed=1)
@@ -731,6 +748,23 @@ class TestVerify:
         for method in methods:
             with np.errstate(over="ignore"):
                 verdict = verify(scaled, method)
+            assert verdict.status is expected, method
+            if expected is Status.FAILS:
+                assert verdict.curvature < 0
+                assert np.abs(problem.jacobian @ verdict.direction).max() <= (
+                    1e-8 * np.linalg.norm(verdict.direction))
+
+    @pytest.mark.parametrize("p, expected", [(12, Status.HOLDS), (8, Status.FAILS)])
+    def test_overflowing_product_norms_keep_a_scaled_threshold(self, p, expected):
+        # with tol_alpha > 0 every pivot scale |v| |Hv| must stay finite for
+        # H near 1e200, or the threshold turns inf and every pivot reads
+        # as a semidefinite boundary
+        problem = generate(GeneratorSpec(n=12, m=3, p=p, seed=4))
+        assert problem.truth is (expected is Status.HOLDS)
+        scaled = Problem(problem.jacobian, 1e200 * problem.hessian)
+        for method in ("cholesky", "diagonalization", "pcg"):
+            with np.errstate(over="raise"):
+                verdict = verify(scaled, method, VerifyOptions(tol_alpha=1e-8))
             assert verdict.status is expected, method
             if expected is Status.FAILS:
                 assert verdict.curvature < 0
