@@ -1,13 +1,16 @@
 """Command-line front end: check, bench, thomson, compare.
 
 Exit codes for ``check``: 0 the condition holds, 1 it fails, 2 the test
-was inconclusive, 3 input/schema problems.
+was inconclusive, 3 input/schema problems.  Every command exits 2 on a
+usage error, which includes a tolerance out of range and a benchmark size
+below 4.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -48,42 +51,32 @@ def _int_list(raw: str):
     return [int(tok) for tok in raw.split(",") if tok.strip()]
 
 
-def _positive_float(raw: str) -> float:
-    value = float(raw)
-    if not (np.isfinite(value) and value > 0):
+def _size_list(raw: str):
+    sizes = _int_list(raw)
+    if min(sizes, default=4) < 4:
         raise argparse.ArgumentTypeError(
-            f"expected a positive finite number, got {raw!r}"
+            f"benchmark sizes must be at least 4, got {raw!r}"
         )
-    return value
+    return sizes
 
 
 def _options_from_args(args) -> VerifyOptions:
-    return VerifyOptions(
-        variant=args.variant,
-        basis_method=args.basis_method,
-        tol_alpha=args.tol_alpha,
-        tol_feas=args.tol_feas,
-        pcg_tol=args.pcg_tol,
-        tol_rank=args.tol_rank,
-        fd_sigma=args.fd_sigma,
-        seed=args.seed,
-    )
+    """The verify options of the parsed arguments: each field is read from
+    the flag of its name, ``--tol-alpha`` for ``tol_alpha``, and so on."""
+    return VerifyOptions(**{
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(VerifyOptions)
+    })
 
 
 def _add_tolerance_args(parser):
-    parser.add_argument("--variant", choices=["modified", "classical"],
-                        default="modified",
-                        help="Gram-Schmidt variant of diagonalization; "
-                             "the other methods ignore it")
-    parser.add_argument("--basis-method", choices=["qr_at", "svd", "qr_a"],
-                        default="qr_at")
     parser.add_argument("--tol-alpha", type=float, default=0.0)
     parser.add_argument("--tol-feas", type=float, default=1e-8)
     parser.add_argument("--pcg-tol", type=float, default=1e-10)
     parser.add_argument("--tol-rank", type=float, default=None,
                         help="constraint rank guard; 0 disables, default scales "
                              "with the Jacobian norm")
-    parser.add_argument("--fd-sigma", type=_positive_float, default=1e-6)
+    parser.add_argument("--fd-sigma", type=float, default=1e-6)
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -113,7 +106,7 @@ def cmd_check(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     method = args.method
-    verdict = verify(problem, method, _options_from_args(args))
+    verdict = verify(problem, method, args.options)
     _print_verdict(verdict, method)
     if verdict.direction is not None:
         sidecar = args.direction_out or (str(args.problem) + ".direction.json")
@@ -160,7 +153,7 @@ def cmd_bench(args) -> int:
             conditioning=args.conditioning,
             methods=args.methods,
             base_seed=args.seed,
-            options=_options_from_args(args),
+            options=args.options,
         )
         print(_bench.summarize(records))
         try:
@@ -209,7 +202,7 @@ def _thomson_rows(args):
               f"{point.fonc_residual:.3g}")
         times = {}
         for method in args.methods:
-            verdict = verify(problem, method, _options_from_args(args))
+            verdict = verify(problem, method, args.options)
             diag = verdict.diagnostics
             times[method] = diag["wall_time_s"]
             print(f"  {method:>16}: {verdict.status.value:6} "
@@ -270,7 +263,7 @@ def cmd_compare(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    options = _options_from_args(args)
+    options = args.options
     print(f"N={problem.n} M={problem.m} L={problem.l}")
     results = {}
     for method in METHODS:
@@ -287,7 +280,8 @@ def cmd_compare(args) -> int:
     elif H is not None and problem.n <= 500:
         from .linalg import null_space_basis
 
-        basis = null_space_basis(problem.jacobian, "svd", tol_rank=0.0)
+        # the reduced eigenvalues are the same for every orthonormal basis
+        basis = null_space_basis(problem.jacobian, tol_rank=0.0)
         reduced = basis.matrix.T @ H @ basis.matrix
         lam_min = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
         print(f"  {'eigen-oracle':>16}: "
@@ -321,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_bench = sub.add_parser("bench", help="randomized accuracy/timing campaign")
-    p_bench.add_argument("--n-list", type=_int_list, required=True)
+    p_bench.add_argument("--n-list", type=_size_list, required=True)
     p_bench.add_argument("--trials-per-n", type=int, default=50)
     p_bench.add_argument("--conditioning", choices=["well", "ill"], default="well")
     p_bench.add_argument("--methods", type=_method_list, default=",".join(METHODS))
@@ -350,7 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        args.options = _options_from_args(args)
+    except ValueError as exc:
+        # the message starts with the field's name, which names its flag
+        name, _, detail = str(exc).partition(" ")
+        parser.error(f"argument --{name.replace('_', '-')}: {detail}")
     t0 = time.perf_counter()
     code = args.func(args)
     if args.command != "check":

@@ -9,17 +9,14 @@ built from:
     finite difference of a Lagrangian-gradient callback.
   - :func:`check_full_rank`: the one constraint-rank guard, which reads
     |R_ii| of a column-pivoted Householder QR of ``A^T`` (LAPACK
-    ``dgeqp3``), or the rank-revealing diagonal of a factorization the
-    caller already holds.
-  - :func:`null_space_basis`: bases of ``null(A)`` from that QR of ``A^T``
-    (its reflectors applied to ``[0; I_L]``, the full Q never formed),
-    from an SVD, or from a column-pivoted QR of ``A``, each guarded by
-    the diagonal of its own factorization.
+    ``dgeqp3``), computed there or passed by a caller that holds it.
+  - :func:`null_space_basis`: the orthonormal basis of ``null(A)`` from
+    that QR of ``A^T`` (its reflectors applied to ``[0; I_L]``, the full Q
+    never formed), guarded by the same |R_ii|.
   - :class:`NullSpaceProjector`: the orthogonal projector onto ``null(A)``
     intersected with the complement of appended columns, through an
-    orthonormal basis of that subspace that starts as the ``qr_at`` basis,
-    guarded by the same QR, and loses one column per append to one
-    Householder reflector.
+    orthonormal basis of that subspace that starts as the null-space
+    basis and loses one column per append to one Householder reflector.
   - :class:`BorderedLu`: an LU factorization of a matrix that grows by
     symmetric borders, tracking determinant signs exactly; a border of k
     columns is absorbed at once through the Cholesky factor of its Schur
@@ -60,8 +57,6 @@ __all__ = [
     "LdlFactorization",
     "ldl_factor",
 ]
-
-BASIS_METHODS = ("svd", "qr_at", "qr_a")
 
 _EPS = float(np.finfo(float).eps)
 
@@ -238,17 +233,7 @@ class NullSpaceBasis:
     """
 
     matrix: np.ndarray
-    method: str
-    orthonormal: bool
     jacobian: Optional[np.ndarray] = None
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_columns(self) -> int:
-        return self.matrix.shape[1]
 
 
 def default_rank_tolerance(A: np.ndarray) -> float:
@@ -297,10 +282,9 @@ def check_full_rank(
     """Raise :class:`RankDeficientError` when A is rank deficient to tol.
 
     The guard compares the smallest of ``pivots`` in absolute value with
-    ``tol_rank``.  ``pivots`` is the rank-revealing diagonal of a
-    factorization the caller already holds: |R_ii| of a column-pivoted QR
-    of ``A^T`` or of ``A``, or the singular values of A.  Without it the
-    pivoted QR of ``A^T`` is computed here, and only when the guard is on.
+    ``tol_rank``.  ``pivots`` is the diagonal R_ii of the column-pivoted
+    QR of ``A^T`` when the caller already holds it; without it that QR is
+    computed here, and only when the guard is on.
     ``tol_rank=None`` uses :func:`default_rank_tolerance`; ``tol_rank=0``
     disables the guard entirely (only exact rank collapse is reported by
     downstream factorizations).
@@ -337,25 +321,19 @@ def _qr_at(A: np.ndarray, tol_rank: Optional[float]) -> np.ndarray:
 
 def null_space_basis(
     A: np.ndarray,
-    method: str = "qr_at",
     tol_rank: Optional[float] = None,
 ) -> NullSpaceBasis:
-    """Compute a basis of ``null(A)`` for a full-row-rank M x N Jacobian.
+    """Orthonormal basis of ``null(A)`` for a full-row-rank M x N Jacobian.
 
     Parameters
     ----------
     A : ndarray, shape (M, N), M < N
         Constraint Jacobian (rows are constraint gradients).
-    method : {"qr_at", "svd", "qr_a"}
-        "svd" and "qr_at" produce orthonormal bases; "qr_at" gives the last
-        L columns of the orthogonal factor of the column-pivoted QR
-        ``A^T P = Q R``.  "qr_a" takes the column-pivoted QR
-        ``A P = Q [R1 R2]`` and gives ``P [-R1^-1 R2; I]``, which carries an
-        identity block in the rows of the non-pivot variables.
     tol_rank : float, optional
-        Rank guard threshold (:func:`check_full_rank`), read from the
-        diagonal of the method's own factorization; None selects
-        sqrt(eps)*|A|_F, zero disables.
+        Rank guard threshold (:func:`check_full_rank`), read from |R_ii| of
+        the column-pivoted QR ``A^T P = Q R`` whose last L columns of Q are
+        the basis; None selects sqrt(eps)*|A|_F, zero disables.  With
+        M = 0 the basis is ``I_N``.
 
     Raises
     ------
@@ -364,31 +342,9 @@ def null_space_basis(
         to the curvature tests in that case.
     """
     A = _as_jacobian(A)
-    M, N = A.shape
-    if method not in BASIS_METHODS:
-        raise ValueError(f"unknown basis method {method!r}")
-    if M == 0:
-        return NullSpaceBasis(np.eye(N), method, True, A)
-
-    if method == "svd":
-        _, svals, Vt = np.linalg.svd(A, full_matrices=True)
-        check_full_rank(A, tol_rank, svals)
-        W = Vt[M:].T
-    elif method == "qr_at":
-        W = _qr_at(A, tol_rank)
-    else:  # qr_a
-        R, _, perm = _pivoted_qr(A)
-        check_full_rank(A, tol_rank, np.diag(R))
-        try:
-            T = sla.solve_triangular(R[:, :M], R[:, M:], check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            # an exactly zero pivot with the guard off
-            raise RankDeficientError(str(exc)) from None
-        W = np.empty((N, N - M))
-        W[perm[:M]] = -T
-        W[perm[M:]] = np.eye(N - M)
-
-    return NullSpaceBasis(np.ascontiguousarray(W), method, method != "qr_a", A)
+    if A.shape[0] == 0:
+        return NullSpaceBasis(np.eye(A.shape[1]), A)
+    return NullSpaceBasis(np.ascontiguousarray(_qr_at(A, tol_rank)), A)
 
 
 # ---------------------------------------------------------------------------
@@ -447,20 +403,19 @@ class NullSpaceProjector:
         Z = self._basis
         return Z @ (Z.T @ r)
 
-    def append_column(self, q: np.ndarray, tol: Optional[float] = None) -> None:
+    def append_column(self, q: np.ndarray) -> None:
         """Remove the direction of ``q`` from the subspace.
 
         Raises :class:`DependentColumnError` when the projection of ``q``
-        onto the current subspace is negligible, i.e. ``q`` adds nothing;
-        callers treat the remaining subspace as exhausted.
+        onto the current subspace is at most sqrt(eps) |q|, i.e. ``q`` adds
+        nothing; callers treat the remaining subspace as exhausted.
         """
         q = np.asarray(q, dtype=float)
         if q.shape != (self._n,):
             raise DimensionMismatchError(
                 f"expected vector of length {self._n}, got shape {q.shape}"
             )
-        if tol is None:
-            tol = np.sqrt(_EPS) * float(sla.blas.dnrm2(q))
+        tol = np.sqrt(_EPS) * float(sla.blas.dnrm2(q))
         Z = self._basis
         w = Z.T @ q
         # BLAS dnrm2 raises on an empty vector, the exhausted subspace

@@ -11,10 +11,10 @@ The three matrix-free tests need only products ``s -> H s``:
   - :func:`implicit_cholesky` forms the reduced matrix ``W^T H W`` from one
     block product and reads its Cholesky pivots from LAPACK ``dpotrf``;
   - :func:`diagonalization` obliquely conjugates the basis so the reduced
-    matrix becomes diagonal, one product per step; the modified variant
-    applies earlier steps to each 64-column panel with two matrix
-    products, and each step inside a panel applies the panel's earlier
-    steps to its own column only (two matrix-vector products);
+    matrix becomes diagonal, one product per step: earlier steps reach
+    each 64-column panel through two matrix products, and each step
+    inside a panel applies the panel's earlier steps to its own column
+    only (two matrix-vector products);
   - :func:`continued_pcg` runs projected conjugate gradients and restarts
     in the conjugate complement of the searched directions until the null
     space is exhausted or negative curvature appears.
@@ -253,7 +253,7 @@ def implicit_cholesky(
 # Oblique diagonalization
 # ---------------------------------------------------------------------------
 
-# columns per panel of the modified diagonalization: wide enough that the
+# columns per panel of the diagonalization: wide enough that the
 # two panel-entry products run at matrix-product speed, narrow enough that
 # the left-looking update of each column inside a panel stays cheap
 _PANEL = 64
@@ -262,7 +262,6 @@ _PANEL = 64
 def diagonalization(
     hessian: HessianOperator,
     basis: NullSpaceBasis,
-    variant: str = "modified",
     tol_alpha: float = 0.0,
     tol_feas: float = 1e-8,
 ) -> SoscVerdict:
@@ -273,8 +272,8 @@ def diagonalization(
     conjugated vector itself is the feasible direction of negative
     curvature, with no back substitution.
 
-    In the ``modified`` variant step m subtracts ``(z_m . w_j / alpha_m)
-    v_m`` from every later column j, with ``z_m = H v_m``; the coefficient
+    Step m subtracts ``(z_m . w_j / alpha_m) v_m`` from every later
+    column j, with ``z_m = H v_m`` (modified Gram-Schmidt); the coefficient
     reads the original basis column ``w_j``, so the updates can be applied
     in any grouping.  The columns are taken in panels of
     :data:`_PANEL` columns: on entering a panel, all earlier steps are
@@ -283,12 +282,8 @@ def diagonalization(
     the update is left-looking: step n applies the panel's earlier steps
     to its own column only, ``v_n -= V_{s:n} ((Z_{s:n}^T w_n) /
     alpha_{s:n})``, with V and Z in Fortran order so that each column is
-    contiguous.  A failure pays only for the steps it reached.  The
-    ``classical`` variant conjugates each column against all earlier ones
-    in turn, its coefficients reading the column as it is being updated.
+    contiguous.  A failure pays only for the steps it reached.
     """
-    if variant not in ("modified", "classical"):
-        raise ValueError("variant must be 'modified' or 'classical'")
     W = basis.matrix
     N, L = W.shape
     if hessian.dimension != N:
@@ -303,10 +298,7 @@ def diagonalization(
     boundary = None
     for n in range(L):
         v = V[:, n]
-        if variant == "classical":
-            for m in range(n):
-                v -= ((Z[:, m] @ v) / alphas[m]) * V[:, m]
-        elif n % _PANEL == 0:
+        if n % _PANEL == 0:
             s = n
             if n:
                 end = min(n + _PANEL, L)
@@ -351,6 +343,12 @@ def diagonalization(
 # ---------------------------------------------------------------------------
 
 
+# pseudorandom restart seeds drawn before an unsearched subspace counts as
+# exhausted: a Gaussian draw projects to below ``tol`` only when the
+# subspace left is numerically empty
+_SEED_DRAWS = 3
+
+
 def continued_pcg(
     hessian: HessianOperator,
     projector: NullSpaceProjector,
@@ -358,7 +356,6 @@ def continued_pcg(
     tol_alpha: float = 0.0,
     tol_feas: float = 1e-8,
     seed: int = 0,
-    max_seed_draws: int = 3,
     keep_directions: bool = False,
     b0: Optional[np.ndarray] = None,
 ) -> SoscVerdict:
@@ -372,7 +369,8 @@ def continued_pcg(
     space has dimensions, every one with positive curvature; a nonpositive
     curvature value stops the search, the current search direction being
     the certificate.  Failing to draw a usable restart seed with dimensions
-    still unsearched is reported as an inconclusive ERROR.
+    still unsearched, in :data:`_SEED_DRAWS` attempts, is reported as an
+    inconclusive ERROR.
 
     ``b0`` overrides the pseudorandom first seed (it is projected onto the
     feasible subspace); restarts always draw from the seeded generator.
@@ -390,7 +388,7 @@ def continued_pcg(
     sweep_sizes = [] if keep_directions else None
 
     def draw_seed() -> Optional[np.ndarray]:
-        for _ in range(max_seed_draws):
+        for _ in range(_SEED_DRAWS):
             cand = projector.project(rng.standard_normal(N))
             if float(dnrm2(cand)) >= tol:
                 return cand
@@ -606,23 +604,34 @@ def inertia_test(
 
 @dataclasses.dataclass
 class VerifyOptions:
-    """Tolerances and method switches shared by the verifiers.
+    """Tolerances shared by the verifiers.
 
-    ``variant`` ("modified" or "classical" Gram-Schmidt) applies to
-    ``diagonalization`` only; the other methods ignore it.
     ``tol_rank=None`` selects the scaled default constraint-rank guard;
     zero disables the guard so the tests run on whatever the factorizations
     produce (the benchmark harness does this to expose round-off behavior).
+    ``tol_alpha``, ``tol_feas`` and a given ``tol_rank`` must be finite and
+    nonnegative, ``pcg_tol`` and ``fd_sigma`` finite and positive; any
+    other value raises ``ValueError``, its message starting with the
+    field's name.
     """
 
-    variant: str = "modified"
-    basis_method: str = "qr_at"
     tol_alpha: float = 0.0
     tol_feas: float = 1e-8
     pcg_tol: float = 1e-10
     tol_rank: Optional[float] = None
     fd_sigma: float = 1e-6
     seed: int = 0
+
+    def __post_init__(self):
+        limits = [("tol_alpha", False), ("tol_feas", False),
+                  ("pcg_tol", True), ("fd_sigma", True)]
+        if self.tol_rank is not None:
+            limits.append(("tol_rank", False))
+        for name, positive in limits:
+            value = getattr(self, name)
+            if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
+                sense = "positive" if positive else "nonnegative"
+                raise ValueError(f"{name} must be finite and {sense}, got {value!r}")
 
 
 def verify(
@@ -637,9 +646,9 @@ def verify(
     dense matrix, or materialize a product-backed one), and attaches wall
     time and the operator-product count to the verdict diagnostics.  Every
     method guards the constraint rank with :func:`check_full_rank` on the
-    column-pivoted QR of ``A^T``: the default ``qr_at`` basis and the
-    projector read it from the QR they are built from, ``bht`` and
-    ``inertia`` pay for the QR only when the guard is on.  Rank-deficient
+    column-pivoted QR of ``A^T``: the basis and the projector read it from
+    the QR they are built from, ``bht`` and ``inertia`` pay for the QR only
+    when the guard is on.  Rank-deficient
     constraints (failed LICQ guard) and NaN or inf in the Jacobian produce
     an ERROR verdict rather than an exception.
     """
@@ -658,19 +667,11 @@ def verify(
         if rejected is not None:
             verdict = rejected
         elif method in ("cholesky", "diagonalization"):
-            basis = null_space_basis(
-                problem.jacobian, options.basis_method, options.tol_rank
+            basis = null_space_basis(problem.jacobian, options.tol_rank)
+            runner = implicit_cholesky if method == "cholesky" else diagonalization
+            verdict = runner(
+                hessian, basis, tol_alpha=options.tol_alpha, tol_feas=options.tol_feas
             )
-            if method == "cholesky":
-                verdict = implicit_cholesky(
-                    hessian, basis, tol_alpha=options.tol_alpha,
-                    tol_feas=options.tol_feas,
-                )
-            else:
-                verdict = diagonalization(
-                    hessian, basis, variant=options.variant,
-                    tol_alpha=options.tol_alpha, tol_feas=options.tol_feas,
-                )
         elif method == "pcg":
             projector = NullSpaceProjector(problem.jacobian, options.tol_rank)
             verdict = continued_pcg(

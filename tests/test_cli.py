@@ -1,12 +1,13 @@
 """End-to-end command-line tests."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from curvcheck.cli import main
+from curvcheck.cli import _options_from_args, build_parser, main
 from curvcheck.bench import CSV_HEADER
 from curvcheck.problems import (
     GeneratorSpec,
@@ -15,6 +16,7 @@ from curvcheck.problems import (
     near_rank_deficient_kkt,
     save_problem,
 )
+from curvcheck.sosc import VerifyOptions
 
 
 @pytest.fixture
@@ -188,10 +190,68 @@ class TestBench:
         assert row[header.index("truth")] == ""
         assert row[header.index("agree")] == ""
 
-    def test_rejects_tiny_sizes(self, tmp_path):
-        with pytest.raises(ValueError):
+    def test_rejects_tiny_sizes(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["bench", "--n-list", "3", "--trials-per-n", "1",
                   "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "at least 4" in capsys.readouterr().err
+
+
+class TestOptions:
+    COMMANDS = {
+        "check": ["check", "p.json"],
+        "bench": ["bench", "--n-list", "8", "--out", "x.csv"],
+        "thomson": ["thomson", "--k-list", "4"],
+        "compare": ["compare", "p.json"],
+    }
+    # a value for each field that differs from every command's default
+    VALUES = {"tol_alpha": "0.125", "tol_feas": "0.25", "pcg_tol": "0.5",
+              "tol_rank": "0.75", "fd_sigma": "1.5", "seed": "3"}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_option_is_set_by_its_one_flag(self, command):
+        fields = [field.name for field in dataclasses.fields(VerifyOptions)]
+        assert sorted(fields) == sorted(self.VALUES)
+        parser = build_parser()
+        base = dataclasses.asdict(
+            _options_from_args(parser.parse_args(self.COMMANDS[command])))
+        for name in fields:
+            flag = "--" + name.replace("_", "-")
+            args = parser.parse_args(self.COMMANDS[command] + [flag, self.VALUES[name]])
+            got = dataclasses.asdict(_options_from_args(args))
+            expected = dict(base, **{name: type(base[name] or 0.0)(self.VALUES[name])})
+            assert got == expected, flag
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol-alpha", "-1"), ("--tol-feas", "-1e-8"), ("--pcg-tol", "0"),
+        ("--tol-rank", "-1"), ("--tol-alpha", "nan"),
+    ])
+    def test_out_of_range_option_is_a_usage_error(self, command, flag, value,
+                                                  monkeypatch, capsys):
+        # before the options were checked, --pcg-tol 0 escaped from pcg as a
+        # ValueError traceback and exit 1, which reads as "fails"
+        from curvcheck import cli
+
+        calls = []
+        for name in ("cmd_check", "cmd_bench", "cmd_thomson", "cmd_compare"):
+            monkeypatch.setattr(cli, name, lambda args: calls.append(args) or 0)
+        with pytest.raises(SystemExit) as exc:
+            main(self.COMMANDS[command] + [f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be finite" in capsys.readouterr().err
+        assert calls == []
+
+    def test_negative_tol_alpha_on_a_failing_problem_exit_two(self, tmp_path):
+        # with tol_alpha = -1 diagonalization read this failing problem as
+        # holding, and check exited 0
+        path = tmp_path / "f.json"
+        save_problem(generate(GeneratorSpec(n=12, m=3, p=8, seed=4)), path)
+        assert main(["check", str(path), "--method", "diag"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(path), "--method", "diag", "--tol-alpha", "-1"])
+        assert exc.value.code == 2
 
 
 class TestCompare:

@@ -37,11 +37,9 @@ from curvcheck.sosc import (
     verify,
 )
 
-VARIANTS = ["modified", "classical"]
-
 
 def adhoc_basis(W, A=None):
-    return NullSpaceBasis(np.asarray(W, dtype=float), "qr_at", False, A)
+    return NullSpaceBasis(np.asarray(W, dtype=float), A)
 
 
 def op(H):
@@ -85,11 +83,9 @@ def reference_cholesky(hessian, basis, tol_alpha=0.0, tol_feas=1e-8):
             hessian.product_count - start, alphas[: n + 1])
 
 
-def reference_diagonalization(hessian, basis, variant="modified", tol_alpha=0.0,
-                              tol_feas=1e-8):
+def reference_diagonalization(hessian, basis, tol_alpha=0.0, tol_feas=1e-8):
     """Oblique diagonalization with one rank-1 update of the whole trailing
-    basis per step (modified) or one column at a time (classical), kept as
-    the oracle for the panel-blocked kernel.
+    basis per step, kept as the oracle for the panel-blocked kernel.
 
     The recurrence runs in ``np.longdouble`` on the operator's stored
     matrix, one product per step, so that a pivot left by cancellation is
@@ -99,17 +95,11 @@ def reference_diagonalization(hessian, basis, variant="modified", tol_alpha=0.0,
     Returns status, step, reason, products and the pivots computed."""
     H = hessian.matrix.astype(np.longdouble)
     W = basis.matrix.astype(np.longdouble)
-    N, L = W.shape
+    L = W.shape[1]
     start = hessian.product_count
     V = W.copy()
     alphas = np.zeros(L, dtype=np.longdouble)
-    Z = np.zeros((N, L), dtype=np.longdouble)
     for n in range(L):
-        if variant == "classical":
-            v = W[:, n].copy()
-            for m in range(n):
-                v -= ((Z[:, m] @ v) / alphas[m]) * V[:, m]
-            V[:, n] = v
         z = H @ V[:, n]
         alpha = V[:, n] @ z
         scale = np.sqrt(V[:, n] @ V[:, n]) * np.sqrt(z @ z)
@@ -117,8 +107,7 @@ def reference_diagonalization(hessian, basis, variant="modified", tol_alpha=0.0,
         thresh = tol_alpha * scale if tol_alpha else 0.0
         if not alpha > thresh:
             break
-        Z[:, n] = z
-        if variant == "modified" and n + 1 < L:
+        if n + 1 < L:
             V[:, n + 1 :] -= np.outer(V[:, n], (z @ W[:, n + 1 :]) / alpha)
     else:
         return Status.HOLDS, None, None, L, alphas.astype(float)
@@ -191,19 +180,16 @@ def eigen_oracle(problem):
 
 
 class TestImplicitCholesky:
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_identity_holds(self, variant):
+    def test_identity_holds(self):
         verdict = implicit_cholesky(op(np.eye(3)), adhoc_basis(np.eye(3)[:, :2]))
         assert verdict.status is Status.HOLDS
         np.testing.assert_allclose(verdict.diagnostics["alphas"], [1.0, 1.0])
-        # variant selects diagonalization's recurrence; cholesky ignores it
         problem = Problem(jacobian=np.array([[0.0, 0.0, 1.0]]), hessian=np.eye(3))
-        via_verify = verify(problem, "cholesky", VerifyOptions(variant=variant))
+        via_verify = verify(problem, "cholesky")
         assert via_verify.status is Status.HOLDS
         np.testing.assert_allclose(via_verify.diagnostics["alphas"], [1.0, 1.0])
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_indefinite_fails_with_direction(self, variant):
+    def test_indefinite_fails_with_direction(self):
         H = np.diag([1.0, -1.0, 1.0])
         verdict = implicit_cholesky(op(H), adhoc_basis(np.eye(3)[:, :2]))
         assert verdict.status is Status.FAILS
@@ -211,9 +197,9 @@ class TestImplicitCholesky:
         d = verdict.direction / np.linalg.norm(verdict.direction)
         np.testing.assert_allclose(np.abs(d), [0.0, 1.0, 0.0], atol=1e-14)
         assert verdict.curvature == pytest.approx(-1.0)
-        # the same verdict through verify, whichever variant is asked for
+        # the same verdict through verify
         problem = Problem(jacobian=np.array([[0.0, 0.0, 1.0]]), hessian=H)
-        via_verify = verify(problem, "cholesky", VerifyOptions(variant=variant))
+        via_verify = verify(problem, "cholesky")
         assert via_verify.status is Status.FAILS
         d = via_verify.direction / np.linalg.norm(via_verify.direction)
         np.testing.assert_allclose(np.abs(d), [0.0, 1.0, 0.0], atol=1e-14)
@@ -232,12 +218,10 @@ class TestImplicitCholesky:
         np.testing.assert_allclose(verdict.direction, [-2.0, 1.0], atol=1e-14)
         assert verdict.curvature == pytest.approx(-3.0)
 
-    @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("seed", range(6))
-    def test_direction_curvature_equals_pivot(self, variant, seed):
-        # variant selects diagonalization's recurrence; cholesky ignores it
+    def test_direction_curvature_equals_pivot(self, seed):
         problem = generate(GeneratorSpec(n=20, m=6, p=int(seed % 13), seed=seed))
-        verdict = verify(problem, "cholesky", VerifyOptions(variant=variant))
+        verdict = verify(problem, "cholesky")
         assert verdict.status is Status.FAILS
         alpha = verdict.diagnostics["alpha"]
         assert verdict.curvature == pytest.approx(alpha, rel=1e-8)
@@ -329,29 +313,25 @@ class TestImplicitCholesky:
 
 
 class TestDiagonalization:
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_identity_holds(self, variant):
-        verdict = diagonalization(op(np.eye(3)), adhoc_basis(np.eye(3)[:, :2]),
-                                  variant=variant)
+    def test_identity_holds(self):
+        verdict = diagonalization(op(np.eye(3)), adhoc_basis(np.eye(3)[:, :2]))
         assert verdict.status is Status.HOLDS
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_indefinite_fails_with_conjugated_vector(self, variant):
+    def test_indefinite_fails_with_conjugated_vector(self):
         H = np.diag([1.0, -1.0, 1.0])
-        verdict = diagonalization(op(H), adhoc_basis(np.eye(3)[:, :2]),
-                                  variant=variant)
+        verdict = diagonalization(op(H), adhoc_basis(np.eye(3)[:, :2]))
         assert verdict.status is Status.FAILS and verdict.step == 2
         np.testing.assert_allclose(verdict.direction, [0.0, 1.0, 0.0], atol=1e-14)
 
     def test_matches_reference_recurrence(self):
-        # seeded draws up to N = 200, so that the modified variant crosses
-        # several 64-column panels; every third draw has L > 130 and either
+        # seeded draws up to N = 200, so that the kernel crosses several
+        # 64-column panels; every third draw has L > 130 and either
         # holds or has one or two negative reduced eigenvalues, which tends
         # to fail late
-        def check(hessian, basis, variant, tol_alpha, label, rtol=1e-12, atol=0.0):
+        def check(hessian, basis, tol_alpha, label, rtol=1e-12, atol=0.0):
             status, step, reason, products, alphas = reference_diagonalization(
-                hessian(), basis, variant, tol_alpha)
-            verdict = diagonalization(hessian(), basis, variant, tol_alpha)
+                hessian(), basis, tol_alpha)
+            verdict = diagonalization(hessian(), basis, tol_alpha)
             assert (verdict.status, verdict.step, verdict.reason) == (
                 status, step, reason), label
             assert verdict.diagnostics["operator_products"] == products, label
@@ -380,13 +360,11 @@ class TestDiagonalization:
             ))
             basis = null_space_basis(problem.jacobian, tol_rank=0.0)
             tol_alpha = (0.0, 1e-6)[(trial // 2) % 2]
-            # the classical variant's column-by-column loop is slow at large L
-            for variant in VARIANTS[: 1 + (trial % 4 == 1)]:
-                verdict = check(lambda: op(problem.hessian), basis, variant, tol_alpha,
-                                f"draw {trial}: n={n} m={m} p={p} {conditioning} "
-                                f"{variant} tol_alpha={tol_alpha}")
-                panel = (l if verdict.holds else verdict.step - 1) // 64
-                outcomes.add((verdict.reason or verdict.status.value, min(panel, 2)))
+            verdict = check(lambda: op(problem.hessian), basis, tol_alpha,
+                            f"draw {trial}: n={n} m={m} p={p} {conditioning} "
+                            f"tol_alpha={tol_alpha}")
+            panel = (l if verdict.holds else verdict.step - 1) // 64
+            outcomes.add((verdict.reason or verdict.status.value, min(panel, 2)))
         assert outcomes >= {("holds", 2), ("fails", 0), ("fails", 1)}
 
         # a hand-built reduced matrix whose pivot 70 is 1e-9 while its
@@ -407,14 +385,11 @@ class TestDiagonalization:
         H[69:71, 69:71] = schur + cross.T @ np.linalg.solve(lead, cross)
         H[71:, 71:] = np.eye(29)
         basis = adhoc_basis(np.eye(100))
-        for variant in VARIANTS:
-            boundary = check(lambda: op(H), basis, variant, 1e-6, f"{variant} 1e-6",
-                             atol=1e-12)
-            assert (boundary.status, boundary.step, boundary.reason) == (
-                Status.ERROR, 70, "semidefinite_boundary")
-            failing = check(lambda: op(H), basis, variant, 0.0, f"{variant} 0",
-                            rtol=1e-5)
-            assert (failing.status, failing.step) == (Status.FAILS, 71)
+        boundary = check(lambda: op(H), basis, 1e-6, "1e-6", atol=1e-12)
+        assert (boundary.status, boundary.step, boundary.reason) == (
+            Status.ERROR, 70, "semidefinite_boundary")
+        failing = check(lambda: op(H), basis, 0.0, "0", rtol=1e-5)
+        assert (failing.status, failing.step) == (Status.FAILS, 71)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_agrees_with_cholesky(self, seed):
@@ -436,13 +411,12 @@ class TestDiagonalization:
         problem = generate(GeneratorSpec(n=24, m=9, p=int(rng.integers(0, 25)),
                                          seed=seed))
         basis = null_space_basis(problem.jacobian)
-        L = basis.n_columns
+        L = basis.matrix.shape[1]
         u, _ = np.linalg.qr(rng.standard_normal((L, L)))
         v, _ = np.linalg.qr(rng.standard_normal((L, L)))
         svals = np.exp(rng.uniform(np.log(0.05), np.log(50.0), L))  # cond <= 1e3
         S = u @ np.diag(svals) @ v
-        transformed = NullSpaceBasis(basis.matrix @ S, basis.method, False,
-                                     problem.jacobian)
+        transformed = NullSpaceBasis(basis.matrix @ S, problem.jacobian)
         for runner in (implicit_cholesky, diagonalization):
             before = runner(op(problem.hessian), basis)
             after = runner(op(problem.hessian), transformed)
@@ -901,12 +875,29 @@ class TestVerify:
         assert verdict.status is Status.HOLDS
         assert verdict.diagnostics["operator_products"] == problem.l
 
-    def test_classical_variants_cross_check(self):
-        problem = generate(GeneratorSpec(n=30, m=10, p=12, seed=9))
-        method = "diagonalization"
-        modified = verify(problem, method, VerifyOptions(variant="modified"))
-        classical = verify(problem, method, VerifyOptions(variant="classical"))
-        assert modified.status == classical.status
+    def test_negative_tol_alpha_is_rejected(self):
+        # a negative pivot threshold passed negative pivots: diagonalization
+        # and pcg read this failing problem as HOLDS
+        problem = generate(GeneratorSpec(n=12, m=3, p=8, seed=4))
+        assert not problem.truth
+        with pytest.raises(ValueError, match="^tol_alpha"):
+            verify(problem, "diagonalization", VerifyOptions(tol_alpha=-1.0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("tol_alpha", np.nan), ("tol_alpha", np.inf),
+        ("tol_feas", -1e-8), ("tol_feas", np.nan), ("tol_feas", np.inf),
+        ("pcg_tol", 0.0), ("pcg_tol", -1e-10), ("pcg_tol", np.inf),
+        ("fd_sigma", 0.0), ("fd_sigma", -1e-6), ("fd_sigma", np.nan),
+        ("tol_rank", -1.0), ("tol_rank", np.nan), ("tol_rank", np.inf),
+    ])
+    def test_options_out_of_range_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            VerifyOptions(**{field: value})
+
+    def test_options_at_their_bounds_are_accepted(self):
+        for tol_rank in (None, 0.0):
+            VerifyOptions(tol_alpha=0.0, tol_feas=0.0, tol_rank=tol_rank)
+        VerifyOptions(pcg_tol=1e-300, fd_sigma=1e-300)
 
     def test_fd_backed_thomson_holds(self):
         from curvcheck.stationary import solve_thomson
@@ -992,10 +983,10 @@ class TestOneRankGuard:
         assert missed <= draws // 100
 
     @pytest.mark.parametrize("tol_rank", [None, 0.0])
-    def test_qr_a_basis_on_a_singular_leading_block(self, tol_rank):
-        # the leading block of A is singular here; the pivoted QR of A
-        # moves its pivot columns first
-        options = VerifyOptions(basis_method="qr_a", tol_rank=tol_rank)
+    def test_basis_on_a_singular_leading_block(self, tol_rank):
+        # the leading M x M block of A is singular here; the pivoted QR of
+        # A^T does not depend on which columns of A come first
+        options = VerifyOptions(tol_rank=tol_rank)
         problems = [Problem(np.array([[0.0, 0.0, 1.0]]), np.eye(3))]
         problems += [thomson_problem(k, dense=True) for k in (3, 4, 6)]
         for problem in problems:
