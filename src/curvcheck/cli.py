@@ -2,8 +2,8 @@
 
 Exit codes for ``check``: 0 the condition holds, 1 it fails, 2 the test
 was inconclusive, 3 input/schema problems.  Every command exits 2 on a
-usage error, which includes a tolerance out of range and a benchmark size
-below 4.
+usage error, which includes a tolerance out of range, a benchmark size
+below 4, a trial count below 1 and a Thomson point count K below 2.
 """
 
 from __future__ import annotations
@@ -51,13 +51,26 @@ def _int_list(raw: str):
     return [int(tok) for tok in raw.split(",") if tok.strip()]
 
 
-def _size_list(raw: str):
-    sizes = _int_list(raw)
-    if min(sizes, default=4) < 4:
-        raise argparse.ArgumentTypeError(
-            f"benchmark sizes must be at least 4, got {raw!r}"
-        )
-    return sizes
+def _int_list_from(least: int, what: str):
+    """Parser of a comma-separated list of integers, each at least
+    ``least``; a smaller one is a usage error."""
+
+    def int_list(raw: str):
+        values = _int_list(raw)
+        if min(values, default=least) < least:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be at least {least}, got {raw!r}"
+            )
+        return values
+
+    return int_list
+
+
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {raw!r}")
+    return value
 
 
 def _options_from_args(args) -> VerifyOptions:
@@ -315,8 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_bench = sub.add_parser("bench", help="randomized accuracy/timing campaign")
-    p_bench.add_argument("--n-list", type=_size_list, required=True)
-    p_bench.add_argument("--trials-per-n", type=int, default=50)
+    p_bench.add_argument("--n-list", type=_int_list_from(4, "benchmark sizes"),
+                         required=True)
+    p_bench.add_argument("--trials-per-n", type=_positive_int, default=50)
     p_bench.add_argument("--conditioning", choices=["well", "ill"], default="well")
     p_bench.add_argument("--methods", type=_method_list, default=",".join(METHODS))
     p_bench.add_argument("--out", required=True)
@@ -324,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=cmd_bench, tol_rank=0.0)
 
     p_th = sub.add_parser("thomson", help="solve and verify sphere problems")
-    p_th.add_argument("--k-list", type=_int_list, required=True)
+    p_th.add_argument("--k-list", type=_int_list_from(2, "point counts K"),
+                      required=True)
     p_th.add_argument("--methods", type=_method_list,
                       default="cholesky,diagonalization,inertia")
     p_th.add_argument("--tol-fonc", type=float, default=1e-9)

@@ -16,7 +16,9 @@ built from:
   - :class:`NullSpaceProjector`: the orthogonal projector onto ``null(A)``
     intersected with the complement of appended columns, through an
     orthonormal basis of that subspace that starts as the null-space
-    basis and loses one column per append to one Householder reflector.
+    basis; a block of k columns is appended at once, the basis rotated by
+    their Householder reflectors in compact WY form (LAPACK ``dgeqrt`` and
+    ``dgemqrt``) and shorn of one column per column kept.
   - :class:`BorderedLu`: an LU factorization of a matrix that grows by
     symmetric borders, tracking determinant signs exactly; a border of k
     columns is absorbed at once through the Cholesky factor of its Schur
@@ -362,9 +364,10 @@ class NullSpaceProjector:
     Householder QR of ``A^T`` (``Z = I_N`` when M = 0), whose |R_ii| the
     rank guard reads at ``tol_rank`` as in :func:`null_space_basis`.  One
     projection ``Z (Z^T r)`` costs two slim matrix-vector products, O(N d).
-    An append rotates ``Z`` by one Householder reflector, so that its first
-    column carries the part of the new column inside the subspace, and
-    drops that column; as ``Z`` only changes through orthogonal
+    An append of r independent columns rotates ``Z`` by r Householder
+    reflectors, applied at once in compact WY form, so that its first r
+    columns carry the parts of the new columns inside the subspace, and
+    drops those columns; as ``Z`` only changes through orthogonal
     transformations it stays orthonormal and inside ``null(A)`` to working
     precision.
     """
@@ -403,36 +406,55 @@ class NullSpaceProjector:
         Z = self._basis
         return Z @ (Z.T @ r)
 
-    def append_column(self, q: np.ndarray) -> None:
-        """Remove the direction of ``q`` from the subspace.
+    def append_column(self, q: np.ndarray) -> int:
+        """Remove the directions of the columns of ``q`` from the subspace.
 
-        Raises :class:`DependentColumnError` when the projection of ``q``
-        onto the current subspace is at most sqrt(eps) |q|, i.e. ``q`` adds
-        nothing; callers treat the remaining subspace as exhausted.
+        ``q`` is an N-vector or an N x k block, whose columns are taken in
+        order: column j is skipped when its residual in the subspace left
+        by the earlier kept columns is at most sqrt(eps) |q_j|, i.e. it
+        adds nothing.  Returns the number of columns skipped.  Raises
+        :class:`DependentColumnError` when no column is kept; callers treat
+        the remaining subspace as exhausted.
+
+        The residuals are the |R_jj| of one Householder QR of the kept
+        columns of ``W = Z^T Q`` (LAPACK ``dgeqrt``); when one is at or
+        below its tolerance that column is dropped and the QR taken again.
+        LAPACK ``dlarfg`` scales the reflectors, so a column near 1e200
+        cannot overflow them.  The r reflectors, in compact WY form ``I - U
+        T U^T``, rotate ``Z`` in place, ``Z -= ((Z U) T) U^T`` through
+        LAPACK ``dgemqrt`` (triangular and general matrix products), so
+        that its first r columns carry the kept columns; those are dropped.
         """
-        q = np.asarray(q, dtype=float)
-        if q.shape != (self._n,):
+        Q = np.asarray(q, dtype=float, order="F")
+        if Q.ndim == 1:
+            Q = Q[:, None]
+        if Q.ndim != 2 or Q.shape[0] != self._n:
             raise DimensionMismatchError(
-                f"expected vector of length {self._n}, got shape {q.shape}"
+                f"expected {self._n} rows, got shape {np.shape(q)}"
             )
-        tol = np.sqrt(_EPS) * float(sla.blas.dnrm2(q))
+        k = Q.shape[1]
         Z = self._basis
-        w = Z.T @ q
-        # BLAS dnrm2 raises on an empty vector, the exhausted subspace
-        residual = float(sla.blas.dnrm2(w)) if w.size else 0.0
-        if w.size == 0 or residual <= tol:
-            raise DependentColumnError(
-                f"appended column residual {residual:.3e} below tolerance"
-            )
-        # the reflector I - beta u u^T maps w onto a multiple of e_1; u is
-        # taken from the unit vector w / |w|, so that u . u = 2 |u_0| lies
-        # in [2, 4] and cannot overflow for a finite w
-        u = w / residual
-        u[0] += np.copysign(1.0, u[0])
-        beta = 1.0 / abs(u[0])
-        Z = sla.blas.dger(-beta, Z @ u, u, a=Z, overwrite_a=1)
-        self._basis = Z[:, 1:]
-        self._k += 1
+        d = Z.shape[1]
+        tol = np.sqrt(_EPS) * np.array([sla.blas.dnrm2(Q[:, j]) for j in range(k)])
+        W = Z.T @ Q
+        while True:
+            # after d kept columns the subspace is empty: the rest are skipped
+            r = min(d, W.shape[1])
+            if r == 0:
+                raise DependentColumnError(
+                    f"none of {k} appended columns leaves the span held"
+                )
+            qr, T, _ = sla.lapack.dgeqrt(r, W[:, :r])
+            low = np.flatnonzero(np.abs(qr.diagonal()) <= tol[:r])
+            if not low.size:
+                break
+            W = np.delete(W, low[0], axis=1)
+            tol = np.delete(tol, low[0])
+
+        Z, _ = sla.lapack.dgemqrt(qr, T, Z, side="R", overwrite_c=1)
+        self._basis = Z[:, r:]
+        self._k += r
+        return k - r
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,14 @@ def _norms(X: np.ndarray, axis: int) -> np.ndarray:
     return (big * np.linalg.norm(X / big, axis=axis, keepdims=True)).squeeze(axis)
 
 
+def _check_limit(name: str, value: float, positive: bool = False) -> None:
+    """Raise ``ValueError``, its message starting with ``name``, unless
+    ``value`` is finite and nonnegative (``positive``: positive)."""
+    if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
+        sense = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {sense}, got {value!r}")
+
+
 def _classify(alpha: float, scale: float, tol_alpha: float) -> int:
     """Three-way pivot sign: +1 accept, -1 negative curvature, 0 boundary.
 
@@ -192,8 +200,10 @@ def implicit_cholesky(
     feasible direction of negative curvature whose curvature is that
     pivot.  A pivot at the boundary (within ``tol_alpha`` of zero, scaled)
     or a non-finite pivot yields an inconclusive ERROR since definiteness
-    is neither verified nor refuted.
+    is neither verified nor refuted.  A negative or non-finite
+    ``tol_alpha`` raises ``ValueError``.
     """
+    _check_limit("tol_alpha", tol_alpha)
     W = basis.matrix
     N, L = W.shape
     if hessian.dimension != N:
@@ -282,8 +292,10 @@ def diagonalization(
     the update is left-looking: step n applies the panel's earlier steps
     to its own column only, ``v_n -= V_{s:n} ((Z_{s:n}^T w_n) /
     alpha_{s:n})``, with V and Z in Fortran order so that each column is
-    contiguous.  A failure pays only for the steps it reached.
+    contiguous.  A failure pays only for the steps it reached.  A negative
+    or non-finite ``tol_alpha`` raises ``ValueError``.
     """
+    _check_limit("tol_alpha", tol_alpha)
     W = basis.matrix
     N, L = W.shape
     if hessian.dimension != N:
@@ -374,9 +386,11 @@ def continued_pcg(
 
     ``b0`` overrides the pseudorandom first seed (it is projected onto the
     feasible subspace); restarts always draw from the seeded generator.
+    A ``tol`` that is not finite and positive, or a ``tol_alpha`` that is
+    not finite and nonnegative, raises ``ValueError``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_limit("tol", tol, positive=True)
+    _check_limit("tol_alpha", tol_alpha)
     N = hessian.dimension
     if projector.dimension != N:
         raise DimensionMismatchError("operator and projector dimensions differ")
@@ -465,14 +479,13 @@ def continued_pcg(
         # converged early: restrict the subspace to the conjugate
         # complement of this sweep and restart
         continuations += 1
-        for q in sweep_images:
-            try:
-                projector.append_column(q)
-            except DependentColumnError:
-                # long sweeps can emit images that are numerically inside
-                # the span already annihilated; restricting by them again
-                # is a no-op, so they are skipped
-                continue
+        try:
+            # long sweeps can emit images that are numerically inside the
+            # span already annihilated; restricting by them again is a
+            # no-op, so the projector skips them
+            projector.append_column(np.column_stack(sweep_images))
+        except DependentColumnError:
+            pass
         b = draw_seed()
         if b is None:
             return finish(
@@ -628,10 +641,7 @@ class VerifyOptions:
         if self.tol_rank is not None:
             limits.append(("tol_rank", False))
         for name, positive in limits:
-            value = getattr(self, name)
-            if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
-                sense = "positive" if positive else "nonnegative"
-                raise ValueError(f"{name} must be finite and {sense}, got {value!r}")
+            _check_limit(name, getattr(self, name), positive)
 
 
 def verify(

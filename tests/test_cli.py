@@ -197,6 +197,17 @@ class TestBench:
         assert exc.value.code == 2
         assert "at least 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_rejects_a_non_positive_trial_count(self, tmp_path, trials, capsys):
+        # no trial ran, a header-only CSV was written and bench exited 0
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--n-list", "8", "--trials-per-n", trials,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--trials-per-n" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOptions:
     COMMANDS = {
@@ -309,6 +320,13 @@ class TestThomsonCommand:
         assert len(rows) == 1 + 2 * 3  # two sizes, three default methods
         verdicts = {row[4] for row in rows[1:]}
         assert verdicts == {"holds"}
+
+    def test_rejects_fewer_than_two_points(self, capsys):
+        # K = 1 exited 1 with a "need at least two points" traceback
+        with pytest.raises(SystemExit) as exc:
+            main(["thomson", "--k-list", "3,1"])
+        assert exc.value.code == 2
+        assert "at least 2" in capsys.readouterr().err
 
     def test_saved_problem_replays_through_check(self, tmp_path):
         prefix = str(tmp_path) + "/"

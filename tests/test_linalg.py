@@ -250,7 +250,20 @@ class ReferenceProjector:
         return t - V @ (T @ (V.T @ t))
 
     def append_column(self, q):
-        q = np.asarray(q, dtype=float)
+        """Append the columns of an N-vector or N x k block one at a time;
+        return how many were skipped, raising when none is kept."""
+        Q = np.asarray(q, dtype=float).reshape(self.dimension, -1)
+        skipped = 0
+        for column in Q.T:
+            try:
+                self._append_one(column)
+            except DependentColumnError:
+                skipped += 1
+        if skipped == Q.shape[1]:
+            raise DependentColumnError(f"all {skipped} columns dependent")
+        return skipped
+
+    def _append_one(self, q):
         tol = np.sqrt(np.finfo(float).eps) * np.linalg.norm(q)
         c = self._refl.shape[1]
         tail = self._qt(q)[c:]
@@ -403,6 +416,79 @@ class TestProjector:
             np.testing.assert_allclose(proj.project(pr), pr, rtol=0,
                                        atol=1e-13 * np.linalg.norm(r))
             assert np.abs(A @ pr).max() <= 1e-13 * np.linalg.norm(r) * np.linalg.norm(A)
+
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_block_skips_a_dependent_middle_column_like_reference(self, m):
+        rng = np.random.default_rng(10 + m)
+        n = 12
+        A = rng.standard_normal((m, n))
+        q1, q2, q4 = rng.standard_normal((3, n))
+        block = np.column_stack([q1, q2, q1 + q2, q4])
+        proj, ref = NullSpaceProjector(A), ReferenceProjector(A)
+        assert proj.append_column(block) == 1
+        assert ref.append_column(block) == 1
+        assert proj.n_appended == 3
+        for _ in range(3):
+            r = rng.standard_normal(n)
+            np.testing.assert_allclose(proj.project(r), ref.project(r),
+                                       rtol=0, atol=1e-12 * np.linalg.norm(r))
+
+    def test_all_dependent_block_raises_and_keeps_the_subspace(self):
+        rng = np.random.default_rng(3)
+        n, m = 10, 3
+        A = rng.standard_normal((m, n))
+        held = rng.standard_normal((n, 2))
+        proj, ref = NullSpaceProjector(A), ReferenceProjector(A)
+        for projector in (proj, ref):
+            projector.append_column(held)
+        r = rng.standard_normal(n)
+        before = proj.project(r)
+        block = np.column_stack([held.sum(axis=1), 2.0 * held[:, 0],
+                                 A.T @ rng.standard_normal(m), np.zeros(n)])
+        for projector in (proj, ref):
+            with pytest.raises(DependentColumnError):
+                projector.append_column(block)
+        assert proj.n_appended == 2
+        np.testing.assert_array_equal(proj.project(r), before)
+
+    def test_block_wider_than_the_subspace_keeps_its_dimension(self):
+        rng = np.random.default_rng(4)
+        n, m, k = 8, 3, 7
+        A = rng.standard_normal((m, n))
+        block = rng.standard_normal((n, k))
+        proj, ref = NullSpaceProjector(A), ReferenceProjector(A)
+        assert proj.append_column(block) == k - (n - m)
+        assert ref.append_column(block) == k - (n - m)
+        assert proj.n_appended == n - m
+        np.testing.assert_array_equal(proj.project(rng.standard_normal(n)), 0.0)
+
+    def test_block_removes_the_direction_of_a_huge_column(self):
+        # the huge column is kept and the next column, inside its span
+        # plus e_1, removes e_1 only
+        proj = NullSpaceProjector(np.empty((0, 4)))
+        block = np.column_stack([[0.0, 1e200, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+        with np.errstate(over="raise"):
+            assert proj.append_column(block) == 0
+        np.testing.assert_allclose(proj.project(np.ones(4)), [0.0, 0.0, 1.0, 1.0],
+                                   atol=1e-14)
+
+    def test_continued_pcg_appends_each_converged_sweep_once(self):
+        # three distinct eigenvalues: each sweep converges in three steps
+        calls = []
+
+        class Recording(NullSpaceProjector):
+            def append_column(self, q):
+                calls.append(np.shape(q))
+                return super().append_column(q)
+
+        n = 12
+        H = np.diag(np.tile([1.0, 2.0, 5.0], n // 3))
+        verdict = continued_pcg(HessianOperator.from_matrix(H),
+                                Recording(np.empty((0, n))), seed=1)
+        assert verdict.holds
+        assert verdict.diagnostics["continuations"] == len(calls) > 0
+        assert all(shape[0] == n and len(shape) == 2 for shape in calls)
+        assert sum(shape[1] for shape in calls) < n
 
     def test_continued_pcg_matches_householder_reference(self):
         # seeded generator draws at N 4-200, alternately well and

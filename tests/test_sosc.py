@@ -883,6 +883,24 @@ class TestVerify:
         with pytest.raises(ValueError, match="^tol_alpha"):
             verify(problem, "diagonalization", VerifyOptions(tol_alpha=-1.0))
 
+    @pytest.mark.parametrize("tol_alpha", [-1.0, np.nan, np.inf])
+    def test_kernels_reject_an_out_of_range_tol_alpha(self, tol_alpha):
+        # called directly, diagonalization and continued_pcg returned HOLDS
+        # on this failing problem at tol_alpha = -1
+        problem = generate(GeneratorSpec(n=12, m=3, p=8, seed=4))
+        hessian = HessianOperator.from_matrix(problem.hessian)
+        basis = null_space_basis(problem.jacobian)
+        calls = [
+            lambda: implicit_cholesky(hessian, basis, tol_alpha=tol_alpha),
+            lambda: diagonalization(hessian, basis, tol_alpha=tol_alpha),
+            lambda: continued_pcg(hessian, NullSpaceProjector(problem.jacobian),
+                                  tol_alpha=tol_alpha),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^tol_alpha must be finite"):
+                call()
+        assert hessian.product_count == 0
+
     @pytest.mark.parametrize("field, value", [
         ("tol_alpha", np.nan), ("tol_alpha", np.inf),
         ("tol_feas", -1e-8), ("tol_feas", np.nan), ("tol_feas", np.inf),
