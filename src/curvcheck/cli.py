@@ -291,15 +291,21 @@ def cmd_compare(args) -> int:
         # the eigensolvers would raise on NaN or inf
         print(f"  {'eigen-oracle':>16}: skipped (H or A holds NaN or inf)")
     elif H is not None and problem.n <= 500:
-        from .linalg import null_space_basis
+        from .linalg import RankDeficientError, null_space_basis
 
-        # the reduced eigenvalues are the same for every orthonormal basis
-        basis = null_space_basis(problem.jacobian, tol_rank=0.0)
-        reduced = basis.matrix.T @ H @ basis.matrix
-        lam_min = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
-        print(f"  {'eigen-oracle':>16}: "
-              f"{'holds' if lam_min > 0 else 'fails'} "
-              f"(min reduced eigenvalue {lam_min:.6g})")
+        # the reduced eigenvalues are the same for every orthonormal basis,
+        # but a basis of a rank-deficient A misses part of null(A), so the
+        # oracle reads the methods' rank guard
+        try:
+            basis = null_space_basis(problem.jacobian, options.tol_rank)
+        except RankDeficientError:
+            print(f"  {'eigen-oracle':>16}: skipped (A rank deficient)")
+        else:
+            reduced = basis.matrix.T @ H @ basis.matrix
+            lam_min = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
+            print(f"  {'eigen-oracle':>16}: "
+                  f"{'holds' if lam_min > 0 else 'fails'} "
+                  f"(min reduced eigenvalue {lam_min:.6g})")
         K = _problems.build_kkt(H, problem.jacobian)
         eigs = np.abs(np.linalg.eigvalsh(K))
         if eigs.min() <= 1e-8 * max(eigs.max(), 1e-300):

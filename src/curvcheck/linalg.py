@@ -22,13 +22,17 @@ built from:
   - :class:`BorderedLu`: an LU factorization of a matrix that grows by
     symmetric borders, tracking determinant signs exactly; a border of k
     columns is absorbed at once through the Cholesky factor of its Schur
-    complement.
+    complement.  The factors stay in the packed form of LAPACK
+    ``dgetrf``, and those extended by a border are assembled only when
+    the next update reads them.
   - :func:`ldl_factor`: one blocked Bunch-Kaufman LDL factorization
     (LAPACK ``dsytrf``), with the inertia counted exactly from the 1x1 and
     2x2 blocks of D, which ``ipiv`` locates.
 
-Dense Hessians are symmetrized only in :meth:`HessianOperator.from_matrix`;
-the kernels below take their inputs as given.
+Dense Hessians are symmetrized only in :meth:`HessianOperator.from_matrix`
+(and in :meth:`~HessianOperator.materialize` for product-backed ones);
+the kernels below take their inputs as given.  The dense refactors of
+:class:`BorderedLu` are logged at DEBUG level.
 
 All operations are pure functions of their inputs except the operator's
 product counter.  Arrays are never modified in place by callers' views.
@@ -37,6 +41,7 @@ product counter.  Arrays are never modified in place by callers' views.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import warnings
 from typing import Callable, Optional
 
@@ -61,6 +66,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_log = logging.getLogger(__name__)
 
 
 class DimensionMismatchError(ValueError):
@@ -131,7 +137,7 @@ class HessianOperator:
         H = np.asarray(matrix, dtype=float)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise DimensionMismatchError("explicit Hessian must be square")
-        H = 0.5 * (H + H.T)
+        H = _symmetric_part(H)
         return cls(H.shape[0], H.__matmul__, H)
 
     @classmethod
@@ -216,8 +222,22 @@ class HessianOperator:
         """
         if self.matrix is not None:
             return self.matrix.copy()
-        H = self.apply_block(np.eye(self.dimension))
-        return 0.5 * (H + H.T)
+        return _symmetric_part(self.apply_block(np.eye(self.dimension)))
+
+
+def _symmetric_part(H: np.ndarray) -> np.ndarray:
+    """``(H + H^T)/2`` as a new array, finite wherever H is.
+
+    The sum is halved in place; where it overflows, which finite entries
+    above about 9e307 can make it do, the halves are summed instead.
+    """
+    try:
+        with np.errstate(over="raise"):
+            S = H + H.T
+    except FloatingPointError:
+        return 0.5 * H + 0.5 * H.T
+    S *= 0.5
+    return S
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +307,16 @@ def check_full_rank(
     ``tol_rank``.  ``pivots`` is the diagonal R_ii of the column-pivoted
     QR of ``A^T`` when the caller already holds it; without it that QR is
     computed here, and only when the guard is on.
-    ``tol_rank=None`` uses :func:`default_rank_tolerance`; ``tol_rank=0``
-    disables the guard entirely (only exact rank collapse is reported by
-    downstream factorizations).
+    ``tol_rank=None`` uses :func:`default_rank_tolerance`, which is 0 for
+    a zero A, so that a zero pivot still trips it; only an explicit
+    ``tol_rank=0`` disables the guard entirely (only exact rank collapse
+    is reported by downstream factorizations).
     """
     A = _as_jacobian(A)
+    if A.shape[0] == 0 or (tol_rank is not None and not tol_rank > 0):
+        return
     if tol_rank is None:
         tol_rank = default_rank_tolerance(A)
-    if A.shape[0] == 0 or not tol_rank > 0:
-        return
     if pivots is None:
         pivots = np.diag(_pivoted_qr(A.T)[0])
     smallest = np.abs(pivots).min()
@@ -481,6 +502,15 @@ class BorderedLu:
     stalls, the grown matrix is refactored densely with partial pivoting.
     The sign of each determinant is computed exactly from pivot signs and
     permutation parity of the computed factorization.
+
+    Both factors live in one packed array, L below its diagonal (whose
+    unit entries are not stored) and U on and above it, as LAPACK
+    ``dgetrf`` leaves them; the triangular solves read each triangle from
+    it in place.  An absorbed border is committed lazily: the update keeps
+    the images of the border and the Cholesky factor of its Schur
+    complement, and the grown matrix and its extended factors are only
+    assembled at the start of the next update, the one place that reads
+    them.  :attr:`sign` and :attr:`dim` read the kept pivots directly.
     """
 
     def __init__(self, seed: np.ndarray, pivot_tol: float = 1e-8):
@@ -489,16 +519,22 @@ class BorderedLu:
             raise DimensionMismatchError("seed must be square")
         self._pivot_tol = float(pivot_tol)
         self._matrix = B.copy()
-        self._lower, self._upper, self._perm, self._parity = _lu_with_parity(B)
+        self._lu, self._perm, self._parity = _lu_with_parity(B)
+        # (X, Y, ubar, pivots, rows, corner) of a border absorbed but not
+        # yet assembled into the matrix and its factors; see _commit
+        self._pending = None
 
     @property
     def dim(self) -> int:
-        return self._matrix.shape[0]
+        extra = 0 if self._pending is None else self._pending[3].size
+        return self._matrix.shape[0] + extra
 
     @property
     def sign(self) -> int:
         """Sign of det of the current matrix; 0 when numerically singular."""
-        udiag = np.diag(self._upper)
+        udiag = np.diag(self._lu)
+        if self._pending is not None:
+            udiag = np.append(udiag, self._pending[3])
         if udiag.size == 0:
             return self._parity
         if np.any(udiag == 0.0):
@@ -523,6 +559,7 @@ class BorderedLu:
         single = b.ndim == 1
         if single:
             b = b[:, None]
+        self._commit()
         n = self.dim
         k = b.shape[1] if b.ndim == 2 else 0
         if b.ndim != 2 or b.shape[0] != n or np.size(gamma) != k * k:
@@ -532,24 +569,22 @@ class BorderedLu:
         if k == 0:
             return np.zeros(0, dtype=int)
         corner = np.triu(np.reshape(gamma, (k, k)))
-        udiag = np.abs(np.diag(self._upper))
+        udiag = np.abs(np.diag(self._lu))
         singular = udiag.size and udiag.min() == 0.0
         if singular:
             # an exactly singular factor cannot be bordered: the first
             # column refactors and the caller passes the rest again
             b, corner, k = b[:, :1], corner[:1, :1], 1
-        grown = np.empty((n + k, n + k))
-        grown[:n, :n] = self._matrix
-        grown[:n, n:] = b
-        grown[n:, :n] = b.T
-        grown[n:, n:] = corner + np.triu(corner, 1).T
-        b, corner = grown[:n, n:], grown[n:, n:]
 
         # stall threshold and singular floor of each new minor, from the
         # entries of each border column above and on the diagonal; the
         # Frobenius norms are summed relative to the largest entry, since
         # the squares of finite entries can overflow or underflow
-        above = np.abs(np.triu(grown[:, n:], 1 - n))
+        strict = np.triu(corner, 1)
+        above = np.empty((n + k, k))
+        np.abs(b, out=above[:n])
+        np.abs(strict, out=above[n:])
+        corner = corner + strict.T
         diag = np.abs(np.diag(corner))
         colmax = np.maximum(above.max(axis=0), diag)
         stall = self._pivot_tol * np.maximum(colmax, 1e-300)
@@ -564,11 +599,11 @@ class BorderedLu:
         if singular:
             j = 0
         else:
+            rows = b[self._perm]
             Y = sla.solve_triangular(
-                self._lower, b[self._perm], lower=True, unit_diagonal=True,
-                check_finite=False,
+                self._lu, rows, lower=True, unit_diagonal=True, check_finite=False,
             )
-            X = sla.solve_triangular(self._upper, b, trans="T", check_finite=False)
+            X = sla.solve_triangular(self._lu, b, trans="T", check_finite=False)
             # the Schur complement of the current matrix in the grown one
             chol, info = sla.lapack.dpotrf(corner - X.T @ Y, lower=0)
             m = info - 1 if info > 0 else k
@@ -587,76 +622,100 @@ class BorderedLu:
                 )
                 pivot = float(col[j] - t @ t)
 
-        commit = None
+        signs = [self.sign] * j
+        # the columns absorbed through the Schur complement: the first j,
+        # and column j too when its own pivot is bordered
+        border = None if singular else (chol[:j, :j], pivots[:j])
         if j < k:
-            dim = n + j + 1
+            c = j + 1
             if np.isfinite(pivot) and abs(pivot) > stall[j]:
-                ubar = np.eye(j + 1)
+                ubar = np.eye(c)
                 ubar[:j, :j] = chol[:j, :j]
                 ubar[:j, j] = t
-                factors = self._bordered(
-                    X[:, : j + 1], Y[:, : j + 1], ubar, np.append(pivots[:j], pivot)
-                )
+                bordered = np.append(pivots[:j], pivot)
+                least = np.minimum(udiag.min(initial=np.inf), np.abs(bordered).min())
+                if least > floor[j]:
+                    border = ubar, bordered
             else:
-                factors = _lu_with_parity(grown[:dim, :dim])
-            least = np.abs(np.diag(factors[1])).min()
-            if least > floor[j]:
-                commit = grown[:dim, :dim], factors
-            elif j == 0:
+                _log.debug(
+                    "bordered LU: refactoring the leading %d x %d block densely "
+                    "(pivot %.3e, stall threshold %.3e)", n + c, n + c, pivot, stall[j],
+                )
+                grown = self._grown(b[:, :c], corner[:c, :c])
+                lu, perm, parity = _lu_with_parity(grown)
+                least = np.abs(np.diag(lu)).min()
+                if least > floor[j]:
+                    self._matrix, self._lu, self._perm, self._parity = grown, lu, perm, parity
+                    border = None
+            if j == 0 and not least > floor[j]:
                 raise SingularMinorError(
                     f"pivot {least:.3e} at or below roundoff floor {floor[j]:.3e}"
                 )
-        if commit is None:
-            commit = (
-                grown[: n + j, : n + j],
-                self._bordered(X[:, :j], Y[:, :j], chol[:j, :j], pivots[:j]),
-            )
-
-        signs = [self.sign] * j
-        matrix, (self._lower, self._upper, self._perm, self._parity) = commit
-        self._matrix = matrix if matrix.shape[0] == n + k else matrix.copy()
+        if border is not None and border[1].size:
+            c = border[1].size
+            self._pending = (X[:, :c], Y[:, :c], *border, rows[:, :c], corner[:c, :c])
         if self.dim > n + j:
             signs.append(self.sign)
         return signs[0] if single else np.array(signs)
 
-    def _bordered(self, X, Y, ubar, pivots):
-        """Factors extended by a border whose images through the current
-        factors are ``X = U^-T b`` and ``Y = L^-1 b[perm]``: the lower factor
-        gains ``ubar^T`` scaled to a unit diagonal, the upper factor
-        ``diag(ubar) ubar`` with ``pivots`` on its diagonal."""
+    def _grown(self, b, corner):
+        """The current matrix bordered by the columns ``b`` and the
+        symmetric corner ``corner``."""
+        n, c = b.shape
+        grown = np.empty((n + c, n + c))
+        grown[:n, :n] = self._matrix
+        grown[:n, n:] = b
+        grown[n:, :n] = b.T
+        grown[n:, n:] = corner
+        return grown
+
+    def _commit(self):
+        """Assemble the grown matrix and the extended factors of the
+        border absorbed by the last update, from ``X = U^-T b``, ``Y =
+        L^-1 b[perm]``, the upper triangular ``ubar`` and the new pivots:
+        the lower factor gains ``X^T`` and ``ubar^T`` scaled to a unit
+        diagonal, the upper factor ``Y`` and ``diag(ubar) ubar`` with the
+        pivots on its diagonal."""
+        if self._pending is None:
+            return
+        X, Y, ubar, pivots, rows, corner = self._pending
+        self._pending = None
         n, c = X.shape
-        scale = np.diag(ubar).copy()
-        lower = np.zeros((n + c, n + c))
-        lower[:n, :n] = self._lower
-        lower[n:, :n] = X.T
-        lower[n:, n:] = ubar.T
-        lower[n:, n:] /= scale
-        upper = np.zeros((n + c, n + c))
-        upper[:n, :n] = self._upper
-        upper[:n, n:] = Y
-        upper[n:, n:] = ubar
-        upper[n:, n:] *= scale[:, None]
-        np.fill_diagonal(upper[n:, n:], pivots)
-        return lower, upper, np.append(self._perm, np.arange(n, n + c)), self._parity
+        b = np.empty((n, c))
+        b[self._perm] = rows
+        self._matrix = self._grown(b, corner)
+        scale = np.diag(ubar)
+        lu = np.empty((n + c, n + c))
+        lu[:n, :n] = self._lu
+        lu[n:, :n] = X.T
+        lu[:n, n:] = Y
+        lu[n:, n:] = np.where(
+            np.tri(c, k=-1, dtype=bool), ubar.T / scale, ubar * scale[:, None]
+        )
+        np.fill_diagonal(lu[n:, n:], pivots)
+        self._lu = lu
+        self._perm = np.append(self._perm, np.arange(n, n + c))
 
 
 def _lu_with_parity(B: np.ndarray):
-    """Partially pivoted LU ``B[perm] = lower @ upper`` and the parity of
-    ``perm``."""
+    """Partially pivoted LU ``B[perm] = L U`` in the packed form of LAPACK
+    ``dgetrf`` (unit lower L below the diagonal, U on and above it), and
+    ``perm`` with its parity.
+
+    ``perm`` is ``arange(n)`` put through the row interchanges by LAPACK
+    ``dlaswp``, which takes the 0-based pivots; the parity is -1 to the
+    number of interchanges that are not the identity.
+    """
     n = B.shape[0]
     if n == 0:
-        return np.zeros((0, 0)), np.zeros((0, 0)), np.arange(0), 1
+        return np.zeros((0, 0)), np.arange(0), 1
     with warnings.catch_warnings():
         # exact zero pivots are handled through the singular guard
         warnings.simplefilter("ignore", sla.LinAlgWarning)
         lufac, piv = sla.lu_factor(B, check_finite=False)
-    perm = np.arange(n)
-    parity = 1
-    for i, p in enumerate(piv):
-        if p != i:
-            perm[i], perm[p] = perm[p], perm[i]
-            parity = -parity
-    return np.tril(lufac, -1) + np.eye(n), np.triu(lufac), perm, parity
+    perm = sla.lapack.dlaswp(np.arange(n, dtype=float)[:, None], piv)[:, 0]
+    swaps = np.count_nonzero(piv != np.arange(n))
+    return lufac, perm.astype(np.intp), -1 if swaps % 2 else 1
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ The two classical tests need the Hessian entries explicitly:
   - :func:`bordered_hessian_test` checks the signs of the trailing leading
     principal minors of the bordered matrix: one LU of the 2M x 2M seed,
     then the Cholesky pivots of the Schur complement of the whole border
-    (two triangular solves, one product and LAPACK ``dpotrf``);
+    (two triangular solves, one product and LAPACK ``dpotrf``); a verdict
+    reached in one update assembles no extended factors;
   - :func:`inertia_test` factors the saddle-point matrix once (block LDL)
     and compares its inertia against (N, M, 0).
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import logging
 import time
 from typing import Optional, Union
 
@@ -74,6 +76,8 @@ __all__ = [
 ]
 
 METHODS = ("cholesky", "diagonalization", "pcg", "bht", "inertia")
+
+_log = logging.getLogger(__name__)
 
 
 class Status(enum.Enum):
@@ -385,9 +389,10 @@ def continued_pcg(
     inconclusive ERROR.
 
     ``b0`` overrides the pseudorandom first seed (it is projected onto the
-    feasible subspace); restarts always draw from the seeded generator.
-    A ``tol`` that is not finite and positive, or a ``tol_alpha`` that is
-    not finite and nonnegative, raises ``ValueError``.
+    feasible subspace); restarts always draw from the seeded generator
+    and are logged at DEBUG level.  A ``tol`` that is not finite and
+    positive, or a ``tol_alpha`` that is not finite and nonnegative,
+    raises ``ValueError``.
     """
     _check_limit("tol", tol, positive=True)
     _check_limit("tol_alpha", tol_alpha)
@@ -479,6 +484,11 @@ def continued_pcg(
         # converged early: restrict the subspace to the conjugate
         # complement of this sweep and restart
         continuations += 1
+        _log.debug(
+            "pcg: sweep %d converged after %d directions, %d of %d searched; "
+            "restarting in their conjugate complement",
+            continuations, len(sweep_images), n_conj, L,
+        )
         try:
             # long sweeps can emit images that are numerically inside the
             # span already annihilated; restricting by them again is a

@@ -292,6 +292,18 @@ class TestCompare:
     def test_bad_file(self, tmp_path):
         assert main(["compare", str(tmp_path / "absent.json")]) == 3
 
+    def test_rank_deficient_jacobian_skips_the_oracle(self, tmp_path, capsys):
+        # a basis of the zero Jacobian misses a null direction, and the
+        # one it keeps would read holds
+        path = tmp_path / "zero_a.json"
+        save_problem(Problem(jacobian=np.zeros((1, 3)),
+                             hessian=np.diag([-1.0, 2.0, 3.0])), path)
+        assert main(["compare", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("error (rank_deficient)") == 5
+        assert "eigen-oracle: skipped (A rank deficient)" in out
+        assert "min reduced eigenvalue" not in out
+
     @pytest.mark.parametrize("field", ["A", "H"])
     def test_non_finite_problem_skips_the_oracle(self, tmp_path, field, capsys):
         # the eigensolvers of the oracle would raise on NaN

@@ -1,6 +1,7 @@
 """Kernel-level tests: operators, bases, projectors, bordered LU, LDL."""
 
 import functools
+import logging
 import warnings
 
 import numpy as np
@@ -27,7 +28,7 @@ from curvcheck.problems import (
     build_kkt,
     generate,
 )
-from curvcheck.sosc import continued_pcg
+from curvcheck.sosc import bordered_hessian_test, continued_pcg
 from curvcheck.stationary import solve_thomson
 
 
@@ -53,6 +54,21 @@ class TestHessianOperator:
         H = np.array([[1.0, 2.0], [0.0, 3.0]])
         op = HessianOperator.from_matrix(H)
         np.testing.assert_allclose(op.matrix, np.array([[1.0, 1.0], [1.0, 3.0]]))
+
+    def test_symmetrization_keeps_huge_finite_entries_finite(self):
+        # H + H^T overflows above about 9e307; the halves are summed instead
+        H = np.array([[1.0, 1.5e308], [1.7e308, 1e308]])
+        op = HessianOperator.from_matrix(H)
+        assert np.isfinite(op.matrix).all()
+        np.testing.assert_array_equal(op.matrix, 0.5 * H + 0.5 * H.T)
+        np.testing.assert_array_equal(op.matrix, op.matrix.T)
+
+    def test_symmetrization_is_the_halved_sum_on_finite_sums(self):
+        rng = np.random.default_rng(3)
+        H = rng.standard_normal((9, 9)) * np.logspace(-300, 300, 9)
+        op = HessianOperator.from_matrix(H)
+        np.testing.assert_array_equal(op.matrix, 0.5 * (H + H.T))
+        assert op.matrix is not H
 
     def test_fd_exact_on_linear_gradient(self):
         # gradient of |x|^2/2 is x itself, so forward differencing is exact
@@ -623,6 +639,112 @@ class TestBorderedLu:
         assert raised == (d if case == "singular" else None)
         for dim, sign in enumerate(signs, start=n0 + 1):
             assert sign == naive_det_sign(B[:dim, :dim]), f"minor {dim}"
+
+    def test_stalled_pivot_refactor_logs_at_debug(self, caplog):
+        # the second pivot of [[1, 1], [1, 1 + 1e-10]] stalls below 1e-8 of
+        # its column scale, so the grown matrix is refactored densely
+        lu = BorderedLu(np.array([[1.0]]))
+        with caplog.at_level(logging.DEBUG, logger="curvcheck.linalg"):
+            assert lu.update(np.array([1.0]), 1.0 + 1e-10) == 1
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+        assert "refactoring the leading 2 x 2 block densely" in caplog.text
+        caplog.clear()
+        BorderedLu(np.array([[1.0]])).update(np.array([1.0]), 1.0 + 1e-10)
+        assert not caplog.records
+
+    def test_pending_border_reads_like_the_assembled_one(self):
+        # dim and sign come from the kept pivots before the next update
+        # assembles the grown matrix and its factors
+        rng = np.random.default_rng(7)
+        B = rng.standard_normal((30, 30))
+        B = B @ B.T + 30 * np.eye(30)
+        lu = BorderedLu(B[:4, :4])
+        assert list(lu.update(B[:4, 4:12], B[4:12, 4:12])) == [1] * 8
+        assert (lu.dim, lu.sign) == (12, 1)
+        C = B.copy()
+        C[12:, 12:] -= 100 * np.eye(18)
+        got = lu.update(C[:12, 12:], C[12:, 12:])
+        assert got[0] == naive_det_sign(C[:13, :13]) == -1
+        assert (lu.dim, lu.sign) == (13, -1)
+        assert lu.update(C[:13, 13], C[13, 13]) == naive_det_sign(C[:14, :14])
+
+    def test_bht_holds_with_one_update_and_no_assembly(self, monkeypatch):
+        # the whole border is absorbed by one update, and nothing reads
+        # the extended factors afterwards, so none are assembled
+        problem = generate(GeneratorSpec(n=60, m=20, p=60, seed=1))
+        updates, assembled = [], []
+        update, commit = BorderedLu.update, BorderedLu._commit
+
+        def counted_commit(self):
+            if self._pending is not None:
+                assembled.append(self.dim)
+            return commit(self)
+
+        monkeypatch.setattr(
+            BorderedLu, "update", lambda self, *a: updates.append(1) or update(self, *a)
+        )
+        monkeypatch.setattr(BorderedLu, "_commit", counted_commit)
+        verdict = bordered_hessian_test(problem.hessian, problem.jacobian)
+        assert verdict.holds
+        assert verdict.diagnostics["minors"] == 40
+        assert (len(updates), len(assembled)) == (1, 0)
+
+
+def sequential_swaps(piv):
+    """The permutation and parity of LAPACK row interchanges, applied one
+    at a time: the oracle for the ``dlaswp`` read."""
+    perm = np.arange(len(piv))
+    parity = 1
+    for i, p in enumerate(piv):
+        if p != i:
+            perm[i], perm[p] = perm[p], perm[i]
+            parity = -parity
+    return perm, parity
+
+
+class TestLuWithParity:
+    @staticmethod
+    def check(B):
+        n = B.shape[0]
+        lu, perm, parity = linalg._lu_with_parity(B)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lufac, piv = sla.lu_factor(B)
+        ref_perm, ref_parity = sequential_swaps(piv)
+        np.testing.assert_array_equal(perm, ref_perm)
+        assert parity == ref_parity
+        np.testing.assert_array_equal(lu, lufac)
+        lower = np.tril(lu, -1) + np.eye(n)
+        np.testing.assert_allclose(
+            lower @ np.triu(lu), B[perm], atol=1e-12 * max(1.0, np.abs(B).max()) * n
+        )
+        return parity
+
+    def test_empty(self):
+        lu, perm, parity = linalg._lu_with_parity(np.zeros((0, 0)))
+        assert lu.shape == (0, 0) and perm.size == 0 and parity == 1
+
+    @pytest.mark.parametrize("B", [[[3.0]], [[1.0, 2.0], [3.0, 4.0]],
+                                   [[4.0, 2.0], [3.0, 1.0]]])
+    def test_small(self, B):
+        self.check(np.array(B))
+
+    def test_swap_parity_of_a_2x2(self):
+        assert self.check(np.array([[0.0, 1.0], [1.0, 0.0]])) == -1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_up_to_400(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 401))
+        self.check(rng.standard_normal((n, n)))
+
+    def test_exactly_singular(self):
+        rng = np.random.default_rng(11)
+        B = rng.standard_normal((40, 40))
+        B[:, 17] = 0.0
+        lu, _, _ = linalg._lu_with_parity(B)
+        assert np.count_nonzero(np.diag(lu) == 0.0) == 1
+        self.check(B)
 
 
 # ---------------------------------------------------------------------------

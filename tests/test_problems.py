@@ -193,6 +193,17 @@ class TestMatrixBuilders:
             K, [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
         )
 
+    @pytest.mark.parametrize("m", [0, 1, 4])
+    def test_match_block_assembly(self, m):
+        rng = np.random.default_rng(m)
+        n = 9
+        H = rng.standard_normal((n, n))
+        A = rng.standard_normal((m, n))
+        zero = np.zeros((m, m))
+        np.testing.assert_array_equal(build_kkt(H, A), np.block([[H, A.T], [A, zero]]))
+        np.testing.assert_array_equal(build_bordered(H, A),
+                                      np.block([[zero, A], [A.T, H]]))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_permutation_similarity(self, seed):
         rng = np.random.default_rng(seed)

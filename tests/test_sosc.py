@@ -1,5 +1,6 @@
 """Verifier-level tests: hand cases, certificates, cross-method agreement."""
 
+import logging
 import warnings
 
 import numpy as np
@@ -824,6 +825,35 @@ class TestVerify:
         assert unguarded.status is Status.FAILS
         assert unguarded.diagnostics["inertia"] == (49, 31, 0)
 
+    def test_huge_finite_hessian_is_not_non_finite(self):
+        # H + H^T overflows at 1e308; the symmetrized matrix stays finite.
+        # bht stops at a singular minor: its roundoff floor scales with H,
+        # the pivots of its seed with A (the H-versus-A scale defect)
+        problem = Problem(np.array([[1.0, 0.0]]), np.diag([1.0, 1e308]))
+        verdicts = {
+            method: (v.status, v.reason)
+            for method, v in ((m, verify(problem, m)) for m in METHODS)
+        }
+        assert verdicts == {
+            "cholesky": (Status.HOLDS, None),
+            "diagonalization": (Status.HOLDS, None),
+            "pcg": (Status.HOLDS, None),
+            "bht": (Status.ERROR, "singular_minor"),
+            "inertia": (Status.HOLDS, None),
+        }
+
+    def test_pcg_restarts_log_at_debug(self, caplog):
+        problem = generate(GeneratorSpec(n=40, m=10, p=40, seed=2))
+        with caplog.at_level(logging.DEBUG, logger="curvcheck.sosc"):
+            verdict = verify(problem, "pcg")
+        restarts = verdict.diagnostics["continuations"]
+        assert restarts > 0
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG] * restarts
+        assert all(r.getMessage().startswith("pcg: sweep ") for r in caplog.records)
+        caplog.clear()
+        verify(problem, "pcg")
+        assert not caplog.records
+
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("p", [30, 12])
     def test_nonsymmetric_hessian_reads_as_its_symmetric_part(self, method, p):
@@ -999,6 +1029,28 @@ class TestOneRankGuard:
             missed += oracle and not tripped
         assert trips >= draws // 2
         assert missed <= draws // 100
+
+    def test_zero_jacobian_trips_the_default_guard(self):
+        # the default tolerance sqrt(eps) |A|_F is 0 here; a 2-column basis
+        # of the 3-dimensional null space would make the reduced tests hold
+        problem = Problem(np.zeros((1, 3)), np.diag([-1.0, 2.0, 3.0]))
+        with pytest.raises(RankDeficientError):
+            check_full_rank(problem.jacobian)
+        for method in METHODS:
+            verdict = verify(problem, method)
+            assert (verdict.status, verdict.reason) == (
+                Status.ERROR, "rank_deficient"), method
+        # only an explicit zero turns the guard off
+        check_full_rank(problem.jacobian, 0.0)
+        for method in METHODS:
+            verdict = verify(problem, method, VerifyOptions(tol_rank=0.0))
+            assert verdict.reason != "rank_deficient", method
+
+    def test_tiny_full_rank_jacobian_passes_the_default_guard(self):
+        # the default tolerance underflows to 0 while the pivot does not
+        A = np.array([[1e-320, 0.0, 0.0]])
+        assert default_rank_tolerance(A) == 0.0
+        check_full_rank(A)
 
     @pytest.mark.parametrize("tol_rank", [None, 0.0])
     def test_basis_on_a_singular_leading_block(self, tol_rank):
