@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import os
 from typing import Optional, Sequence
 
 import numpy as np
@@ -143,12 +142,8 @@ def run_campaign(
 
 
 def write_csv(records: Sequence[TrialRecord], dest) -> None:
-    """Write the header and one row per record to ``dest``, a path or a text
-    file opened with ``newline=""``."""
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w", newline="", encoding="utf-8") as fh:
-            write_csv(records, fh)
-        return
+    """Write the header and one row per record to ``dest``, a text file
+    opened with ``newline=""``."""
     writer = csv.writer(dest)
     writer.writerow(CSV_HEADER)
     for rec in records:

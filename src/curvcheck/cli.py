@@ -2,8 +2,9 @@
 
 Exit codes for ``check``: 0 the condition holds, 1 it fails, 2 the test
 was inconclusive, 3 input/schema problems.  Every command exits 2 on a
-usage error, which includes a tolerance out of range, a benchmark size
-below 4, a trial count below 1 and a Thomson point count K below 2.
+usage error, which includes a tolerance out of range (``--tol-fonc`` as
+well), a benchmark size below 4, a trial count below 1 and a Thomson
+point count K below 2.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import bench as _bench
 from . import problems as _problems
-from .sosc import METHODS, Status, VerifyOptions, verify
+from .sosc import METHODS, Status, VerifyOptions, _check_limit, verify
 from .stationary import MaxIterationsError, solve_thomson
 
 _METHOD_ALIASES = {
@@ -190,8 +191,7 @@ def _thomson_rows(args):
             print(f"K={k}: solver failed: {exc}", file=sys.stderr)
             rows.append([k, 3 * k, k + 3, "", "solver_failed", "", "", "", "", ""])
             continue
-        inst = _problems.ThomsonInstance(k, "frame_fixed")
-        tprob = _problems.ThomsonProblem(inst)
+        tprob = _problems.ThomsonProblem(_problems.ThomsonInstance(k))
         energy = tprob.objective(point.x)
         problem = tprob.as_problem(point.x, point.lam)
         if args.save_problems:
@@ -369,6 +369,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.options = _options_from_args(args)
+        if args.command == "thomson":
+            _check_limit("tol_fonc", args.tol_fonc, positive=True)
     except ValueError as exc:
         # the message starts with the field's name, which names its flag
         name, _, detail = str(exc).partition(" ")

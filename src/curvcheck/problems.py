@@ -4,7 +4,7 @@ Provides the random dense generator whose constrained-definiteness truth is
 known from its construction parameters, the KKT/bordered matrix builders,
 a nearly-rank-deficient KKT construction whose smallest eigenvalue is
 bounded by a chosen perturbation norm, the Thomson sphere problems in
-plain and orthogonally-invariant (frame-fixed) form, and JSON round-trip
+frame-fixed form (rotational degeneracy removed), and JSON round-trip
 serialization of dense problems.
 """
 
@@ -63,8 +63,9 @@ class Problem:
     callback ``matvec``, or a Lagrangian-gradient callback ``gradient``
     (finite differencing) together with the evaluation point ``x`` and
     multipliers ``lam``.  ``hessian`` is kept as given; the operator
-    symmetrizes it.  ``ValueError`` is raised when ``hessian`` is not
-    N x N, ``x`` not of length N or ``lam`` not of length M.
+    symmetrizes it.  ``ValueError`` is raised when N is below 1,
+    ``hessian`` is not N x N, ``x`` not of length N or ``lam`` not of
+    length M.
     """
 
     jacobian: np.ndarray
@@ -79,6 +80,8 @@ class Problem:
 
     def __post_init__(self):
         self.jacobian = _as_jacobian(self.jacobian)
+        if self.n < 1:
+            raise ValueError(f"need at least one variable, got N={self.n}")
         if self.hessian is not None:
             self.hessian = np.asarray(self.hessian, dtype=float)
             if self.hessian.shape != (self.n, self.n):
@@ -323,18 +326,16 @@ def near_rank_deficient_kkt(H, A_prime, beta, eps):
 
 @dataclasses.dataclass(frozen=True)
 class ThomsonInstance:
-    """K points on the unit sphere; the frame-fixed variant pins the first
-    point to the first axis and the second point to the first-coordinate
-    plane, removing the rotational solution family."""
+    """K points on the unit sphere, frame-fixed: the first point is pinned
+    to the first axis and the second point to the first-coordinate plane,
+    which removes the rotational solution family.  N = 3K variables, M =
+    K + 3 constraints."""
 
     k: int
-    variant: str = "frame_fixed"
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("need at least two points")
-        if self.variant not in ("plain", "frame_fixed"):
-            raise ValueError("variant must be 'plain' or 'frame_fixed'")
 
     @property
     def n(self) -> int:
@@ -342,15 +343,15 @@ class ThomsonInstance:
 
     @property
     def m(self) -> int:
-        return self.k + 3 if self.variant == "frame_fixed" else self.k
+        return self.k + 3
 
 
 class ThomsonProblem:
     """Callbacks for the pairwise inverse-distance energy on K spheres.
 
     Constraint ordering: the K sphere constraints ``(|x_k|^2 - 1)/2`` come
-    first, then (frame-fixed variant) the three pinned coordinates
-    ``x_{1,2}``, ``x_{1,3}``, ``x_{2,3}``.
+    first, then the three pinned coordinates ``x_{1,2}``, ``x_{1,3}``,
+    ``x_{2,3}``.
     """
 
     def __init__(self, instance: ThomsonInstance):
@@ -390,9 +391,7 @@ class ThomsonProblem:
     def constraints(self, x: np.ndarray) -> np.ndarray:
         pts = np.asarray(x, dtype=float).reshape(self.instance.k, 3)
         vals = 0.5 * (np.sum(pts * pts, axis=1) - 1.0)
-        if self.instance.variant == "frame_fixed":
-            vals = np.concatenate([vals, [pts[0, 1], pts[0, 2], pts[1, 2]]])
-        return vals
+        return np.concatenate([vals, [pts[0, 1], pts[0, 2], pts[1, 2]]])
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         pts = np.asarray(x, dtype=float).reshape(self.instance.k, 3)
@@ -400,10 +399,9 @@ class ThomsonProblem:
         A = np.zeros((self.m, n))
         for i in range(k):
             A[i, 3 * i : 3 * i + 3] = pts[i]
-        if self.instance.variant == "frame_fixed":
-            A[k, 1] = 1.0
-            A[k + 1, 2] = 1.0
-            A[k + 2, 5] = 1.0
+        A[k, 1] = 1.0
+        A[k + 1, 2] = 1.0
+        A[k + 2, 5] = 1.0
         return A
 
     def objective_hessian(self, x: np.ndarray) -> np.ndarray:
@@ -445,8 +443,7 @@ class ThomsonProblem:
             gradient=self.lagrangian_gradient,
             x=x,
             lam=lam,
-            provenance={"kind": "thomson", "k": self.instance.k,
-                        "variant": self.instance.variant},
+            provenance={"kind": "thomson", "k": self.instance.k},
         )
 
 
@@ -484,13 +481,16 @@ def problem_to_dict(problem: Problem) -> dict:
 
 
 def problem_from_dict(doc: dict) -> Problem:
+    """The problem a dense JSON document describes; ``ValueError`` for a
+    document that describes none."""
     if not isinstance(doc, dict):
         raise ValueError("problem document must be a JSON object")
     if doc.get("schema") != _SCHEMA:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")
     try:
-        n = int(doc["N"])
-        m = int(doc["M"])
+        n, m = doc["N"], doc["M"]
+        if not (type(n) is int and type(m) is int and n >= 0 and m >= 0):
+            raise ValueError(f"N and M must be nonnegative integers, got {n!r}, {m!r}")
         A = np.asarray(doc["A"], dtype=float).reshape(m, n)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed problem document: {exc}") from exc
@@ -502,7 +502,9 @@ def problem_from_dict(doc: dict) -> Problem:
     H = H.reshape(n, n)
     x = np.asarray(doc["x"], dtype=float) if "x" in doc else None
     lam = np.asarray(doc["lambda"], dtype=float) if "lambda" in doc else None
-    truth = bool(doc["truth"]) if "truth" in doc else None
+    truth = doc.get("truth")
+    if truth is not None and not isinstance(truth, bool):
+        raise ValueError(f"truth must be true or false, got {truth!r}")
     return Problem(
         jacobian=A, hessian=H, x=x, lam=lam, truth=truth,
         provenance=doc.get("provenance"),

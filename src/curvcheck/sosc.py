@@ -372,7 +372,6 @@ def continued_pcg(
     tol_alpha: float = 0.0,
     tol_feas: float = 1e-8,
     seed: int = 0,
-    keep_directions: bool = False,
     b0: Optional[np.ndarray] = None,
 ) -> SoscVerdict:
     """Projected CG with continuation until the null space is exhausted.
@@ -390,9 +389,11 @@ def continued_pcg(
 
     ``b0`` overrides the pseudorandom first seed (it is projected onto the
     feasible subspace); restarts always draw from the seeded generator
-    and are logged at DEBUG level.  A ``tol`` that is not finite and
-    positive, or a ``tol_alpha`` that is not finite and nonnegative,
-    raises ``ValueError``.
+    and are logged at DEBUG level.  Each search direction is the argument
+    of one ``hessian.apply``, and each continuation appends its sweep's
+    images as one :meth:`NullSpaceProjector.append_column` block.  A
+    ``tol`` that is not finite and positive, or a ``tol_alpha`` that is
+    not finite and nonnegative, raises ``ValueError``.
     """
     _check_limit("tol", tol, positive=True)
     _check_limit("tol_alpha", tol_alpha)
@@ -403,8 +404,6 @@ def continued_pcg(
 
     start = hessian.product_count
     rng = np.random.default_rng(seed)
-    directions = [] if keep_directions else None
-    sweep_sizes = [] if keep_directions else None
 
     def draw_seed() -> Optional[np.ndarray]:
         for _ in range(_SEED_DRAWS):
@@ -417,9 +416,6 @@ def continued_pcg(
         verdict.diagnostics["operator_products"] = hessian.product_count - start
         verdict.diagnostics["continuations"] = continuations
         verdict.diagnostics["sweeps_converged"] = sweeps_converged
-        if keep_directions:
-            verdict.diagnostics["directions"] = directions
-            verdict.diagnostics["sweep_sizes"] = sweep_sizes
         return verdict
 
     continuations = 0
@@ -442,8 +438,6 @@ def continued_pcg(
         omega = float(r @ s)
         p = s.copy()
         sweep_images = []
-        if keep_directions:
-            sweep_sizes.append(0)
 
         while n_conj < L:
             tau = omega
@@ -467,9 +461,6 @@ def continued_pcg(
                 )
             n_conj += 1
             sweep_images.append(q)
-            if keep_directions:
-                directions.append(p.copy())
-                sweep_sizes[-1] += 1
             r = r - (tau / eta) * q
             s = projector.project(r)
             omega = float(r @ s)
@@ -669,8 +660,9 @@ def verify(
     column-pivoted QR of ``A^T``: the basis and the projector read it from
     the QR they are built from, ``bht`` and ``inertia`` pay for the QR only
     when the guard is on.  Rank-deficient
-    constraints (failed LICQ guard) and NaN or inf in the Jacobian produce
-    an ERROR verdict rather than an exception.
+    constraints (failed LICQ guard) and NaN or inf in the Jacobian or in a
+    stored Hessian produce an ERROR verdict rather than an exception; for
+    every method the latter is ERROR ``non_finite``, before the rank guard.
     """
     if options is None:
         options = VerifyOptions()
@@ -682,8 +674,10 @@ def verify(
     verdict: SoscVerdict
 
     try:
-        # the bases and the rank guard would raise on a non-finite Jacobian
-        rejected = _non_finite(problem.jacobian)
+        # the bases and the rank guard would raise on a non-finite Jacobian;
+        # a non-finite stored Hessian gave NaN or inf pivots and curvatures
+        stored = () if hessian.matrix is None else (hessian.matrix,)
+        rejected = _non_finite(problem.jacobian, *stored)
         if rejected is not None:
             verdict = rejected
         elif method in ("cholesky", "diagonalization"):

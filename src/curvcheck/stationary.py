@@ -2,21 +2,22 @@
 
 A small Riemannian solver good enough to produce tight stationary points
 of the Thomson energy at desk scale: projected gradient descent on the
-product of unit spheres with Barzilai-Borwein steps and a monotone
-backtracking line search, followed by a rigid rotation into the
-frame-fixed canonical position (first point on the positive first axis,
-second point in the first-coordinate plane) and least-squares recovery of
-the multipliers from the stationarity identity.
+product of unit spheres with Barzilai-Borwein steps and one backtracking
+line search (energy decrease, then gradient-norm decrease once the energy
+stops resolving), followed by a rigid rotation into the frame-fixed
+canonical position (first point on the positive first axis, second point
+in the first-coordinate plane) and least-squares recovery of the
+multipliers from the stationarity identity.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
 import numpy as np
 
 from .problems import CoincidentPointsError, ThomsonInstance, ThomsonProblem
+from .sosc import _check_limit
 
 __all__ = [
     "EvaluationFailureError",
@@ -41,15 +42,13 @@ class FoncPoint:
 
     ``fonc_residual`` is the max-norm of the Lagrangian gradient at
     (x, lambda); ``feas_residual`` is the max-norm of the constraint
-    values.  ``energy_history`` records accepted objective values when the
-    solver is asked to keep them.
+    values.
     """
 
     x: np.ndarray
     lam: np.ndarray
     fonc_residual: float
     feas_residual: float
-    energy_history: Optional[np.ndarray] = None
 
 
 def fonc_residual(problem, x: np.ndarray, lam: np.ndarray) -> tuple:
@@ -116,32 +115,57 @@ def _canonical_rotation(pts: np.ndarray) -> np.ndarray:
     return Q
 
 
+# below this gradient norm, energy comparisons saturate
+_LS_FLOOR = 1e-5
+
+
+def _backtrack(pts, energy, grad, gnorm, t):
+    """The first step ``pts - t grad``, halving ``t`` after each rejection,
+    that passes the line search: ``(points, energy, gradient)`` there, or
+    None.  Above :data:`_LS_FLOOR` the first 60 trials ask for sufficient
+    decrease of the energy.  The next 60, or all 60 below the floor, ask
+    for strict decrease of the gradient norm.
+    """
+    energy_trials = 60 if gnorm > _LS_FLOOR else 0
+    for i in range(energy_trials + 60):
+        cand = _retract(pts - t * grad)
+        cand_energy, cand_grad = _sphere_energy_and_grad(cand)
+        if np.isfinite(cand_energy) and (
+            cand_energy <= energy - 1e-4 * t * gnorm**2 if i < energy_trials
+            else float(np.linalg.norm(cand_grad)) < gnorm
+        ):
+            return cand, cand_energy, cand_grad
+        t *= 0.5
+    return None
+
+
 def solve_thomson(
     k: int,
     seed: int = 0,
     tol_fonc: float = 1e-9,
     max_iter: int = 200_000,
-    keep_history: bool = False,
 ) -> FoncPoint:
     """Minimize the sphere energy and emit a frame-fixed stationary point.
 
     Gradient descent runs on the plain product-of-spheres formulation; the
     energy is invariant under rigid rotations, so the computed minimizer is
-    rotated afterwards into the canonical frame of the frame-fixed variant
+    rotated afterwards into the canonical frame of :class:`ThomsonProblem`
     (an equivalent solution) instead of handling the pinned coordinates as
     constraints.  Multipliers are recovered by least squares.
 
-    Far from the solution, steps must pass a monotone backtracking test on
-    the energy.  Near the solution the energy decrease per step falls below
-    double-precision resolution, so the final polish accepts steps by
-    strict decrease of the gradient norm instead; true energy decrease
-    continues, it just stops being measurable.
+    Each step is accepted by :func:`_backtrack`.  Far from the solution it
+    must pass a monotone backtracking test on the energy.  Near the
+    solution the energy decrease per step falls below double-precision
+    resolution, so the final polish accepts steps by strict decrease of the
+    gradient norm instead; true energy decrease continues, it just stops
+    being measurable.
 
+    A ``tol_fonc`` that is not finite and positive raises ``ValueError``.
     Raises :class:`MaxIterationsError` when the Riemannian gradient does
     not reach the tolerance within ``max_iter`` accepted steps.
     """
-    inst = ThomsonInstance(k, "frame_fixed")
-    prob = ThomsonProblem(inst)
+    _check_limit("tol_fonc", tol_fonc, positive=True)
+    prob = ThomsonProblem(ThomsonInstance(k))
     rng = np.random.default_rng(seed)
 
     pts = _retract(rng.standard_normal((k, 3)))
@@ -150,10 +174,8 @@ def solve_thomson(
         pts = _retract(rng.standard_normal((k, 3)))
         energy, grad = _sphere_energy_and_grad(pts)
 
-    history = [energy] if keep_history else None
     # target the 2-norm a bit below the requested max-norm residual
     target = 0.5 * tol_fonc
-    ls_floor = 1e-5  # below this gradient norm, energy comparisons saturate
     step = 1e-2
     prev_pts = None
     prev_grad = None
@@ -171,35 +193,11 @@ def solve_thomson(
             if sy > 1e-30:
                 step = min(max(float(s @ s) / sy, 1e-8), 1e2)
 
-        accepted = False
-        t = step
-        if gnorm > ls_floor:
-            for _ in range(60):
-                cand = _retract(pts - t * grad)
-                cand_energy, cand_grad = _sphere_energy_and_grad(cand)
-                if np.isfinite(cand_energy) and cand_energy <= energy - 1e-4 * t * gnorm**2:
-                    accepted = True
-                    break
-                t *= 0.5
-        if not accepted:
-            # polish phase: require the gradient norm itself to shrink
-            for _ in range(60):
-                cand = _retract(pts - t * grad)
-                cand_energy, cand_grad = _sphere_energy_and_grad(cand)
-                if (
-                    np.isfinite(cand_energy)
-                    and float(np.linalg.norm(cand_grad)) < gnorm
-                ):
-                    accepted = True
-                    break
-                t *= 0.5
-        if not accepted:
+        accepted = _backtrack(pts, energy, grad, gnorm, step)
+        if accepted is None:
             break
-
         prev_pts, prev_grad = pts, grad
-        pts, energy, grad = cand, cand_energy, cand_grad
-        if keep_history:
-            history.append(energy)
+        pts, energy, grad = accepted
 
     if not converged:
         raise MaxIterationsError(
@@ -219,7 +217,4 @@ def solve_thomson(
     A = prob.jacobian(x)
     lam, *_ = np.linalg.lstsq(A.T, g, rcond=None)
     fonc, feas = fonc_residual(prob, x, lam)
-    return FoncPoint(
-        x=x, lam=lam, fonc_residual=fonc, feas_residual=feas,
-        energy_history=np.asarray(history) if keep_history else None,
-    )
+    return FoncPoint(x=x, lam=lam, fonc_residual=fonc, feas_residual=feas)

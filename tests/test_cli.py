@@ -16,7 +16,7 @@ from curvcheck.problems import (
     near_rank_deficient_kkt,
     save_problem,
 )
-from curvcheck.sosc import VerifyOptions
+from curvcheck.sosc import METHODS, VerifyOptions
 
 
 @pytest.fixture
@@ -105,25 +105,39 @@ class TestCheck:
         assert "no Hessian" in capsys.readouterr().err
         assert main(["compare", str(path)]) == 3
 
-    @pytest.mark.parametrize("field, length", [("x", 5), ("lambda", 7)])
-    def test_wrong_length_point_exit_three(self, tmp_path, capsys, field, length):
+    @pytest.mark.parametrize("fields, message", [
+        pytest.param({"x": [0.0] * 5}, "inconsistent", id="x-5"),
+        pytest.param({"lambda": [0.0] * 7}, "inconsistent", id="lambda-7"),
+        # the next three exited 1 with a traceback, or were read as N = 2
+        # and truth = True
+        pytest.param({"N": 0, "M": 0, "A": [], "H": []}, "at least one variable",
+                     id="N-0"),
+        pytest.param({"N": 2.5}, "N and M must be nonnegative integers",
+                     id="N-2.5"),
+        pytest.param({"truth": "no"}, "truth must be true or false", id="truth-no"),
+    ])
+    def test_wrong_length_point_exit_three(self, tmp_path, capsys, fields, message):
         path = tmp_path / "bad_point.json"
         path.write_text(json.dumps({
             "schema": "dense-v1", "N": 3, "M": 1, "A": [0.0, 0.0, 1.0],
-            "H": np.eye(3).reshape(-1).tolist(), field: [0.0] * length,
+            "H": np.eye(3).reshape(-1).tolist(), **fields,
         }), encoding="utf-8")
         assert main(["check", str(path)]) == 3
-        assert "inconsistent" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert main(["compare", str(path)]) == 3
 
-    @pytest.mark.parametrize("method", ["bht", "inertia"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_non_finite_hessian_exit_two(self, tmp_path, method, capsys):
-        path = tmp_path / "nan.json"
-        H = np.eye(3)
-        H[0, 1] = np.nan
-        save_problem(Problem(jacobian=np.array([[0.0, 0.0, 1.0]]), hessian=H), path)
-        assert main(["check", str(path), "--method", method]) == 2
-        assert "non_finite" in capsys.readouterr().out
+        # with inf off the diagonal pcg exited 1 (fails, curvature -inf),
+        # and cholesky and diagonalization said semidefinite_boundary
+        path = tmp_path / "non_finite.json"
+        for value in (np.nan, np.inf):
+            H = np.eye(4)
+            H[0, 1] = H[1, 0] = value
+            save_problem(Problem(jacobian=np.array([[0.0, 0.0, 0.0, 1.0]]),
+                                 hessian=H), path)
+            assert main(["check", str(path), "--method", method]) == 2
+            assert "reason:    non_finite" in capsys.readouterr().out
 
 
 class TestBench:
@@ -185,7 +199,8 @@ class TestBench:
         records = bench.run_trial(3, 1, 3, "well", seed=0, methods=("cholesky",))
         assert records[0].truth is None and records[0].agree is None
         out = tmp_path / "no_truth.csv"
-        bench.write_csv(records, out)
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            bench.write_csv(records, fh)
         header, row = list(csv.reader(open(out)))
         assert row[header.index("truth")] == ""
         assert row[header.index("agree")] == ""
@@ -385,9 +400,11 @@ class TestThomsonCommand:
                      flag, dest]) == 3
         assert "error: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sigma", ["0", "-1e-6", "nan", "inf", "abc"])
+    @pytest.mark.parametrize("sigma", ["0", "-1e-6", "nan", "inf", "abc", "-1"])
     def test_fd_sigma_must_be_positive_and_finite(self, sigma, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["thomson", "--k-list", "4", "--fd-sigma", sigma])
-        assert exc.value.code == 2
-        assert "--fd-sigma" in capsys.readouterr().err
+        # --tol-fonc -1, 0 or nan exited 0 after "solver failed" lines
+        for flag in ("--fd-sigma", "--tol-fonc"):
+            with pytest.raises(SystemExit) as exc:
+                main(["thomson", "--k-list", "4", f"{flag}={sigma}"])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err

@@ -812,7 +812,7 @@ def _oracle_cases(kind):
     if kind == "thomson":
         for k in range(4, 13):
             point = solve_thomson(k, seed=0)
-            tprob = ThomsonProblem(ThomsonInstance(k, "frame_fixed"))
+            tprob = ThomsonProblem(ThomsonInstance(k))
             yield build_kkt(tprob.lagrangian_hessian(point.x, point.lam),
                             tprob.jacobian(point.x))
         return

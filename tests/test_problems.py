@@ -288,7 +288,6 @@ class TestThomson:
     def test_dimensions(self):
         inst = ThomsonInstance(5)
         assert inst.n == 15 and inst.m == 8
-        assert ThomsonInstance(5, "plain").m == 5
 
     def test_gradient_matches_central_differences(self):
         tp = ThomsonProblem(ThomsonInstance(4))

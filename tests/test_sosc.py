@@ -278,14 +278,23 @@ class TestImplicitCholesky:
     @pytest.mark.parametrize("n", [10, 300])
     @pytest.mark.parametrize("entry, value", [
         ("first", np.nan), ("last", np.nan), ("off", np.nan), ("middle", np.inf),
+        ("off", np.inf),
     ])
     def test_non_finite_hessian_is_boundary_at_step_one(self, n, entry, value):
+        # verify rejects the stored Hessian before any method runs; the
+        # Cholesky kernel alone stops at its first pivot
         problem = generate(GeneratorSpec(n=n, m=n // 5, p=n, seed=n))
         i, j = {"first": (0, 0), "last": (n - 1, n - 1), "off": (1, n - 2),
                 "middle": (n // 2, n // 2)}[entry]
         H = problem.hessian.copy()
         H[i, j] = value
-        verdict = verify(Problem(problem.jacobian, H), "cholesky")
+        for method in METHODS:
+            verdict = verify(Problem(problem.jacobian, H), method)
+            assert verdict.status is Status.ERROR, method
+            assert verdict.reason == "non_finite", method
+            assert verdict.diagnostics["operator_products"] == 0, method
+        with np.errstate(invalid="ignore"):
+            verdict = implicit_cholesky(op(H), null_space_basis(problem.jacobian))
         assert verdict.status is Status.ERROR
         assert verdict.reason == "semidefinite_boundary"
         assert verdict.step == 1
@@ -522,12 +531,27 @@ class TestContinuedPcg:
         problem = generate(GeneratorSpec(n=40, m=12, p=40, seed=seed,
                                          eig_lo=1.0, eig_hi=10.0))
         H = problem.hessian
-        verdict = continued_pcg(op(H), NullSpaceProjector(problem.jacobian),
-                                seed=seed, keep_directions=True)
+        # each search direction is the argument of one product, and each
+        # converged sweep but the last is one block appended to the projector
+        dirs = []
+        sizes = []
+
+        def recorded_product(p):
+            dirs.append(p.copy())
+            return H @ p
+
+        class RecordingProjector(NullSpaceProjector):
+            def append_column(self, q):
+                sizes.append(np.shape(q)[1])
+                return super().append_column(q)
+
+        verdict = continued_pcg(
+            HessianOperator.from_callback(recorded_product, problem.n),
+            RecordingProjector(problem.jacobian), seed=seed,
+        )
         assert verdict.status is Status.HOLDS
-        dirs = verdict.diagnostics["directions"]
-        sizes = verdict.diagnostics["sweep_sizes"]
-        assert sum(sizes) == len(dirs) == problem.l
+        assert len(dirs) == problem.l
+        sizes.append(len(dirs) - sum(sizes))
         pos = 0
         for size in sizes:
             sweep = dirs[pos : pos + size]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from curvcheck import stationary
 from curvcheck.problems import ThomsonInstance, ThomsonProblem
 from curvcheck.sosc import Status, verify
 from curvcheck.stationary import fonc_residual, solve_thomson
@@ -82,10 +83,24 @@ class TestSolveThomson:
             assert point.fonc_residual <= 1e-9
             assert point.feas_residual <= 1e-12
 
-    def test_energy_monotone_on_accepted_steps(self):
-        point = solve_thomson(8, seed=2, keep_history=True)
-        hist = point.energy_history
-        assert hist is not None and hist.size >= 2
+    def test_energy_monotone_on_accepted_steps(self, monkeypatch):
+        # the line search returns each accepted step; the energies start
+        # from the one it was first called at
+        backtrack = stationary._backtrack
+        hist = []
+
+        def recording_backtrack(pts, energy, *args):
+            accepted = backtrack(pts, energy, *args)
+            if not hist:
+                hist.append(energy)
+            if accepted is not None:
+                hist.append(accepted[1])
+            return accepted
+
+        monkeypatch.setattr(stationary, "_backtrack", recording_backtrack)
+        solve_thomson(8, seed=2)
+        hist = np.asarray(hist)
+        assert hist.size >= 2
         # true decrease continues below measurement resolution; allow only
         # rounding-level wobble
         slack = 100 * np.finfo(float).eps * hist[-1]
@@ -125,3 +140,8 @@ class TestSolveThomson:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             solve_thomson(1)
+        # -1, 0 and nan ended in MaxIterationsError after a few steps, and
+        # inf returned the random start point as stationary
+        for tol_fonc in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tol_fonc"):
+                solve_thomson(4, tol_fonc=tol_fonc)
