@@ -177,7 +177,9 @@ class HessianOperator:
 
         def difference(s: np.ndarray) -> np.ndarray:
             nonlocal g0
-            nrm = float(np.linalg.norm(s))
+            # dnrm2 scales as it sums: |s| neither overflows near 1e200 nor
+            # underflows to 0 near 1e-200
+            nrm = float(sla.blas.dnrm2(s))
             if nrm == 0.0:
                 raise ZeroDirectionError("finite differencing needs s != 0")
             if g0 is None:

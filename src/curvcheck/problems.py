@@ -15,7 +15,6 @@ import json
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .linalg import HessianOperator, _as_jacobian
 
@@ -365,28 +364,42 @@ class ThomsonProblem:
     def m(self) -> int:
         return self.instance.m
 
-    def _points(self, x: np.ndarray) -> np.ndarray:
+    def _pairs(self, x: np.ndarray):
+        """The points (K x 3) with their pairwise differences ``diff[c, a, b]
+        = x_{a,c} - x_{b,c}`` (3 x K x K, one contiguous K x K plane per
+        coordinate) and squared distances (K x K, inf on the diagonal, so
+        that every inverse power of a distance reads 0 there).  Raises
+        :class:`CoincidentPointsError` when the smallest distance is below
+        1e-12."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}")
-        pts = x.reshape(self.instance.k, 3)
-        if self.instance.k > 1 and pdist(pts).min() < 1e-12:
+        k = self.instance.k
+        pts = x.reshape(k, 3)
+        # a contiguous copy first: broadcasting the strided transpose
+        # took 3x longer at K = 50
+        coords = np.ascontiguousarray(pts.T)
+        diff = coords[:, :, None] - coords[:, None, :]
+        r2 = np.einsum("cab,cab->ab", diff, diff)
+        r2.flat[:: k + 1] = np.inf
+        if np.sqrt(r2.min()) < 1e-12:
             raise CoincidentPointsError("two points (nearly) coincide")
-        return pts
+        return pts, diff, r2
 
     def objective(self, x: np.ndarray) -> float:
-        pts = self._points(x)
-        return float(np.sum(1.0 / pdist(pts)))
+        _, _, r2 = self._pairs(x)
+        # every pair appears twice in the full matrix
+        return 0.5 * float(np.sum(1.0 / np.sqrt(r2)))
+
+    @staticmethod
+    def _gradient(diff: np.ndarray, r2: np.ndarray) -> np.ndarray:
+        # d/dx_a of 1/|x_a - x_b| is -(x_a - x_b)/|x_a - x_b|^3; the result
+        # is coordinate-major (3 x K)
+        return -np.einsum("cab,ab->ca", diff, 1.0 / (r2 * np.sqrt(r2)))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        pts = self._points(x)
-        k = self.instance.k
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        np.fill_diagonal(dist, np.inf)
-        # d/dx_k of 1/|x_k - x_m| is -(x_k - x_m)/|x_k - x_m|^3
-        grad = -np.sum(diff / dist[:, :, None] ** 3, axis=1)
-        return grad.reshape(3 * k)
+        _, diff, r2 = self._pairs(x)
+        return self._gradient(diff, r2).T.reshape(self.n)
 
     def constraints(self, x: np.ndarray) -> np.ndarray:
         pts = np.asarray(x, dtype=float).reshape(self.instance.k, 3)
@@ -395,43 +408,52 @@ class ThomsonProblem:
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         pts = np.asarray(x, dtype=float).reshape(self.instance.k, 3)
-        k, n = self.instance.k, self.n
-        A = np.zeros((self.m, n))
-        for i in range(k):
-            A[i, 3 * i : 3 * i + 3] = pts[i]
+        k = self.instance.k
+        A = np.zeros((self.m, self.n))
+        # sphere row i holds x_i in columns 3i..3i+2
+        A[:k].reshape(k, k, 3)[np.arange(k), np.arange(k)] = pts
         A[k, 1] = 1.0
         A[k + 1, 2] = 1.0
         A[k + 2, 5] = 1.0
         return A
 
     def objective_hessian(self, x: np.ndarray) -> np.ndarray:
-        pts = self._points(x)
+        _, diff, r2 = self._pairs(x)
         k = self.instance.k
-        H = np.zeros((3 * k, 3 * k))
-        for a in range(k - 1):
-            for b in range(a + 1, k):
-                u = pts[a] - pts[b]
-                r = float(np.linalg.norm(u))
-                # Hessian of 1/|u|: 3 u u^T / |u|^5 - I / |u|^3
-                blk = 3.0 * np.outer(u, u) / r**5 - np.eye(3) / r**3
-                ia, ib = slice(3 * a, 3 * a + 3), slice(3 * b, 3 * b + 3)
-                H[ia, ia] += blk
-                H[ib, ib] += blk
-                H[ia, ib] -= blk
-                H[ib, ia] -= blk
-        return H
+        inv_r3 = 1.0 / (r2 * np.sqrt(r2))
+        # pair blocks B[i, j, a, b] = 3 u_i u_j / |u|^5 - delta_ij / |u|^3
+        # with u = x_a - x_b; u_i u_j is formed before it is scaled, so B
+        # is exactly symmetric in (i, j) and in (a, b)
+        blocks = (diff[:, None] * diff[None, :]) * (3.0 * inv_r3 / r2)
+        idx = np.arange(3)
+        blocks[idx, idx] -= inv_r3
+        # the Hessian of 1/|x_a - x_b| is B in the (a, a) and (b, b) blocks
+        # and -B in the (a, b) and (b, a) blocks
+        H = np.empty((k, 3, k, 3))
+        np.negative(blocks.transpose(2, 0, 3, 1), out=H)
+        at = np.arange(k)
+        H[at, :, at, :] = blocks.sum(axis=3).transpose(2, 0, 1)
+        return H.reshape(self.n, self.n)
 
     def lagrangian_gradient(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """``gradient(x) - jacobian(x).T @ lam``, without forming the
+        Jacobian: sphere row i adds ``lam_i x_i``, the pinned rows add
+        their multiplier to x_{1,2}, x_{1,3} and x_{2,3}."""
         lam = np.asarray(lam, dtype=float)
-        return self.gradient(x) - self.jacobian(x).T @ lam
+        pts, diff, r2 = self._pairs(x)
+        k = self.instance.k
+        at_lam = pts * lam[:k, None]
+        at_lam[0, 1] += lam[k]
+        at_lam[0, 2] += lam[k + 1]
+        at_lam[1, 2] += lam[k + 2]
+        return (self._gradient(diff, r2).T - at_lam).reshape(self.n)
 
     def lagrangian_hessian(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
         H = self.objective_hessian(x)
         # sphere constraints contribute identity blocks; pinned coordinates
         # are linear and contribute nothing
-        for i in range(self.instance.k):
-            H[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] -= lam[i] * np.eye(3)
+        H.flat[:: self.n + 1] -= np.repeat(lam[: self.instance.k], 3)
         return H
 
     def as_problem(self, x: np.ndarray, lam: np.ndarray) -> Problem:

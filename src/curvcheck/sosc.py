@@ -132,8 +132,14 @@ def _certified_failure(
     diagnostics: dict,
 ) -> SoscVerdict:
     """Re-verify a candidate direction through the operator before emitting
-    FAILS; round-off pathologies downgrade to ERROR."""
+    FAILS; round-off pathologies downgrade to ERROR, and a curvature that is
+    not finite to ERROR ``non_finite``: it certifies nothing."""
     curvature = float(d @ hessian.apply(d))
+    if not np.isfinite(curvature):
+        return SoscVerdict(
+            Status.ERROR, step=step, reason="non_finite",
+            diagnostics=dict(diagnostics, recomputed_curvature=curvature),
+        )
     defect = _feasibility_defect(A, d)
     if curvature >= 0.0 or defect > tol_feas:
         return SoscVerdict(
@@ -663,6 +669,9 @@ def verify(
     constraints (failed LICQ guard) and NaN or inf in the Jacobian or in a
     stored Hessian produce an ERROR verdict rather than an exception; for
     every method the latter is ERROR ``non_finite``, before the rank guard.
+    A product-backed operator is not scanned; a matrix-free test whose
+    failure direction has a non-finite curvature answers ERROR
+    ``non_finite`` too.
     """
     if options is None:
         options = VerifyOptions()

@@ -81,6 +81,14 @@ class TestHessianOperator:
         with pytest.raises(ZeroDirectionError):
             op.apply(np.zeros(2))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_fd_direction_norm_neither_overflows_nor_underflows(self, scale):
+        # |s| of [1e200, 1e200] overflows and that of [1e-200, 1e-200]
+        # underflows when summed unscaled
+        op = HessianOperator.from_gradient(lambda x: 2.0 * x, np.zeros(2))
+        out = op.apply(np.array([scale, scale]))
+        np.testing.assert_allclose(out, [2.0 * scale, 2.0 * scale], rtol=1e-9)
+
     def test_dimension_mismatch(self):
         op = HessianOperator.from_matrix(np.eye(3))
         with pytest.raises(DimensionMismatchError):

@@ -1,5 +1,6 @@
 """Generator, matrix-builder, sphere-problem, and serialization tests."""
 
+import functools
 import json
 
 import numpy as np
@@ -26,6 +27,7 @@ from curvcheck.problems import (
     save_problem,
     truth_probability,
 )
+from curvcheck.stationary import solve_thomson
 
 
 def central_difference_gradient(f, x, h=1e-6):
@@ -332,6 +334,138 @@ class TestThomson:
         tp = ThomsonProblem(ThomsonInstance(2))
         with pytest.raises(CoincidentPointsError):
             tp.objective(np.array([1.0, 0, 0, 1.0, 0, 0]))
+
+    @pytest.mark.parametrize("callback", [
+        "objective", "gradient", "objective_hessian", "lagrangian_gradient",
+        "lagrangian_hessian",
+    ])
+    def test_every_callback_rejects_coincident_points(self, callback):
+        # the third point sits 1e-13 from the first
+        tp = ThomsonProblem(ThomsonInstance(3))
+        x = np.array([1.0, 0, 0, 0, 1.0, 0, 1.0, 0, 1e-13])
+        args = (x,) if callback in ("objective", "gradient", "objective_hessian") \
+            else (x, np.ones(tp.m))
+        with pytest.raises(CoincidentPointsError):
+            getattr(tp, callback)(*args)
+
+
+# The per-pair and per-point loops the vectorized callbacks replaced, kept as
+# references.  With ``absolute=True`` a loop sums the magnitudes of its
+# terms instead: the scale against which reordering the sums is round-off.
+
+
+def looped_gradient(x, absolute=False):
+    pts = x.reshape(-1, 3)
+    g = np.zeros_like(pts)
+    for a in range(len(pts) - 1):
+        for b in range(a + 1, len(pts)):
+            u = pts[a] - pts[b]
+            # d/dx_a of 1/|u| is -u/|u|^3, d/dx_b is u/|u|^3
+            t = u / float(np.linalg.norm(u)) ** 3
+            if absolute:
+                g[a] += np.abs(t)
+                g[b] += np.abs(t)
+            else:
+                g[a] -= t
+                g[b] += t
+    return g.reshape(-1)
+
+
+def looped_jacobian(x):
+    pts = x.reshape(-1, 3)
+    k = len(pts)
+    A = np.zeros((k + 3, 3 * k))
+    for i in range(k):
+        A[i, 3 * i : 3 * i + 3] = pts[i]
+    A[k, 1] = A[k + 1, 2] = A[k + 2, 5] = 1.0
+    return A
+
+
+def looped_objective_hessian(x, absolute=False):
+    pts = x.reshape(-1, 3)
+    k = len(pts)
+    H = np.zeros((3 * k, 3 * k))
+    for a in range(k - 1):
+        for b in range(a + 1, k):
+            u = pts[a] - pts[b]
+            r = float(np.linalg.norm(u))
+            blk = 3.0 * np.outer(u, u) / r**5 - np.eye(3) / r**3
+            if absolute:
+                blk = np.abs(blk)
+            ia, ib = slice(3 * a, 3 * a + 3), slice(3 * b, 3 * b + 3)
+            H[ia, ia] += blk
+            H[ib, ib] += blk
+            H[ia, ib] -= blk
+            H[ib, ia] -= blk
+    return np.abs(H) if absolute else H
+
+
+def looped_lagrangian_hessian(x, lam):
+    H = looped_objective_hessian(x)
+    for i in range(x.size // 3):
+        H[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] -= lam[i] * np.eye(3)
+    return H
+
+
+@functools.cache
+def solved_thomson(k):
+    return solve_thomson(k, seed=0)
+
+
+def thomson_point(k, kind):
+    if kind == "solved":
+        point = solved_thomson(k)
+        return point.x, point.lam
+    rng = np.random.default_rng(k)
+    pts = rng.standard_normal((k, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return pts.reshape(-1), rng.standard_normal(k + 3)
+
+
+# a sum reordered moves by a few ulps of the sum of its terms' magnitudes
+ULPS = 8 * np.finfo(float).eps
+
+
+class TestVectorizedThomson:
+    @pytest.fixture(params=[(k, kind) for k in [*range(2, 13), 50]
+                            for kind in ("random", "solved")],
+                    ids=lambda p: f"{p[1]}-k{p[0]}")
+    def case(self, request):
+        k, kind = request.param
+        x, lam = thomson_point(k, kind)
+        return ThomsonProblem(ThomsonInstance(k)), x, lam
+
+    def test_gradient_matches_pair_loop(self, case):
+        tp, x, _ = case
+        scale = looped_gradient(x, absolute=True).max()
+        assert np.abs(tp.gradient(x) - looped_gradient(x)).max() <= ULPS * scale
+
+    def test_jacobian_matches_row_loop(self, case):
+        tp, x, _ = case
+        np.testing.assert_array_equal(tp.jacobian(x), looped_jacobian(x))
+
+    def test_lagrangian_gradient_matches_jacobian_form(self, case):
+        # at a solved point the result is at round-off level; its scale is
+        # that of the two terms it subtracts
+        tp, x, lam = case
+        g, at_lam = tp.gradient(x), tp.jacobian(x).T @ lam
+        scale = np.abs(g).max() + np.abs(at_lam).max()
+        got = tp.lagrangian_gradient(x, lam)
+        assert np.abs(got - (g - at_lam)).max() <= ULPS * scale
+
+    def test_hessians_match_pair_loop(self, case):
+        tp, x, lam = case
+        scale = looped_objective_hessian(x, absolute=True).max()
+        H = tp.objective_hessian(x)
+        assert np.abs(H - looped_objective_hessian(x)).max() <= ULPS * scale
+        scale += np.abs(lam).max()
+        H = tp.lagrangian_hessian(x, lam)
+        assert np.abs(H - looped_lagrangian_hessian(x, lam)).max() <= ULPS * scale
+
+    def test_lagrangian_hessian_is_exactly_symmetric(self, case):
+        tp, x, lam = case
+        H = tp.lagrangian_hessian(x, lam)
+        assert np.array_equal(H, H.T)
 
 
 class TestCubeIterates:

@@ -735,6 +735,24 @@ class TestVerify:
         assert verdict.status is Status.ERROR
         assert verdict.reason == "non_finite"
 
+    @pytest.mark.parametrize("method", ["cholesky", "diagonalization", "pcg"])
+    @pytest.mark.parametrize("value, reason", [
+        (-np.inf, "non_finite"), (np.nan, "semidefinite_boundary"),
+    ])
+    def test_non_finite_curvature_is_not_a_failure(self, method, value, reason):
+        # a product-backed operator is not scanned.  A -inf curvature is no
+        # certificate, so the re-check answers non_finite, not FAILS; a NaN
+        # pivot already reads as a boundary
+        problem = generate(GeneratorSpec(n=10, m=2, p=10, seed=10))
+        H = problem.hessian.copy()
+        H[1, 8] = H[8, 1] = value
+        with np.errstate(invalid="ignore"):
+            verdict = verify(Problem(problem.jacobian, matvec=lambda s: H @ s), method)
+        assert verdict.status is Status.ERROR
+        assert verdict.reason == reason
+        assert verdict.step == 1
+        assert verdict.direction is None
+
     @pytest.mark.parametrize("p, expected", [(12, Status.HOLDS), (8, Status.FAILS)])
     def test_overflowing_product_norms_keep_a_zero_threshold(self, p, expected):
         # |v| |Hv| overflows to inf for H near 1e200; at tol_alpha = 0 the
