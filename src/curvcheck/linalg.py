@@ -6,7 +6,10 @@ built from:
   - :class:`HessianOperator`: the action ``s -> H s`` as one product
     callable, built from an explicit dense matrix (kept, symmetrized once,
     for the classical tests), a matrix-vector callback, or a directional
-    finite difference of a Lagrangian-gradient callback.
+    finite difference of a Lagrangian-gradient callback.  A stored matrix
+    multiplies a vector through BLAS ``dsymv``, which reads one triangle,
+    and a block through a general matrix product; the two may differ in
+    the last bits.
   - :func:`check_full_rank`: the one constraint-rank guard, which reads
     |R_ii| of a column-pivoted Householder QR of ``A^T`` (LAPACK
     ``dgeqp3``), computed there or passed by a caller that holds it.
@@ -41,6 +44,7 @@ product counter.  Arrays are never modified in place by callers' views.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import warnings
 from typing import Callable, Optional
@@ -102,8 +106,11 @@ class HessianOperator:
     ``dimension``; the constructors differ only in the callable they build:
 
     - :meth:`from_matrix` stores ``(H + H^T)/2`` in :attr:`matrix` and
-      multiplies by it.  This is the one place a dense Hessian is
-      symmetrized; the classical tests read :attr:`matrix` as is.
+      multiplies by it: a vector through BLAS ``dsymv`` on one triangle, a
+      block through a general matrix product, so :meth:`apply` and
+      :meth:`apply_block` may differ in the last bits.  This is the one
+      place a dense Hessian is symmetrized; the classical tests read
+      :attr:`matrix` as is.
     - :meth:`from_callback` calls a user function computing ``H s``.
     - :meth:`from_gradient` approximates ``H s`` from a Lagrangian-gradient
       callback ``g`` as ``(|s|/h) * (g(x + h*s/|s|) - g(x))`` with step
@@ -133,12 +140,20 @@ class HessianOperator:
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "HessianOperator":
-        """Wrap an explicit dense matrix, stored as ``(H + H^T)/2``."""
+        """Wrap an explicit dense matrix, stored as ``(H + H^T)/2``.
+
+        The stored matrix is exactly symmetric and C-ordered.  A product
+        ``H s`` is BLAS ``dsymv`` on its upper triangle, passed as the lower
+        triangle of the Fortran-ordered transpose, so neither the matrix
+        nor a contiguous ``s`` is copied; it reads half the entries that a
+        general matrix-vector product reads.  Blocks go through
+        :meth:`apply_block`'s general matrix product.
+        """
         H = np.asarray(matrix, dtype=float)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise DimensionMismatchError("explicit Hessian must be square")
         H = _symmetric_part(H)
-        return cls(H.shape[0], H.__matmul__, H)
+        return cls(H.shape[0], functools.partial(sla.blas.dsymv, 1.0, H.T, lower=1), H)
 
     @classmethod
     def from_callback(cls, matvec: Callable[[np.ndarray], np.ndarray], dim: int) -> "HessianOperator":
@@ -228,16 +243,16 @@ class HessianOperator:
 
 
 def _symmetric_part(H: np.ndarray) -> np.ndarray:
-    """``(H + H^T)/2`` as a new array, finite wherever H is.
+    """``(H + H^T)/2`` as a new C-ordered array, finite wherever H is.
 
     The sum is halved in place; where it overflows, which finite entries
     above about 9e307 can make it do, the halves are summed instead.
     """
     try:
         with np.errstate(over="raise"):
-            S = H + H.T
+            S = np.add(H, H.T, order="C")
     except FloatingPointError:
-        return 0.5 * H + 0.5 * H.T
+        return np.add(0.5 * H, 0.5 * H.T, order="C")
     S *= 0.5
     return S
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import logging
+import math
 import time
 from typing import Optional, Union
 
@@ -173,18 +174,23 @@ def _check_limit(name: str, value: float, positive: bool = False) -> None:
         raise ValueError(f"{name} must be finite and {sense}, got {value!r}")
 
 
-def _classify(alpha: float, scale: float, tol_alpha: float) -> int:
-    """Three-way pivot sign: +1 accept, -1 negative curvature, 0 boundary.
+def _classify(alpha: float, scale: float, tol_alpha: float) -> str:
+    """What a pivot or curvature says: ``"positive"`` (accept),
+    ``"negative"`` (negative curvature), or the reason of an inconclusive
+    ERROR, ``"non_finite"`` for NaN or inf and ``"semidefinite_boundary"``
+    within the threshold of zero.
 
     The threshold is exactly 0 at ``tol_alpha = 0``, also when ``scale``
     overflowed to inf.
     """
+    if not math.isfinite(alpha):
+        return "non_finite"
     thresh = tol_alpha * scale if tol_alpha else 0.0
     if alpha > thresh:
-        return 1
+        return "positive"
     if alpha < -thresh:
-        return -1
-    return 0
+        return "negative"
+    return "semidefinite_boundary"
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +215,9 @@ def implicit_cholesky(
     applies to it; two triangular solves turn the partial factor into a
     feasible direction of negative curvature whose curvature is that
     pivot.  A pivot at the boundary (within ``tol_alpha`` of zero, scaled)
-    or a non-finite pivot yields an inconclusive ERROR since definiteness
-    is neither verified nor refuted.  A negative or non-finite
+    yields an inconclusive ERROR ``semidefinite_boundary``, and a NaN or
+    inf pivot ERROR ``non_finite`` at its step, since definiteness is
+    neither verified nor refuted.  A negative or non-finite
     ``tol_alpha`` raises ``ValueError``.
     """
     _check_limit("tol_alpha", tol_alpha)
@@ -240,10 +247,12 @@ def implicit_cholesky(
 
     diagnostics = {"operator_products": hessian.product_count - start}
     if rejected.size:
-        diagnostics["alpha"] = alphas[rejected[0]]
+        alpha = alphas[rejected[0]]
+        diagnostics["alpha"] = alpha
         return SoscVerdict(
             Status.ERROR, step=int(rejected[0]) + 1,
-            reason="semidefinite_boundary", diagnostics=diagnostics,
+            reason="semidefinite_boundary" if np.isfinite(alpha) else "non_finite",
+            diagnostics=diagnostics,
         )
     if k == L:
         diagnostics["alphas"] = alphas
@@ -254,11 +263,13 @@ def implicit_cholesky(
     alpha = float(R[k, k] - t @ t)
     scale = float(dnrm2(W[:, k])) * float(dnrm2(V[:, k] - V[:, :k] @ s))
     diagnostics["alpha"] = alpha
-    if _classify(alpha, scale, tol_alpha) >= 0:
+    kind = _classify(alpha, scale, tol_alpha)
+    if kind != "negative":
         # dpotrf and the recomputation disagree on the sign, or the pivot
-        # is within tolerance of zero
+        # is within tolerance of zero or not finite
         return SoscVerdict(
-            Status.ERROR, step=k + 1, reason="semidefinite_boundary",
+            Status.ERROR, step=k + 1,
+            reason="semidefinite_boundary" if kind == "positive" else kind,
             diagnostics=diagnostics,
         )
     d = W[:, k] - W[:, :k] @ s
@@ -302,8 +313,10 @@ def diagonalization(
     the update is left-looking: step n applies the panel's earlier steps
     to its own column only, ``v_n -= V_{s:n} ((Z_{s:n}^T w_n) /
     alpha_{s:n})``, with V and Z in Fortran order so that each column is
-    contiguous.  A failure pays only for the steps it reached.  A negative
-    or non-finite ``tol_alpha`` raises ``ValueError``.
+    contiguous.  A failure pays only for the steps it reached.  A pivot at
+    the boundary is ERROR ``semidefinite_boundary``, a NaN or inf pivot
+    ERROR ``non_finite``, at its step.  A negative or non-finite
+    ``tol_alpha`` raises ``ValueError``.
     """
     _check_limit("tol_alpha", tol_alpha)
     W = basis.matrix
@@ -316,8 +329,7 @@ def diagonalization(
     alphas = np.zeros(L)
     Z = np.empty((N, L), order="F")
 
-    failing = None
-    boundary = None
+    stop = None
     for n in range(L):
         v = V[:, n]
         if n % _PANEL == 0:
@@ -332,31 +344,27 @@ def diagonalization(
         scale = float(dnrm2(v)) * float(dnrm2(z))
         alphas[n] = alpha
         kind = _classify(alpha, scale, tol_alpha)
-        if kind < 0:
-            failing = n
-            break
-        if kind == 0:
-            boundary = n
+        if kind != "positive":
+            stop = n
             break
         Z[:, n] = z
 
     diagnostics = {"operator_products": hessian.product_count - start}
-    if boundary is not None:
-        diagnostics["alpha"] = alphas[boundary]
-        return SoscVerdict(
-            Status.ERROR, step=boundary + 1, reason="semidefinite_boundary",
-            diagnostics=diagnostics,
-        )
-    if failing is None:
+    if stop is None:
         diagnostics["alphas"] = alphas
         return SoscVerdict(Status.HOLDS, diagnostics=diagnostics)
+    if kind != "negative":
+        diagnostics["alpha"] = alphas[stop]
+        return SoscVerdict(
+            Status.ERROR, step=stop + 1, reason=kind, diagnostics=diagnostics,
+        )
 
     verdict = _certified_failure(
-        hessian, basis.jacobian, V[:, failing].copy(), failing + 1, tol_feas,
+        hessian, basis.jacobian, V[:, stop].copy(), stop + 1, tol_feas,
         diagnostics,
     )
     verdict.diagnostics["operator_products"] = hessian.product_count - start
-    verdict.diagnostics["alpha"] = alphas[failing]
+    verdict.diagnostics["alpha"] = alphas[stop]
     return verdict
 
 
@@ -391,7 +399,9 @@ def continued_pcg(
     curvature value stops the search, the current search direction being
     the certificate.  Failing to draw a usable restart seed with dimensions
     still unsearched, in :data:`_SEED_DRAWS` attempts, is reported as an
-    inconclusive ERROR.
+    inconclusive ERROR; so is a curvature at the boundary
+    (``semidefinite_boundary``) or NaN or inf (``non_finite``), at its
+    step.
 
     ``b0`` overrides the pseudorandom first seed (it is projected onto the
     feasible subspace); restarts always draw from the seeded generator
@@ -451,18 +461,18 @@ def continued_pcg(
             eta = float(p @ q)
             scale = float(dnrm2(p)) * float(dnrm2(q))
             kind = _classify(eta, scale, tol_alpha)
-            if kind < 0:
+            if kind == "negative":
                 diagnostics = {"eta": eta}
                 verdict = _certified_failure(
                     hessian, projector.jacobian, p.copy(), n_conj + 1, tol_feas,
                     diagnostics,
                 )
                 return finish(verdict)
-            if kind == 0:
+            if kind != "positive":
                 return finish(
                     SoscVerdict(
-                        Status.ERROR, step=n_conj + 1,
-                        reason="semidefinite_boundary", diagnostics={"eta": eta},
+                        Status.ERROR, step=n_conj + 1, reason=kind,
+                        diagnostics={"eta": eta},
                     )
                 )
             n_conj += 1
@@ -669,9 +679,9 @@ def verify(
     constraints (failed LICQ guard) and NaN or inf in the Jacobian or in a
     stored Hessian produce an ERROR verdict rather than an exception; for
     every method the latter is ERROR ``non_finite``, before the rank guard.
-    A product-backed operator is not scanned; a matrix-free test whose
-    failure direction has a non-finite curvature answers ERROR
-    ``non_finite`` too.
+    A product-backed operator is not scanned; a matrix-free test answers
+    ERROR ``non_finite`` too, at the step where a pivot, a curvature or
+    the re-checked curvature of its failure direction is NaN or inf.
     """
     if options is None:
         options = VerifyOptions()

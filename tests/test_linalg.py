@@ -153,6 +153,58 @@ class TestHessianOperator:
         np.testing.assert_array_equal(calls[0], x0)
         assert not any(np.array_equal(c, x0) for c in calls[1:])
 
+    @pytest.mark.parametrize("layout", [
+        "nonsymmetric", "fortran", "strided", "strided_vector", "one", "huge",
+    ])
+    def test_dense_product_is_the_symmetric_part_times_s(self, layout):
+        # a vector product reads one triangle of the stored symmetric part,
+        # a block product all of it; both match a general product with that
+        # part to a few ulps of |S| |s|
+        rng = np.random.default_rng(11)
+        n = 1 if layout == "one" else 37
+        H = rng.standard_normal((n, n))
+        s = rng.standard_normal(n)
+        if layout == "fortran":
+            H = np.asfortranarray(H)
+        elif layout == "strided":
+            H = rng.standard_normal((2 * n, 3 * n))[::2, ::3]
+        elif layout == "strided_vector":
+            s = rng.standard_normal(2 * n)[::2]
+        elif layout == "huge":
+            H *= 1e200
+        op = HessianOperator.from_matrix(H)
+        S = (H + H.T) / 2
+        bound = 8 * np.finfo(float).eps * (np.abs(S) @ np.abs(s))
+        assert (np.abs(op.apply(s) - S @ s) <= bound).all()
+        assert (np.abs(op.apply_block(s[:, None])[:, 0] - S @ s) <= bound).all()
+        assert op.product_count == 2
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_dense_product_propagates_non_finite_entries(self, value):
+        # an off-diagonal NaN or inf reaches both rows it sits in, also
+        # through a zero entry of s, as with a general product
+        H = np.eye(6)
+        H[1, 4] = value
+        op = HessianOperator.from_matrix(H)
+        for s in (np.ones(6), np.eye(6)[0], np.eye(6)[4]):
+            with np.errstate(invalid="ignore"):
+                out, ref = op.apply(s), op.matrix @ s
+            np.testing.assert_array_equal(out, ref)
+            assert not np.isfinite(out[[1, 4]]).any()
+            assert np.isfinite(np.delete(out, [1, 4])).all()
+
+    def test_stored_matrix_is_c_ordered(self):
+        # its transpose is then the Fortran-ordered array BLAS takes
+        # without a per-product copy
+        rng = np.random.default_rng(13)
+        for H in (rng.standard_normal((5, 5)),
+                  np.asfortranarray(rng.standard_normal((5, 5))),
+                  rng.standard_normal((10, 10))[::2, ::2],
+                  np.full((3, 3), 1e308)):
+            op = HessianOperator.from_matrix(H)
+            assert op.matrix.flags.c_contiguous
+            assert op.matrix.T.flags.f_contiguous
+
     def test_constructor_needs_product(self):
         with pytest.raises(TypeError):
             HessianOperator(3)

@@ -282,7 +282,7 @@ class TestImplicitCholesky:
     ])
     def test_non_finite_hessian_is_boundary_at_step_one(self, n, entry, value):
         # verify rejects the stored Hessian before any method runs; the
-        # Cholesky kernel alone stops at its first pivot
+        # Cholesky kernel alone stops at its first pivot, which is not finite
         problem = generate(GeneratorSpec(n=n, m=n // 5, p=n, seed=n))
         i, j = {"first": (0, 0), "last": (n - 1, n - 1), "off": (1, n - 2),
                 "middle": (n // 2, n // 2)}[entry]
@@ -296,7 +296,7 @@ class TestImplicitCholesky:
         with np.errstate(invalid="ignore"):
             verdict = implicit_cholesky(op(H), null_space_basis(problem.jacobian))
         assert verdict.status is Status.ERROR
-        assert verdict.reason == "semidefinite_boundary"
+        assert verdict.reason == "non_finite"
         assert verdict.step == 1
 
     def test_huge_finite_hessian_holds(self):
@@ -313,7 +313,7 @@ class TestImplicitCholesky:
         hessian = HessianOperator.from_callback(matvec, 5)
         verdict = implicit_cholesky(hessian, adhoc_basis(np.eye(5)[:, :3]))
         assert verdict.status is Status.ERROR
-        assert verdict.reason == "semidefinite_boundary"
+        assert verdict.reason == "non_finite"
         assert verdict.step == 3
 
 
@@ -737,12 +737,12 @@ class TestVerify:
 
     @pytest.mark.parametrize("method", ["cholesky", "diagonalization", "pcg"])
     @pytest.mark.parametrize("value, reason", [
-        (-np.inf, "non_finite"), (np.nan, "semidefinite_boundary"),
+        (-np.inf, "non_finite"), (np.nan, "non_finite"),
     ])
     def test_non_finite_curvature_is_not_a_failure(self, method, value, reason):
-        # a product-backed operator is not scanned.  A -inf curvature is no
-        # certificate, so the re-check answers non_finite, not FAILS; a NaN
-        # pivot already reads as a boundary
+        # a product-backed operator is not scanned.  A NaN or -inf pivot or
+        # curvature is no certificate: the kernel answers non_finite at its
+        # step, not FAILS
         problem = generate(GeneratorSpec(n=10, m=2, p=10, seed=10))
         H = problem.hessian.copy()
         H[1, 8] = H[8, 1] = value
@@ -752,6 +752,35 @@ class TestVerify:
         assert verdict.reason == reason
         assert verdict.step == 1
         assert verdict.direction is None
+
+    @pytest.mark.parametrize("tol_alpha", [0.0, 1e-3])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_products_stop_each_kernel_at_their_step(self, value, tol_alpha):
+        # products of diag(2, 2, value, 2, 2), formed as an overflowing
+        # product would be: a zero entry of s gives a zero entry.  +inf used
+        # to pass as positive curvature, so diagonalization held; -inf cost
+        # one more product for a certificate that could not be one
+        def matvec(s):
+            out = 2.0 * s
+            if s[2] != 0:
+                out[2] = value * s[2]
+            return out
+
+        hessian = lambda: HessianOperator.from_callback(matvec, 5)
+        basis = adhoc_basis(np.eye(5)[:, :3])
+        projector = NullSpaceProjector(np.eye(5)[3:])
+        with np.errstate(invalid="ignore"):
+            verdicts = {
+                "cholesky": implicit_cholesky(hessian(), basis, tol_alpha),
+                "diagonalization": diagonalization(hessian(), basis, tol_alpha),
+                "pcg": continued_pcg(hessian(), projector, tol_alpha=tol_alpha),
+            }
+        for method, verdict in verdicts.items():
+            assert verdict.status is Status.ERROR, method
+            assert verdict.reason == "non_finite", method
+            assert verdict.step == (1 if method == "pcg" else 3), method
+            assert verdict.diagnostics["operator_products"] == verdict.step, method
+            assert verdict.direction is None, method
 
     @pytest.mark.parametrize("p, expected", [(12, Status.HOLDS), (8, Status.FAILS)])
     def test_overflowing_product_norms_keep_a_zero_threshold(self, p, expected):
