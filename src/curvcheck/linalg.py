@@ -17,11 +17,14 @@ built from:
     that QR of ``A^T`` (its reflectors applied to ``[0; I_L]``, the full Q
     never formed), guarded by the same |R_ii|.
   - :class:`NullSpaceProjector`: the orthogonal projector onto ``null(A)``
-    intersected with the complement of appended columns, through an
-    orthonormal basis of that subspace that starts as the null-space
-    basis; a block of k columns is appended at once, the basis rotated by
-    their Householder reflectors in compact WY form (LAPACK ``dgeqrt`` and
-    ``dgemqrt``) and shorn of one column per column kept.
+    intersected with the complement of appended columns, through the Q of
+    that QR split into an orthonormal basis of the subspace and one of its
+    complement; a projection multiplies through the narrower of the two,
+    O(N min(d, N - d)) for a subspace of dimension d, and each block is
+    formed when first read.  A block of k columns is appended at once, the
+    subspace's basis rotated by their Householder reflectors in compact WY
+    form (LAPACK ``dgeqrt`` and ``dgemqrt``) and one column per column
+    kept passed to the complement.
   - :class:`BorderedLu`: an LU factorization of a matrix that grows by
     symmetric borders, tracking determinant signs exactly; a border of k
     columns is absorbed at once through the Cholesky factor of its Schur
@@ -38,7 +41,8 @@ the kernels below take their inputs as given.  The dense refactors of
 :class:`BorderedLu` are logged at DEBUG level.
 
 All operations are pure functions of their inputs except the operator's
-product counter.  Arrays are never modified in place by callers' views.
+product counter and the projector's state.  Arrays are never modified in
+place by callers' views.
 """
 
 from __future__ import annotations
@@ -163,7 +167,8 @@ class HessianOperator:
             out = np.asarray(matvec(s), dtype=float)
             if out.shape != (dim,):
                 raise DimensionMismatchError("callback returned a wrong shape")
-            return out
+            # a callback may return its argument, which callers update in place
+            return out.copy() if np.may_share_memory(out, s) else out
 
         return cls(dim, checked)
 
@@ -343,20 +348,25 @@ def check_full_rank(
         )
 
 
-def _qr_at(A: np.ndarray, tol_rank: Optional[float]) -> np.ndarray:
-    """The trailing L columns of Q, Fortran-ordered, from the column-pivoted
-    QR ``A^T P = Q R`` of an M x N Jacobian with M > 0, once the rank guard
-    has passed on its |R_ii|.  Pivoting reorders the rows of A only, so
-    these columns span ``null(A)``; the reflectors are applied to
-    ``[0; I_L]`` without forming Q."""
-    M, N = A.shape
+def _qr_at(A: np.ndarray, tol_rank: Optional[float]):
+    """The reflectors and their scalars of the column-pivoted QR ``A^T P =
+    Q R`` of an M x N Jacobian with M > 0, once the rank guard has passed on
+    its |R_ii|.  Pivoting reorders the rows of A only, so the leading M
+    columns of Q span the row space of A and the trailing N - M columns
+    ``null(A)``."""
     qr, tau, _ = _pivoted_qr(A.T)
     check_full_rank(A, tol_rank, np.diag(qr))
-    W = np.zeros((N, N - M), order="F")
-    W[M:] = np.eye(N - M)
-    _, work, _ = sla.lapack.dormqr("L", "N", qr, tau, W, -1)
-    W, _, _ = sla.lapack.dormqr("L", "N", qr, tau, W, int(work[0]), overwrite_c=1)
-    return W
+    return qr, tau
+
+
+def _apply_q(qr: np.ndarray, tau: np.ndarray, C: np.ndarray) -> None:
+    """Overwrite the Fortran-ordered N x k array ``C`` with ``Q C``, Q the
+    product of the reflectors ``qr`` and ``tau`` of :func:`_qr_at`, through
+    LAPACK ``dormqr``, which works in place on a Fortran-ordered array; on
+    columns of the identity this forms those columns of Q without forming
+    the rest."""
+    _, work, _ = sla.lapack.dormqr("L", "N", qr, tau, C, -1)
+    sla.lapack.dormqr("L", "N", qr, tau, C, int(work[0]), overwrite_c=1)
 
 
 def null_space_basis(
@@ -382,9 +392,13 @@ def null_space_basis(
         to the curvature tests in that case.
     """
     A = _as_jacobian(A)
-    if A.shape[0] == 0:
-        return NullSpaceBasis(np.eye(A.shape[1]), A)
-    return NullSpaceBasis(np.ascontiguousarray(_qr_at(A, tol_rank)), A)
+    M, N = A.shape
+    if M == 0:
+        return NullSpaceBasis(np.eye(N), A)
+    W = np.zeros((N, N - M), order="F")
+    np.fill_diagonal(W[M:], 1.0)
+    _apply_q(*_qr_at(A, tol_rank), W)
+    return NullSpaceBasis(np.ascontiguousarray(W), A)
 
 
 # ---------------------------------------------------------------------------
@@ -395,28 +409,55 @@ def null_space_basis(
 class NullSpaceProjector:
     """Orthogonal projector onto ``null(A)`` minus appended directions.
 
-    The projector holds ``Z``, an orthonormal N x d basis of the subspace
-    still to be searched: ``null(A)`` intersected with the orthogonal
-    complement of the columns appended through :meth:`append_column`.  It
-    starts as the trailing L columns of Q from the column-pivoted
-    Householder QR of ``A^T`` (``Z = I_N`` when M = 0), whose |R_ii| the
-    rank guard reads at ``tol_rank`` as in :func:`null_space_basis`.  One
-    projection ``Z (Z^T r)`` costs two slim matrix-vector products, O(N d).
-    An append of r independent columns rotates ``Z`` by r Householder
+    The projector holds Q of the column-pivoted Householder QR of ``A^T``
+    (``Q = I_N`` when M = 0), whose |R_ii| the rank guard reads at
+    ``tol_rank`` as in :func:`null_space_basis`, as one Fortran-ordered
+    N x N array split in two orthonormal blocks: ``Z``, its trailing d
+    columns, spans the subspace still to be searched, ``null(A)``
+    intersected with the orthogonal complement of the columns appended
+    through :meth:`append_column`, and ``C``, its leading N - d columns,
+    spans the complement of that subspace.  A projection multiplies
+    through the narrower block, ``Z (Z^T r)`` when 2d <= N and ``r - C
+    (C^T r)`` otherwise: two slim matrix-vector products, O(N min(d, N -
+    d)).  A block is formed from the reflectors only when first read: C
+    at set-up when projection starts on its side, ``Z`` at the first
+    append or at the first projection through it.  An append of r
+    independent columns rotates ``Z`` in place by r Householder
     reflectors, applied at once in compact WY form, so that its first r
     columns carry the parts of the new columns inside the subspace, and
-    drops those columns; as ``Z`` only changes through orthogonal
-    transformations it stays orthonormal and inside ``null(A)`` to working
-    precision.
+    those columns pass from ``Z`` to ``C``; as Q only changes through
+    orthogonal transformations of ``Z`` it stays orthogonal to working
+    precision, ``Z`` inside ``null(A)``.
     """
 
     def __init__(self, A: np.ndarray, tol_rank: Optional[float] = None):
         A = _as_jacobian(A)
         self._jacobian = A
         self._m, self._n = A.shape
-        # Fortran order: dropping the first column leaves a contiguous view
-        self._basis = _qr_at(A, tol_rank) if self._m else np.eye(self._n, order="F")
-        self._k = 0
+        # Fortran order: the columns of C and of Z are contiguous blocks
+        self._q = np.empty((self._n, self._n), order="F")
+        self._c = self._m
+        # the reflectors of Q, kept until Z is formed
+        self._reflectors = _qr_at(A, tol_rank) if self._m else None
+        self._z_formed = False
+        if self._m and 2 * (self._n - self._m) > self._n:
+            self._form(self._q[:, : self._m], 0)
+
+    def _form(self, C: np.ndarray, start: int) -> None:
+        """Fill ``C`` with the columns of Q from ``start`` on."""
+        C[:] = 0.0
+        np.fill_diagonal(C[start:], 1.0)
+        if self._reflectors is not None:
+            _apply_q(*self._reflectors, C)
+
+    def _basis(self) -> np.ndarray:
+        """``Z``, formed at its first read."""
+        Z = self._q[:, self._c :]
+        if not self._z_formed:
+            self._form(Z, self._m)
+            self._z_formed = True
+            self._reflectors = None
+        return Z
 
     @property
     def dimension(self) -> int:
@@ -428,21 +469,25 @@ class NullSpaceProjector:
 
     @property
     def n_appended(self) -> int:
-        return self._k
+        return self._c - self._m
 
     @property
     def jacobian(self) -> np.ndarray:
         return self._jacobian
 
     def project(self, r: np.ndarray) -> np.ndarray:
-        """Project ``r`` onto the current subspace."""
+        """Project ``r`` onto the current subspace; the result is a new
+        array."""
         r = np.asarray(r, dtype=float)
         if r.shape != (self._n,):
             raise DimensionMismatchError(
                 f"expected vector of length {self._n}, got shape {r.shape}"
             )
-        Z = self._basis
-        return Z @ (Z.T @ r)
+        if 2 * (self._n - self._c) <= self._n:
+            Z = self._basis()
+            return Z @ (Z.T @ r)
+        C = self._q[:, : self._c]
+        return r - C @ (C.T @ r)
 
     def append_column(self, q: np.ndarray) -> int:
         """Remove the directions of the columns of ``q`` from the subspace.
@@ -461,7 +506,7 @@ class NullSpaceProjector:
         cannot overflow them.  The r reflectors, in compact WY form ``I - U
         T U^T``, rotate ``Z`` in place, ``Z -= ((Z U) T) U^T`` through
         LAPACK ``dgemqrt`` (triangular and general matrix products), so
-        that its first r columns carry the kept columns; those are dropped.
+        that its first r columns carry the kept columns; those pass to C.
         """
         Q = np.asarray(q, dtype=float, order="F")
         if Q.ndim == 1:
@@ -471,7 +516,7 @@ class NullSpaceProjector:
                 f"expected {self._n} rows, got shape {np.shape(q)}"
             )
         k = Q.shape[1]
-        Z = self._basis
+        Z = self._basis()
         d = Z.shape[1]
         tol = np.sqrt(_EPS) * np.array([sla.blas.dnrm2(Q[:, j]) for j in range(k)])
         W = Z.T @ Q
@@ -489,9 +534,8 @@ class NullSpaceProjector:
             W = np.delete(W, low[0], axis=1)
             tol = np.delete(tol, low[0])
 
-        Z, _ = sla.lapack.dgemqrt(qr, T, Z, side="R", overwrite_c=1)
-        self._basis = Z[:, r:]
-        self._k += r
+        sla.lapack.dgemqrt(qr, T, Z, side="R", overwrite_c=1)
+        self._c += r
         return k - r
 
 
@@ -548,13 +592,12 @@ class BorderedLu:
 
     @property
     def sign(self) -> int:
-        """Sign of det of the current matrix; 0 when numerically singular."""
+        """Sign of det of the current matrix; 0 when numerically singular
+        or when a pivot is NaN or inf, which leaves it undefined."""
         udiag = np.diag(self._lu)
         if self._pending is not None:
             udiag = np.append(udiag, self._pending[3])
-        if udiag.size == 0:
-            return self._parity
-        if np.any(udiag == 0.0):
+        if not (np.isfinite(udiag) & (udiag != 0.0)).all():
             return 0
         return int(self._parity * np.prod(np.sign(udiag)))
 
@@ -569,8 +612,10 @@ class BorderedLu:
         scalar ``gamma`` is the k = 1 case and returns one int.
 
         Raises :class:`SingularMinorError` when the first new minor is
-        numerically singular, which makes its sign meaningless; a singular
-        minor later in the border ends the update just before it.
+        numerically singular, which makes its sign meaningless, and
+        ``FloatingPointError`` when a pivot of the current factors or of
+        the first new minor is NaN or inf, which leaves it undefined; such
+        a minor later in the border ends the update just before it.
         """
         b = np.asarray(b, dtype=float)
         single = b.ndim == 1
@@ -587,6 +632,8 @@ class BorderedLu:
             return np.zeros(0, dtype=int)
         corner = np.triu(np.reshape(gamma, (k, k)))
         udiag = np.abs(np.diag(self._lu))
+        if not np.isfinite(udiag).all():
+            raise FloatingPointError("a pivot of the current factors is not finite")
         singular = udiag.size and udiag.min() == 0.0
         if singular:
             # an exactly singular factor cannot be bordered: the first
@@ -664,6 +711,8 @@ class BorderedLu:
                 if least > floor[j]:
                     self._matrix, self._lu, self._perm, self._parity = grown, lu, perm, parity
                     border = None
+            if j == 0 and not np.isfinite(least):
+                raise FloatingPointError(f"pivot {least:.3e} is not finite")
             if j == 0 and not least > floor[j]:
                 raise SingularMinorError(
                     f"pivot {least:.3e} at or below roundoff floor {floor[j]:.3e}"
@@ -757,6 +806,14 @@ class LdlFactorization:
     factor: np.ndarray
     ipiv: np.ndarray
     inertia: tuple
+
+    @property
+    def finite(self) -> bool:
+        """Whether every entry of D is finite; the factorization of a
+        finite matrix can overflow to inf or NaN."""
+        k = np.flatnonzero(self.ipiv < 0)[0::2]
+        return bool(np.isfinite(np.diag(self.factor)).all()
+                    and np.isfinite(self.factor[k + 1, k]).all())
 
 
 def _inertia(factor: np.ndarray, ipiv: np.ndarray) -> tuple:

@@ -341,7 +341,8 @@ def diagonalization(
             v -= V[:, s:n] @ ((W[:, n] @ Z[:, s:n]) / alphas[s:n])
         z = hessian.apply(v)
         alpha = float(v @ z)
-        scale = float(dnrm2(v)) * float(dnrm2(z))
+        # the threshold is 0 at tol_alpha = 0, whatever the scale
+        scale = float(dnrm2(v)) * float(dnrm2(z)) if tol_alpha else 0.0
         alphas[n] = alpha
         kind = _classify(alpha, scale, tol_alpha)
         if kind != "positive":
@@ -405,9 +406,12 @@ def continued_pcg(
 
     ``b0`` overrides the pseudorandom first seed (it is projected onto the
     feasible subspace); restarts always draw from the seeded generator
-    and are logged at DEBUG level.  Each search direction is the argument
-    of one ``hessian.apply``, and each continuation appends its sweep's
-    images as one :meth:`NullSpaceProjector.append_column` block.  A
+    and are logged at DEBUG level.  A seed is projected when it is drawn,
+    so it is its own projection and a sweep starts without projecting it
+    again; the residual and the search direction are then updated in
+    place.  Each search direction is the argument of one
+    ``hessian.apply``, and each continuation appends its sweep's images
+    as one :meth:`NullSpaceProjector.append_column` block.  A
     ``tol`` that is not finite and positive, or a ``tol_alpha`` that is
     not finite and nonnegative, raises ``ValueError``.
     """
@@ -449,17 +453,18 @@ def continued_pcg(
         )
 
     while True:
+        # the seed is its own projection, so r is its projected residual
         r = b / float(dnrm2(b))
-        s = projector.project(r)
-        omega = float(r @ s)
-        p = s.copy()
+        omega = float(r @ r)
+        p = r.copy()
         sweep_images = []
 
         while n_conj < L:
             tau = omega
             q = hessian.apply(p)
             eta = float(p @ q)
-            scale = float(dnrm2(p)) * float(dnrm2(q))
+            # the threshold is 0 at tol_alpha = 0, whatever the scale
+            scale = float(dnrm2(p)) * float(dnrm2(q)) if tol_alpha else 0.0
             kind = _classify(eta, scale, tol_alpha)
             if kind == "negative":
                 diagnostics = {"eta": eta}
@@ -477,13 +482,14 @@ def continued_pcg(
                 )
             n_conj += 1
             sweep_images.append(q)
-            r = r - (tau / eta) * q
+            r -= (tau / eta) * q
             s = projector.project(r)
             omega = float(r @ s)
             if abs(omega) <= tol:
                 sweeps_converged += 1
                 break
-            p = s + (omega / tau) * p
+            p *= omega / tau
+            p += s
 
         if n_conj >= L:
             return finish(SoscVerdict(Status.HOLDS, diagnostics={}))
@@ -555,7 +561,9 @@ def bordered_hessian_test(
     explicitly (operator-backed Hessians are materialized first); provides
     no direction of negative curvature on failure.  A numerically singular
     minor makes the test inconclusive, which is reported as ERROR rather
-    than as a failure of the condition; so is NaN or inf in H or A.
+    than as a failure of the condition; so is NaN or inf in H or A
+    (``non_finite``), and a NaN or inf pivot (``non_finite`` at its step),
+    where the factorization of finite entries overflowed.
     """
     H = _dense_hessian(hessian)
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -575,9 +583,10 @@ def bordered_hessian_test(
         dim = 2 * M + i
         try:
             signs = lu.update(B[:dim, dim:], B[dim:, dim:])
-        except SingularMinorError as exc:
+        except (SingularMinorError, FloatingPointError) as exc:
+            reason = "singular_minor" if isinstance(exc, SingularMinorError) else "non_finite"
             return SoscVerdict(
-                Status.ERROR, step=i + 1, reason="singular_minor",
+                Status.ERROR, step=i + 1, reason=reason,
                 diagnostics={"minors": i + 1, "detail": str(exc)},
             )
         wrong = np.flatnonzero(signs != expected)
@@ -609,7 +618,8 @@ def inertia_test(
     factor even in floating point, though the computed factor itself may
     misrepresent a matrix with eigenvalues at roundoff scale.  No
     direction of negative curvature is available on failure.  NaN or inf
-    in H or A gives ERROR ``non_finite``.
+    in H or A gives ERROR ``non_finite``, and so does NaN or inf in D,
+    where the factorization of finite entries overflowed.
     """
     H = _dense_hessian(hessian)
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -622,6 +632,9 @@ def inertia_test(
     K = _problems.build_kkt(H, A)
     fact = ldl_factor(K)
     diagnostics = {"inertia": fact.inertia}
+    if not fact.finite:
+        diagnostics["detail"] = "D holds NaN or inf"
+        return SoscVerdict(Status.ERROR, reason="non_finite", diagnostics=diagnostics)
     if fact.inertia == (N, M, 0):
         return SoscVerdict(Status.HOLDS, diagnostics=diagnostics)
     return SoscVerdict(Status.FAILS, diagnostics=diagnostics)
@@ -640,9 +653,9 @@ class VerifyOptions:
     zero disables the guard so the tests run on whatever the factorizations
     produce (the benchmark harness does this to expose round-off behavior).
     ``tol_alpha``, ``tol_feas`` and a given ``tol_rank`` must be finite and
-    nonnegative, ``pcg_tol`` and ``fd_sigma`` finite and positive; any
-    other value raises ``ValueError``, its message starting with the
-    field's name.
+    nonnegative, ``pcg_tol`` and ``fd_sigma`` finite and positive, and
+    ``seed`` a nonnegative integer; any other value raises ``ValueError``,
+    its message starting with the field's name.
     """
 
     tol_alpha: float = 0.0
@@ -659,6 +672,9 @@ class VerifyOptions:
             limits.append(("tol_rank", False))
         for name, positive in limits:
             _check_limit(name, getattr(self, name), positive)
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def verify(

@@ -269,6 +269,23 @@ class TestOptions:
         assert f"argument {flag}: must be finite" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("command", [
+        ["check", "--method", "pcg"], ["compare"], ["bench", "--n-list", "8"],
+    ])
+    def test_negative_seed_is_a_usage_error(self, command, tmp_path, capsys):
+        # these exited 1, "the condition fails", with a traceback from
+        # default_rng
+        path = tmp_path / "p.json"
+        save_problem(generate(GeneratorSpec(n=12, m=3, p=12, seed=4)), path)
+        if command[0] == "bench":
+            command = command + ["--trials-per-n", "1", "--out", str(tmp_path / "b.csv")]
+        else:
+            command = command + [str(path)]
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be a nonnegative integer" in capsys.readouterr().err
+
     def test_negative_tol_alpha_on_a_failing_problem_exit_two(self, tmp_path):
         # with tol_alpha = -1 diagonalization read this failing problem as
         # holding, and check exited 0

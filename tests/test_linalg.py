@@ -28,7 +28,7 @@ from curvcheck.problems import (
     build_kkt,
     generate,
 )
-from curvcheck.sosc import bordered_hessian_test, continued_pcg
+from curvcheck.sosc import Status, bordered_hessian_test, continued_pcg
 from curvcheck.stationary import solve_thomson
 
 
@@ -548,6 +548,52 @@ class TestProjector:
         np.testing.assert_allclose(proj.project(np.ones(4)), [0.0, 0.0, 1.0, 1.0],
                                    atol=1e-14)
 
+    @pytest.mark.parametrize("n", [10, 11])
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_projection_side_switches_at_half_the_dimension(self, n, m):
+        # d = N - m runs from N/2 + 1 down across N/2 by single appends:
+        # the projection goes through C while 2d > N, through Z after, and
+        # both agree with the reference, before and after Z is formed
+        rng = np.random.default_rng(100 * n + m)
+        A = rng.standard_normal((m, n))
+        proj, ref = NullSpaceProjector(A), ReferenceProjector(A)
+        appended = np.zeros((n, 0))
+        for _ in range(3):
+            r = rng.standard_normal(n)
+            p = proj.project(r)
+            np.testing.assert_allclose(p, ref.project(r), rtol=0,
+                                       atol=1e-13 * np.linalg.norm(r))
+            scale = np.linalg.norm(r) * max(np.linalg.norm(A), 1.0)
+            assert np.abs(A @ p).max(initial=0.0) <= 1e-13 * scale
+            assert np.abs(appended.T @ p).max(initial=0.0) <= 1e-13 * scale
+            q = rng.standard_normal(n)
+            for projector in (proj, ref):
+                projector.append_column(q)
+            appended = np.column_stack([appended, q])
+
+    def test_early_failure_matches_the_reference_without_an_append(self):
+        # pcg meets negative curvature in its first sweep, so the projector
+        # is never appended to and Z never formed: every projection goes
+        # through the complement, 2d > N
+        appends = []
+
+        class Recording(NullSpaceProjector):
+            def append_column(self, q):
+                appends.append(np.shape(q))
+                return super().append_column(q)
+
+        problem = generate(GeneratorSpec(n=200, m=50, p=149, seed=1))
+        H = HessianOperator.from_matrix(problem.hessian)
+        unguarded = functools.partial(Recording, tol_rank=0.0)
+        outcome = pcg_outcome(problem, unguarded, 1)
+        assert outcome[0] is Status.FAILS and outcome[4] == 0
+        assert appends == []
+        assert outcome == pcg_outcome(problem, ReferenceProjector, 1)
+        verdict = continued_pcg(H, unguarded(problem.jacobian), seed=1)
+        expected = continued_pcg(H, ReferenceProjector(problem.jacobian), seed=1)
+        np.testing.assert_allclose(verdict.direction, expected.direction, rtol=1e-8,
+                                   atol=1e-10 * np.linalg.norm(expected.direction))
+
     def test_continued_pcg_appends_each_converged_sweep_once(self):
         # three distinct eigenvalues: each sweep converges in three steps
         calls = []
@@ -595,6 +641,14 @@ class TestBorderedLu:
         lu = BorderedLu(np.array([[0.0, 1.0], [1.0, 2.0]]))
         sign = lu.update(np.zeros(2), 2.0)
         assert sign == -1
+
+    def test_non_finite_pivot_has_no_sign(self):
+        # an overflowed seed factor leaves every later sign undefined: the
+        # sign reads 0 and an update raises, rather than int(NaN) raising
+        lu = BorderedLu(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+        assert lu.sign == 0
+        with pytest.raises(FloatingPointError):
+            lu.update(np.ones(2), 1.0)
 
     def test_diagonal_growth_sign_flip(self):
         rng = np.random.default_rng(1)

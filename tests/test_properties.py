@@ -1,13 +1,19 @@
 """Property tests over seeded generator draws: verdicts that must not depend
-on how a problem is written down, and must not contradict each other; and
-the dense Hessian product against its definition."""
+on how a problem is written down, and must not contradict each other; the
+dense Hessian product against its definition; and the projector against
+its Householder reference."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from curvcheck.linalg import HessianOperator
+from curvcheck.linalg import HessianOperator, NullSpaceProjector
 from curvcheck.problems import GeneratorSpec, Problem, generate
 from curvcheck.sosc import METHODS, Status, verify
+
+try:
+    from test_linalg import ReferenceProjector
+except ImportError:  # pytest's importlib mode leaves tests/ off sys.path
+    from tests.test_linalg import ReferenceProjector
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -65,3 +71,39 @@ def test_no_draw_both_holds_and_fails(spec):
     statuses = {method: verify(problem, method).status for method in METHODS}
     conclusive = set(statuses.values()) - {Status.ERROR}
     assert len(conclusive) <= 1, statuses
+
+
+@st.composite
+def jacobian_shapes(draw):
+    n = draw(st.integers(1, 40))
+    return n, draw(st.integers(0, n - 1))
+
+
+@PROPERTY_SETTINGS
+@given(shape=jacobian_shapes(), seed=st.integers(0, 2**31 - 1))
+@example(shape=(9, 0), seed=0).via("M = 0: the complement starts empty")
+def test_projector_matches_the_reference_across_the_split(shape, seed):
+    # blocks are appended until the subspace is empty, so d crosses N/2
+    # whenever it starts above it; after each append the projection lies
+    # in null(A), is orthogonal to every appended column, is idempotent and
+    # symmetric, and agrees with the reference
+    n, m = shape
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    proj, ref = NullSpaceProjector(A, tol_rank=0.0), ReferenceProjector(A)
+    appended = np.zeros((n, 0))
+    while True:
+        r, t = rng.standard_normal((2, n))
+        pr, pt = proj.project(r), proj.project(t)
+        size = np.linalg.norm(r)
+        np.testing.assert_allclose(pr, ref.project(r), rtol=0, atol=1e-11 * size)
+        np.testing.assert_allclose(proj.project(pr), pr, rtol=0, atol=1e-12 * size)
+        assert abs(t @ pr - r @ pt) <= 1e-12 * size * np.linalg.norm(t)
+        for M in (A, appended.T):
+            bound = 1e-12 * size * np.linalg.norm(M, axis=1)
+            assert (np.abs(M @ pr) <= bound).all()
+        if proj.n_appended == n - m:
+            return
+        block = rng.standard_normal((n, int(rng.integers(1, 4))))
+        assert proj.append_column(block) == ref.append_column(block)
+        appended = np.column_stack([appended, block])

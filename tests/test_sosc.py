@@ -508,6 +508,19 @@ class TestContinuedPcg:
         # every sweep on the identity converges in one step
         assert verdict.diagnostics["continuations"] == n - 1
 
+    def test_callback_returning_a_view_of_its_argument(self):
+        # s -> s reversed is symmetric, and a callback may return that view
+        # of s; pcg updates its search direction in place, which must not
+        # rewrite the product it keeps
+        n = 6
+        verdicts = [
+            continued_pcg(HessianOperator.from_callback(matvec, n),
+                          trivial_projector(n), seed=0)
+            for matvec in (lambda s: s[::-1], lambda s: s[::-1].copy())
+        ]
+        assert verdicts[0].status is Status.FAILS
+        assert verdicts[0].curvature == verdicts[1].curvature
+
     @pytest.mark.parametrize("seed", range(6))
     def test_constrained_agreement(self, seed):
         rng = np.random.default_rng(seed)
@@ -725,6 +738,25 @@ class TestVerify:
         for verdict in (runner(H, A), verify(Problem(A, H), method)):
             assert verdict.status is Status.ERROR
             assert verdict.reason == "non_finite"
+
+    @pytest.mark.parametrize("p, seed, scale", [
+        (12, 53, 2e306), (12, 141, 2e306), (8, 13, 1e306), (8, 15, 1e306), (8, 23, 1e306),
+    ])
+    def test_overflowing_factors_are_non_finite(self, p, seed, scale):
+        # finite input whose factors overflow: bht's seed LU holds a NaN
+        # pivot (p = 12), where BorderedLu.sign raised from int(NaN), and
+        # dsytrf's D holds inf or NaN (p = 8), where inertia read FAILS from
+        # a meaningless count
+        problem = generate(GeneratorSpec(n=12, m=3, p=p, seed=seed))
+        scaled = Problem(scale * problem.jacobian, scale * problem.hessian)
+        with np.errstate(all="ignore"):
+            verdicts = {m: verify(scaled, m) for m in ("bht", "inertia")}
+        method = "bht" if p == 12 else "inertia"
+        assert verdicts[method].status is Status.ERROR
+        assert verdicts[method].reason == "non_finite"
+        assert verdicts[method].step == (1 if method == "bht" else None)
+        if method == "bht":
+            assert verdicts["inertia"].status is Status.HOLDS
 
     @pytest.mark.parametrize("method", METHODS)
     def test_non_finite_jacobian_is_error(self, method):
@@ -1013,10 +1045,18 @@ class TestVerify:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             VerifyOptions(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # seed = -1 was accepted, and pcg then raised from default_rng
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer"):
+            VerifyOptions(seed=seed)
+
     def test_options_at_their_bounds_are_accepted(self):
         for tol_rank in (None, 0.0):
             VerifyOptions(tol_alpha=0.0, tol_feas=0.0, tol_rank=tol_rank)
         VerifyOptions(pcg_tol=1e-300, fd_sigma=1e-300)
+        VerifyOptions(seed=0)
+        VerifyOptions(seed=np.int64(2**40))
 
     def test_fd_backed_thomson_holds(self):
         from curvcheck.stationary import solve_thomson
