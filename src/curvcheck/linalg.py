@@ -74,6 +74,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_PIVOT_TOL = 1e-8  # BorderedLu's pivot stall threshold
 _log = logging.getLogger(__name__)
 
 
@@ -556,11 +557,11 @@ class BorderedLu:
     positive Cholesky pivots keeps the determinant sign, and the Cholesky
     factor extends the LU factors; pivoting stays confined to the seed rows
     so the border structure survives updates.  The first pivot that is not
-    a healthy positive one (negative, stalled relative to its border
-    column's scale, at or below the singular floor, or not finite) is
-    recomputed from the partial factor, and that column takes the
-    single-column step: it is bordered with its pivot, or, when the pivot
-    stalls, the grown matrix is refactored densely with partial pivoting.
+    a healthy positive one (negative, stalled below :data:`_PIVOT_TOL` of
+    its border column's scale, at or below the singular floor, or not
+    finite) is recomputed from the partial factor, and that column takes
+    the single-column step: it is bordered with its pivot, or, when the
+    pivot stalls, the grown matrix is refactored densely with partial pivoting.
     The sign of each determinant is computed exactly from pivot signs and
     permutation parity of the computed factorization.
 
@@ -574,11 +575,10 @@ class BorderedLu:
     them.  :attr:`sign` and :attr:`dim` read the kept pivots directly.
     """
 
-    def __init__(self, seed: np.ndarray, pivot_tol: float = 1e-8):
+    def __init__(self, seed: np.ndarray):
         B = np.asarray(seed, dtype=float)
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise DimensionMismatchError("seed must be square")
-        self._pivot_tol = float(pivot_tol)
         self._matrix = B.copy()
         self._lu, self._perm, self._parity = _lu_with_parity(B)
         # (X, Y, ubar, pivots, rows, corner) of a border absorbed but not
@@ -651,7 +651,7 @@ class BorderedLu:
         corner = corner + strict.T
         diag = np.abs(np.diag(corner))
         colmax = np.maximum(above.max(axis=0), diag)
-        stall = self._pivot_tol * np.maximum(colmax, 1e-300)
+        stall = _PIVOT_TOL * np.maximum(colmax, 1e-300)
         big = max(np.abs(self._matrix).max(initial=0.0), colmax.max()) or 1.0
         above /= big
         growth = 2.0 * np.einsum("ij,ij->j", above, above) + (diag / big) ** 2

@@ -386,10 +386,13 @@ class ThomsonProblem:
             raise CoincidentPointsError("two points (nearly) coincide")
         return pts, diff, r2
 
-    def objective(self, x: np.ndarray) -> float:
-        _, _, r2 = self._pairs(x)
+    @staticmethod
+    def _energy(r2: np.ndarray) -> float:
         # every pair appears twice in the full matrix
         return 0.5 * float(np.sum(1.0 / np.sqrt(r2)))
+
+    def objective(self, x: np.ndarray) -> float:
+        return self._energy(self._pairs(x)[2])
 
     @staticmethod
     def _gradient(diff: np.ndarray, r2: np.ndarray) -> np.ndarray:
@@ -514,16 +517,13 @@ def problem_from_dict(doc: dict) -> Problem:
         if not (type(n) is int and type(m) is int and n >= 0 and m >= 0):
             raise ValueError(f"N and M must be nonnegative integers, got {n!r}, {m!r}")
         A = np.asarray(doc["A"], dtype=float).reshape(m, n)
+        if "H" not in doc:
+            raise ValueError("problem document has no Hessian \"H\"")
+        H = np.asarray(doc["H"], dtype=float).reshape(n, n)
+        x = np.asarray(doc["x"], dtype=float) if "x" in doc else None
+        lam = np.asarray(doc["lambda"], dtype=float) if "lambda" in doc else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed problem document: {exc}") from exc
-    if "H" not in doc:
-        raise ValueError("problem document has no Hessian \"H\"")
-    H = np.asarray(doc["H"], dtype=float)
-    if H.size != n * n:
-        raise ValueError("H has the wrong number of entries")
-    H = H.reshape(n, n)
-    x = np.asarray(doc["x"], dtype=float) if "x" in doc else None
-    lam = np.asarray(doc["lambda"], dtype=float) if "lambda" in doc else None
     truth = doc.get("truth")
     if truth is not None and not isinstance(truth, bool):
         raise ValueError(f"truth must be true or false, got {truth!r}")

@@ -58,6 +58,7 @@ from .linalg import (
     RankDeficientError,
     BorderedLu,
     SingularMinorError,
+    _as_jacobian,
     check_full_rank,
     ldl_factor,
     null_space_basis,
@@ -546,7 +547,6 @@ def _non_finite(*arrays: np.ndarray) -> Optional[SoscVerdict]:
 def bordered_hessian_test(
     hessian: Union[HessianOperator, np.ndarray],
     A: np.ndarray,
-    pivot_tol: float = 1e-8,
 ) -> SoscVerdict:
     """Sign test on the trailing leading principal minors of the bordered
     matrix.
@@ -566,7 +566,7 @@ def bordered_hessian_test(
     where the factorization of finite entries overflowed.
     """
     H = _dense_hessian(hessian)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = _as_jacobian(A)
     M, N = A.shape
     if H.shape[0] != N:
         raise DimensionMismatchError("H and A dimensions are inconsistent")
@@ -577,7 +577,7 @@ def bordered_hessian_test(
     B = _problems.build_bordered(H, A)
     expected = -1 if M % 2 else 1
 
-    lu = BorderedLu(B[: 2 * M, : 2 * M], pivot_tol=pivot_tol)
+    lu = BorderedLu(B[: 2 * M, : 2 * M])
     i = 0
     while i < L:
         dim = 2 * M + i
@@ -622,7 +622,7 @@ def inertia_test(
     where the factorization of finite entries overflowed.
     """
     H = _dense_hessian(hessian)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = _as_jacobian(A)
     M, N = A.shape
     if H.shape[0] != N:
         raise DimensionMismatchError("H and A dimensions are inconsistent")

@@ -8,6 +8,10 @@ stops resolving), followed by a rigid rotation into the frame-fixed
 canonical position (first point on the positive first axis, second point
 in the first-coordinate plane) and least-squares recovery of the
 multipliers from the stationarity identity.
+
+Energy and gradient come from the pair pass behind
+:class:`ThomsonProblem`'s callbacks; a coincident pair reads as infinite
+energy, which the line search rejects.
 """
 
 from __future__ import annotations
@@ -72,25 +76,17 @@ def fonc_residual(problem, x: np.ndarray, lam: np.ndarray) -> tuple:
     return float(np.linalg.norm(grad_lag, np.inf)), feas
 
 
-def _sphere_energy_and_grad(pts: np.ndarray):
-    """Energy and Riemannian gradient on the product of unit spheres.
-
-    Returns (inf, None) when two points (nearly) coincide so line searches
-    simply reject the step.
-    """
-    k = pts.shape[0]
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist2 = np.sum(diff * diff, axis=2)
-    iu = np.triu_indices(k, 1)
-    d2 = dist2[iu]
-    if np.any(d2 <= 1e-24):
+def _sphere_energy_and_grad(prob: ThomsonProblem, pts: np.ndarray):
+    """Energy and Riemannian gradient on the product of unit spheres, from
+    ``prob``'s pair pass; (inf, None) when two points (nearly) coincide."""
+    try:
+        _, diff, r2 = prob._pairs(pts.ravel())
+    except CoincidentPointsError:
         return np.inf, None
-    energy = float(np.sum(1.0 / np.sqrt(d2)))
-    np.fill_diagonal(dist2, np.inf)
-    grad = -np.sum(diff * (dist2 ** -1.5)[:, :, None], axis=1)
+    grad = prob._gradient(diff, r2).T
     # project onto the sphere tangent spaces
     grad -= np.sum(grad * pts, axis=1, keepdims=True) * pts
-    return energy, grad
+    return prob._energy(r2), grad
 
 
 def _retract(pts: np.ndarray) -> np.ndarray:
@@ -118,18 +114,21 @@ def _canonical_rotation(pts: np.ndarray) -> np.ndarray:
 # below this gradient norm, energy comparisons saturate
 _LS_FLOOR = 1e-5
 
+# accepted steps before solve_thomson gives up
+_MAX_ITER = 200_000
 
-def _backtrack(pts, energy, grad, gnorm, t):
+
+def _backtrack(pts, energy, grad, gnorm, t, prob):
     """The first step ``pts - t grad``, halving ``t`` after each rejection,
-    that passes the line search: ``(points, energy, gradient)`` there, or
-    None.  Above :data:`_LS_FLOOR` the first 60 trials ask for sufficient
-    decrease of the energy.  The next 60, or all 60 below the floor, ask
-    for strict decrease of the gradient norm.
+    that passes the line search on ``prob``'s energy: ``(points, energy,
+    gradient)`` there, or None.  Above :data:`_LS_FLOOR` the first 60
+    trials ask for sufficient decrease of the energy.  The next 60, or all
+    60 below the floor, ask for strict decrease of the gradient norm.
     """
     energy_trials = 60 if gnorm > _LS_FLOOR else 0
     for i in range(energy_trials + 60):
         cand = _retract(pts - t * grad)
-        cand_energy, cand_grad = _sphere_energy_and_grad(cand)
+        cand_energy, cand_grad = _sphere_energy_and_grad(prob, cand)
         if np.isfinite(cand_energy) and (
             cand_energy <= energy - 1e-4 * t * gnorm**2 if i < energy_trials
             else float(np.linalg.norm(cand_grad)) < gnorm
@@ -139,12 +138,7 @@ def _backtrack(pts, energy, grad, gnorm, t):
     return None
 
 
-def solve_thomson(
-    k: int,
-    seed: int = 0,
-    tol_fonc: float = 1e-9,
-    max_iter: int = 200_000,
-) -> FoncPoint:
+def solve_thomson(k: int, seed: int = 0, tol_fonc: float = 1e-9) -> FoncPoint:
     """Minimize the sphere energy and emit a frame-fixed stationary point.
 
     Gradient descent runs on the plain product-of-spheres formulation; the
@@ -162,17 +156,18 @@ def solve_thomson(
 
     A ``tol_fonc`` that is not finite and positive raises ``ValueError``.
     Raises :class:`MaxIterationsError` when the Riemannian gradient does
-    not reach the tolerance within ``max_iter`` accepted steps.
+    not reach the tolerance within :data:`_MAX_ITER` (200 000) accepted
+    steps.
     """
     _check_limit("tol_fonc", tol_fonc, positive=True)
     prob = ThomsonProblem(ThomsonInstance(k))
     rng = np.random.default_rng(seed)
 
     pts = _retract(rng.standard_normal((k, 3)))
-    energy, grad = _sphere_energy_and_grad(pts)
+    energy, grad = _sphere_energy_and_grad(prob, pts)
     while not np.isfinite(energy):
         pts = _retract(rng.standard_normal((k, 3)))
-        energy, grad = _sphere_energy_and_grad(pts)
+        energy, grad = _sphere_energy_and_grad(prob, pts)
 
     # target the 2-norm a bit below the requested max-norm residual
     target = 0.5 * tol_fonc
@@ -181,7 +176,7 @@ def solve_thomson(
     prev_grad = None
     converged = False
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= target:
             converged = True
@@ -193,7 +188,7 @@ def solve_thomson(
             if sy > 1e-30:
                 step = min(max(float(s @ s) / sy, 1e-8), 1e2)
 
-        accepted = _backtrack(pts, energy, grad, gnorm, step)
+        accepted = _backtrack(pts, energy, grad, gnorm, step, prob)
         if accepted is None:
             break
         prev_pts, prev_grad = pts, grad
@@ -201,7 +196,7 @@ def solve_thomson(
 
     if not converged:
         raise MaxIterationsError(
-            f"no stationary point to tolerance {tol_fonc:g} within {max_iter} steps"
+            f"no stationary point to tolerance {tol_fonc:g} within {_MAX_ITER} steps"
         )
 
     Q = _canonical_rotation(pts)

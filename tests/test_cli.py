@@ -115,6 +115,11 @@ class TestCheck:
         pytest.param({"N": 2.5}, "N and M must be nonnegative integers",
                      id="N-2.5"),
         pytest.param({"truth": "no"}, "truth must be true or false", id="truth-no"),
+        # a JSON object where an array belongs exited 1 with a traceback
+        pytest.param({"H": {"a": 1}}, "malformed problem document", id="H-object"),
+        pytest.param({"x": {"a": 1}}, "malformed problem document", id="x-object"),
+        pytest.param({"lambda": {"a": 1}}, "malformed problem document",
+                     id="lambda-object"),
     ])
     def test_wrong_length_point_exit_three(self, tmp_path, capsys, fields, message):
         path = tmp_path / "bad_point.json"

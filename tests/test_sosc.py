@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg as sla
 
 from curvcheck.linalg import (
+    DimensionMismatchError,
     HessianOperator,
     NullSpaceBasis,
     NullSpaceProjector,
@@ -719,6 +720,17 @@ class TestInertia:
             scaled = inertia_test(1e200 * problem.hessian, problem.jacobian)
         assert scaled.status is Status.FAILS
         assert scaled.diagnostics["inertia"] == (11, 4, 0)
+
+
+@pytest.mark.parametrize("kernel", [bordered_hessian_test, inertia_test])
+@pytest.mark.parametrize("A", [[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], np.eye(2)],
+                         ids=["M3", "M2"])
+def test_classical_kernels_reject_m_at_least_n(kernel, A):
+    # both read A without the Jacobian check: with M = 3 and N = 2 bht held
+    # with minors -1, and inertia failed with inertia (2, 2, 1); with M = N
+    # both held
+    with pytest.raises(DimensionMismatchError, match="fewer constraints"):
+        kernel(np.diag([1.0, -1.0]), np.asarray(A))
 
 
 # ---------------------------------------------------------------------------

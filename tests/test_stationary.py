@@ -57,6 +57,30 @@ class TestFoncResidual:
         assert res[1] / res[0] == pytest.approx(100, rel=0.5)
 
 
+class TestSphereEnergyAndGrad:
+    @pytest.mark.parametrize("k", [2, 7, 30])
+    def test_matches_the_callbacks(self, k):
+        # the solver reads the callbacks' pair pass; its gradient is their
+        # gradient projected onto the sphere tangent spaces
+        tp = ThomsonProblem(ThomsonInstance(k))
+        rng = np.random.default_rng(k)
+        for _ in range(5):
+            pts = stationary._retract(rng.standard_normal((k, 3)))
+            energy, grad = stationary._sphere_energy_and_grad(tp, pts)
+            x = pts.reshape(-1)
+            assert energy == pytest.approx(tp.objective(x), rel=1e-14)
+            g = tp.gradient(x).reshape(k, 3)
+            tangent = g - np.sum(g * pts, axis=1, keepdims=True) * pts
+            np.testing.assert_allclose(grad, tangent, rtol=0,
+                                       atol=1e-13 * np.abs(g).max())
+
+    def test_coincident_pair_reads_as_infinite_energy(self):
+        tp = ThomsonProblem(ThomsonInstance(3))
+        pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        energy, grad = stationary._sphere_energy_and_grad(tp, pts)
+        assert energy == np.inf and grad is None
+
+
 class TestSolveThomson:
     def test_two_points_antipodal(self):
         point = solve_thomson(2, seed=0)
