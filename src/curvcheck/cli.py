@@ -291,7 +291,7 @@ def cmd_compare(args) -> int:
         # the eigensolvers would raise on NaN or inf
         print(f"  {'eigen-oracle':>16}: skipped (H or A holds NaN or inf)")
     elif H is not None and problem.n <= 500:
-        from .linalg import RankDeficientError, null_space_basis
+        from .linalg import RankDeficientError, _symmetric_part, null_space_basis
 
         # the reduced eigenvalues are the same for every orthonormal basis,
         # but a basis of a rank-deficient A misses part of null(A), so the
@@ -302,7 +302,7 @@ def cmd_compare(args) -> int:
             print(f"  {'eigen-oracle':>16}: skipped (A rank deficient)")
         else:
             reduced = basis.matrix.T @ H @ basis.matrix
-            lam_min = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
+            lam_min = float(np.linalg.eigvalsh(_symmetric_part(reduced))[0])
             print(f"  {'eigen-oracle':>16}: "
                   f"{'holds' if lam_min > 0 else 'fails'} "
                   f"(min reduced eigenvalue {lam_min:.6g})")

@@ -28,9 +28,15 @@ built from:
   - :class:`BorderedLu`: an LU factorization of a matrix that grows by
     symmetric borders, tracking determinant signs exactly; a border of k
     columns is absorbed at once through the Cholesky factor of its Schur
-    complement.  The factors stay in the packed form of LAPACK
-    ``dgetrf``, and those extended by a border are assembled only when
-    the next update reads them.
+    complement, formed in place by BLAS ``dtrsm`` and one product.  The
+    factors stay in the packed form of LAPACK ``dgetrf``, and those
+    extended by a border are assembled only when the next update reads
+    them.
+  - :func:`_leading_cholesky`: the Cholesky factorization of
+    :class:`BorderedLu` and of the Cholesky test, one LAPACK ``dpotrf``
+    per leading block of doubling order from :data:`_FIRST_BLOCK`, which
+    stops at the block that holds the first rejected pivot; the caller
+    forms only the columns each block adds.
   - :func:`ldl_factor`: one blocked Bunch-Kaufman LDL factorization
     (LAPACK ``dsytrf``), with the inertia counted exactly from the 1x1 and
     2x2 blocks of D, which ``ipiv`` locates.
@@ -75,6 +81,9 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _PIVOT_TOL = 1e-8  # BorderedLu's pivot stall threshold
+# order of the first leading block _leading_cholesky factors; a matrix of
+# this order or less is factored by one dpotrf call
+_FIRST_BLOCK = 256
 _log = logging.getLogger(__name__)
 
 
@@ -541,6 +550,49 @@ class NullSpaceProjector:
 
 
 # ---------------------------------------------------------------------------
+# Cholesky factorization up to the first rejected pivot
+# ---------------------------------------------------------------------------
+
+
+def _leading_cholesky(
+    work: np.ndarray,
+    fill: Callable[[int, int], None],
+    rejects: Callable[[np.ndarray], bool],
+    in_place: bool = False,
+):
+    """Upper Cholesky factor of the leading block of the symmetric ``work``
+    that holds its first rejected pivot, found by doubling the block.
+
+    Each try calls ``fill(done, size)``, which writes columns ``done:size``,
+    rows ``:size``, of the upper triangle of the n x n ``work`` (the columns
+    of earlier tries are kept), and factors the leading ``size x size``
+    block with one LAPACK ``dpotrf``.  The first try has order
+    :data:`_FIRST_BLOCK`, or n when that is smaller, and each next one twice
+    the order of the last, up to n.  The tries stop at the first block where
+    ``dpotrf`` stops early or ``rejects`` refuses its pivots, or at order n.
+    A failure thus pays only for the leading block that holds it; a matrix
+    factored in full pays for every try, about 1.36x the ``dpotrf`` flops of
+    one call at n = 750.  A try below order n factors a copy of its block;
+    the try at order n factors ``work`` itself when ``in_place`` is set,
+    which needs a Fortran-ordered ``work``, and a copy otherwise.
+
+    Returns the factor of the last block tried and its pivots, the squared
+    diagonal up to the column where ``dpotrf`` stopped.
+    """
+    n = work.shape[0]
+    done, size = 0, min(n, _FIRST_BLOCK)
+    while True:
+        fill(done, size)
+        factor, info = sla.lapack.dpotrf(
+            work[:size, :size], lower=0, clean=0, overwrite_a=in_place and size == n
+        )
+        pivots = np.diag(factor)[: info - 1 if info > 0 else size] ** 2
+        if size == n or pivots.size < size or rejects(pivots):
+            return factor, pivots
+        done, size = size, min(2 * size, n)
+
+
+# ---------------------------------------------------------------------------
 # Bordered LU with determinant-sign tracking
 # ---------------------------------------------------------------------------
 
@@ -551,12 +603,17 @@ class BorderedLu:
     Starting from a partially pivoted LU of the seed ``B_n``, each
     :meth:`update` appends a symmetric border of k columns ``b`` with its
     k x k corner ``gamma`` and absorbs it at once: two triangular solves
-    push ``b`` through the current factors, one product forms the Schur
-    complement ``S = gamma - b^T B_n^-1 b``, and LAPACK ``dpotrf`` factors
-    ``S``.  As ``det(B_{n+j}) = det(B_n) det(S[:j, :j])``, a run of
-    positive Cholesky pivots keeps the determinant sign, and the Cholesky
-    factor extends the LU factors; pivoting stays confined to the seed rows
-    so the border structure survives updates.  The first pivot that is not
+    (BLAS ``dtrsm``) push ``b`` through the current factors, one product
+    forms the upper triangle of the Schur complement ``S = gamma - b^T
+    B_n^-1 b`` in place, and LAPACK ``dpotrf`` factors ``S``.  These run
+    on leading blocks of doubling order (:func:`_leading_cholesky`): each
+    block solves and forms only the columns it adds, and the update stops
+    at the first block that holds an irregular pivot, so the columns after
+    it are never pushed through the factors.  As ``det(B_{n+j}) = det(B_n)
+    det(S[:j, :j])``, a run of positive Cholesky pivots keeps the
+    determinant sign, and the Cholesky factor extends the LU factors;
+    pivoting stays confined to the seed rows so the border structure
+    survives updates.  The first pivot that is not
     a healthy positive one (negative, stalled below :data:`_PIVOT_TOL` of
     its border column's scale, at or below the singular floor, or not
     finite) is recomputed from the partial factor, and that column takes
@@ -567,8 +624,8 @@ class BorderedLu:
 
     Both factors live in one packed array, L below its diagonal (whose
     unit entries are not stored) and U on and above it, as LAPACK
-    ``dgetrf`` leaves them; the triangular solves read each triangle from
-    it in place.  An absorbed border is committed lazily: the update keeps
+    ``dgetrf`` leaves them, Fortran-ordered; the triangular solves read
+    each triangle from it in place.  An absorbed border is committed lazily: the update keeps
     the images of the border and the Cholesky factor of its Schur
     complement, and the grown matrix and its extended factors are only
     assembled at the start of the next update, the one place that reads
@@ -656,28 +713,46 @@ class BorderedLu:
         above /= big
         growth = 2.0 * np.einsum("ij,ij->j", above, above) + (diag / big) ** 2
         del above
-        fro = big * np.sqrt(np.linalg.norm(self._matrix / big) ** 2 + np.cumsum(growth))
-        floor = (n + 1 + np.arange(k)) * _EPS * np.maximum(fro, 1e-300)
+        # fro is |B_dim|_F / big; dim * eps scales big before fro does, so
+        # that finite entries near the overflow threshold give finite floors
+        scaled = (n + 1 + np.arange(k)) * _EPS
+        fro = np.sqrt(np.linalg.norm(self._matrix / big) ** 2 + np.cumsum(growth))
+        floor = np.maximum(scaled * big * fro, scaled * 1e-300)
 
         pivot = np.nan
         if singular:
             j = 0
         else:
             rows = b[self._perm]
-            Y = sla.solve_triangular(
-                self._lu, rows, lower=True, unit_diagonal=True, check_finite=False,
+            # Y = L^-1 b[perm] and X = U^-T b, and the upper triangle of the
+            # Schur complement of the current matrix in the grown one, S =
+            # corner - X^T Y, are formed in place for the columns each try
+            # of _leading_cholesky adds
+            Y, X = np.array(rows, order="F"), np.array(b, order="F")
+            schur = np.empty((k, k), order="F")
+
+            def fill(done, size):
+                sla.blas.dtrsm(1.0, self._lu, Y[:, done:size], lower=1, diag=1,
+                               overwrite_b=1)
+                sla.blas.dtrsm(1.0, self._lu, X[:, done:size], trans_a=1, overwrite_b=1)
+                # S[:size, done:size], through the C-ordered transpose
+                np.matmul(Y[:, done:size].T, X[:, :size], out=schur.T[done:size, :size])
+                block = schur[:size, done:size]
+                np.subtract(corner[:size, done:size], block, out=block)
+
+            def healthy(pivots):
+                m = pivots.size
+                smallest = np.minimum.accumulate(
+                    np.minimum(pivots, udiag.min(initial=np.inf))
+                )
+                # OpenBLAS dpotrf does not stop at a NaN pivot
+                return np.isfinite(pivots) & (pivots > stall[:m]) & (smallest > floor[:m])
+
+            chol, pivots = _leading_cholesky(
+                schur, fill, lambda p: not healthy(p).all(), in_place=True
             )
-            X = sla.solve_triangular(self._lu, b, trans="T", check_finite=False)
-            # the Schur complement of the current matrix in the grown one
-            chol, info = sla.lapack.dpotrf(corner - X.T @ Y, lower=0)
-            m = info - 1 if info > 0 else k
-            pivots = np.diag(chol)[:m] ** 2
-            smallest = np.minimum.accumulate(
-                np.minimum(pivots, udiag.min(initial=np.inf))
-            )
-            # OpenBLAS dpotrf does not stop at a NaN pivot
-            healthy = np.isfinite(pivots) & (pivots > stall[:m]) & (smallest > floor[:m])
-            j = m if healthy.all() else int(np.argmin(healthy))
+            ok = healthy(pivots)
+            j = pivots.size if ok.all() else int(np.argmin(ok))
             if j < k:
                 # the pivot of column j, from the partial factor
                 col = corner[: j + 1, j] - X[:, : j + 1].T @ Y[:, j]
@@ -738,10 +813,11 @@ class BorderedLu:
     def _commit(self):
         """Assemble the grown matrix and the extended factors of the
         border absorbed by the last update, from ``X = U^-T b``, ``Y =
-        L^-1 b[perm]``, the upper triangular ``ubar`` and the new pivots:
+        L^-1 b[perm]``, the upper triangle of ``ubar`` and the new pivots:
         the lower factor gains ``X^T`` and ``ubar^T`` scaled to a unit
         diagonal, the upper factor ``Y`` and ``diag(ubar) ubar`` with the
-        pivots on its diagonal."""
+        pivots on its diagonal.  The factors are Fortran-ordered, as BLAS
+        ``dtrsm`` reads them."""
         if self._pending is None:
             return
         X, Y, ubar, pivots, rows, corner = self._pending
@@ -750,8 +826,10 @@ class BorderedLu:
         b = np.empty((n, c))
         b[self._perm] = rows
         self._matrix = self._grown(b, corner)
+        # dpotrf leaves the strict lower triangle of ubar as it found it
+        ubar = np.triu(ubar)
         scale = np.diag(ubar)
-        lu = np.empty((n + c, n + c))
+        lu = np.empty((n + c, n + c), order="F")
         lu[:n, :n] = self._lu
         lu[n:, :n] = X.T
         lu[:n, n:] = Y

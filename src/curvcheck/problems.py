@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import HessianOperator, _as_jacobian
+from .linalg import HessianOperator, _as_jacobian, _symmetric_part
 
 __all__ = [
     "CannotNormalizeError",
@@ -185,8 +185,7 @@ def random_symmetric_with_eigs(eigs, rng: np.random.Generator) -> np.ndarray:
     if eigs.size == 0:
         return np.zeros((0, 0))
     Q = random_orthogonal(eigs.size, rng)
-    S = (Q * eigs) @ Q.T
-    return 0.5 * (S + S.T)
+    return _symmetric_part((Q * eigs) @ Q.T)
 
 
 def _draw_triangular(m: int, conditioning: str, rng: np.random.Generator) -> np.ndarray:
@@ -223,8 +222,7 @@ def generate(spec: GeneratorSpec) -> Problem:
     core[p:, p:] = block_neg
 
     Q = random_orthogonal(n, rng)
-    H = Q @ core @ Q.T
-    H = 0.5 * (H + H.T)
+    H = _symmetric_part(Q @ core @ Q.T)
 
     R = _draw_triangular(m, spec.conditioning, rng)
     A = (Q[:, l:] @ R).T

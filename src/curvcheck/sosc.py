@@ -9,7 +9,9 @@ inconclusive.
 The three matrix-free tests need only products ``s -> H s``:
 
   - :func:`implicit_cholesky` forms the reduced matrix ``W^T H W`` from one
-    block product and reads its Cholesky pivots from LAPACK ``dpotrf``;
+    block product of L Hessian products and reads its Cholesky pivots from
+    LAPACK ``dpotrf`` on leading blocks of doubling order, from 256 on,
+    which stop at the block that holds the first failing pivot;
   - :func:`diagonalization` obliquely conjugates the basis so the reduced
     matrix becomes diagonal, one product per step: earlier steps reach
     each 64-column panel through two matrix products, and each step
@@ -23,9 +25,11 @@ The two classical tests need the Hessian entries explicitly:
 
   - :func:`bordered_hessian_test` checks the signs of the trailing leading
     principal minors of the bordered matrix: one LU of the 2M x 2M seed,
-    then the Cholesky pivots of the Schur complement of the whole border
-    (two triangular solves, one product and LAPACK ``dpotrf``); a verdict
-    reached in one update assembles no extended factors;
+    then the Cholesky pivots of the Schur complement of the border (BLAS
+    ``dtrsm`` and one product for the columns of each leading block, in
+    place, and LAPACK ``dpotrf``), in leading blocks of doubling order as
+    for the Cholesky test; a verdict reached in one update assembles no
+    extended factors;
   - :func:`inertia_test` factors the saddle-point matrix once (block LDL)
     and compares its inertia against (N, M, 0).
 
@@ -46,7 +50,6 @@ from typing import Optional, Union
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dnrm2
-from scipy.linalg.lapack import dpotrf
 
 from . import problems as _problems
 from .linalg import (
@@ -59,6 +62,7 @@ from .linalg import (
     BorderedLu,
     SingularMinorError,
     _as_jacobian,
+    _leading_cholesky,
     check_full_rank,
     ldl_factor,
     null_space_basis,
@@ -209,13 +213,16 @@ def implicit_cholesky(
 
     The reduced matrix is positive definite exactly when every pivot is
     positive.  The Hessian is applied to the whole basis at once (L
-    products), the reduced matrix comes from one block product, and LAPACK
-    ``dpotrf`` factors it; the pivots are the squared diagonal of the
-    triangular factor.  ``dpotrf`` stops at the first nonpositive pivot,
-    which is then recomputed from the partial factor so ``tol_alpha``
-    applies to it; two triangular solves turn the partial factor into a
-    feasible direction of negative curvature whose curvature is that
-    pivot.  A pivot at the boundary (within ``tol_alpha`` of zero, scaled)
+    products), and LAPACK ``dpotrf`` factors leading blocks of the reduced
+    matrix ``R = V^T W``, ``V = H W``, of order 256, 512, ... up to L, each
+    try forming only the columns it adds to R, until a block holds a
+    pivot that ``dpotrf`` stops at or that is not finite; a failure pays
+    only for the leading block that holds it, and L <= 256 takes one call.
+    The pivots are the squared diagonal of the triangular factor.
+    ``dpotrf`` stops at the first nonpositive pivot, which is then
+    recomputed from the partial factor so ``tol_alpha`` applies to it;
+    two triangular solves turn the partial factor into a feasible
+    direction of negative curvature whose curvature is that pivot.  A pivot at the boundary (within ``tol_alpha`` of zero, scaled)
     yields an inconclusive ERROR ``semidefinite_boundary``, and a NaN or
     inf pivot ERROR ``non_finite`` at its step, since definiteness is
     neither verified nor refuted.  A negative or non-finite
@@ -231,11 +238,17 @@ def implicit_cholesky(
     V = hessian.apply_block(W)
     # the upper triangle of V^T W holds (H w_i) . w_j for i <= j, the inner
     # products of the modified elimination recurrence; a finite-difference
-    # product block is not exactly symmetric, and this keeps its pivots
-    R = V.T @ W
-    U, info = dpotrf(R, lower=0, clean=0)
-    k = info - 1 if info > 0 else L
-    alphas = np.diag(U)[:k] ** 2
+    # product block is not exactly symmetric, and this keeps its pivots.
+    # Each try of _leading_cholesky forms the columns it adds, and R keeps
+    # them for the recomputed pivot of a failure
+    R = np.empty((L, L))
+
+    def fill(done, size):
+        np.matmul(V[:, :size].T, W[:, done:size], out=R[:size, done:size])
+
+    # OpenBLAS dpotrf does not stop at a NaN pivot
+    U, alphas = _leading_cholesky(R, fill, lambda p: not np.isfinite(p).all())
+    k = alphas.size
     thresh = 0.0
     if tol_alpha > 0:
         # scale |w_n| |v_n| of each pivot, v_n being the n-th column of H W
@@ -243,7 +256,6 @@ def implicit_cholesky(
         Y = solve_triangular(U[:k, :k], V[:, :k].T, trans="T", check_finite=False)
         scales = _norms(W[:, :k], axis=0) * _norms(Y, axis=1)
         thresh = tol_alpha * scales * np.abs(np.diag(U)[:k])
-    # OpenBLAS dpotrf does not stop at a NaN pivot
     rejected = np.flatnonzero(~(np.isfinite(alphas) & (alphas > thresh)))
 
     diagnostics = {"operator_products": hessian.product_count - start}
@@ -553,11 +565,12 @@ def bordered_hessian_test(
 
     The condition holds exactly when the last L leading principal minors
     of [[0, A], [A^T, H]] all have sign (-1)^M.  The 2M x 2M seed is
-    factored once and the whole L-column border is absorbed by one
+    factored once and the whole L-column border is passed to one
     :meth:`BorderedLu.update`: the signs follow from the Cholesky pivots
-    of the border's Schur complement.  An irregular pivot (negative,
-    stalled or singular) ends that update at its column, and the
-    remaining columns are passed again.  Needs the Hessian entries
+    of the border's Schur complement, factored in leading blocks of
+    doubling order up to the block that holds the first irregular pivot.
+    An irregular pivot (negative, stalled or singular) ends that update
+    at its column, and the remaining columns are passed again.  Needs the Hessian entries
     explicitly (operator-backed Hessians are materialized first); provides
     no direction of negative curvature on failure.  A numerically singular
     minor makes the test inconclusive, which is reported as ERROR rather

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -328,6 +329,20 @@ class TestCompare:
 
     def test_bad_file(self, tmp_path):
         assert main(["compare", str(tmp_path / "absent.json")]) == 3
+
+    def test_huge_entries_give_a_finite_oracle_eigenvalue(self, tmp_path, capsys):
+        # the halved sum of the reduced matrix overflows on these finite
+        # entries; the oracle symmetrizes through linalg._symmetric_part,
+        # which sums the halves instead
+        a = 1e308
+        path = tmp_path / "huge.json"
+        save_problem(Problem(np.array([[a, a]]), np.diag([a, -a])), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", str(path)]) == 0
+        out = capsys.readouterr().out
+        line, = [row for row in out.splitlines() if "min reduced eigenvalue" in row]
+        assert np.isfinite(float(line.rsplit(" ", 1)[1].rstrip(")")))
 
     def test_rank_deficient_jacobian_skips_the_oracle(self, tmp_path, capsys):
         # a basis of the zero Jacobian misses a null direction, and the

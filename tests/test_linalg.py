@@ -70,6 +70,15 @@ class TestHessianOperator:
         np.testing.assert_array_equal(op.matrix, 0.5 * (H + H.T))
         assert op.matrix is not H
 
+    @pytest.mark.parametrize("n", [5, 64, 300])
+    def test_symmetric_part_is_the_halved_sum_bitwise(self, n):
+        # the one symmetrization helper that the operator, the generator and
+        # the compare oracle share gives 0.5 * (S + S^T) on finite sums
+        rng = np.random.default_rng(n)
+        for scale in (1e-150, 1e-5, 1.0, 1e5, 1e150):
+            S = scale * rng.standard_normal((n, n))
+            np.testing.assert_array_equal(linalg._symmetric_part(S), 0.5 * (S + S.T))
+
     def test_fd_exact_on_linear_gradient(self):
         # gradient of |x|^2/2 is x itself, so forward differencing is exact
         op = HessianOperator.from_gradient(lambda x: x, np.array([0.3, -1.2, 4.0]))
@@ -802,6 +811,118 @@ class TestBorderedLu:
         assert verdict.holds
         assert verdict.diagnostics["minors"] == 40
         assert (len(updates), len(assembled)) == (1, 0)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("k", [1, 5, 300])
+    def test_inputs_are_left_alone(self, order, k):
+        # the triangular solves, the Schur complement and dpotrf work in
+        # place on the update's own arrays, never on the caller's; k = 300
+        # takes two tries of the doubling factorization
+        rng = np.random.default_rng(k)
+        G = rng.standard_normal((k + 6, k + 6))
+        B = G @ G.T + (k + 6) * np.eye(k + 6)
+        seed, b, gamma = (np.array(X, order=order) for X in (B[:4, :4], B[:4, 4:4 + k],
+                                                             B[4:4 + k, 4:4 + k]))
+        if k == 1:
+            b, gamma = b[:, 0], gamma[0, 0]
+        kept = [np.array(x, copy=True) for x in (B, seed, b, gamma)]
+        lu = BorderedLu(seed)
+        signs = lu.update(b, gamma)
+        assert np.all(np.asarray(signs) == 1)
+        # a second update assembles the first border's factors
+        assert list(lu.update(B[: 4 + k, 4 + k :], B[4 + k :, 4 + k :])) == [1, 1]
+        for got, want in zip((B, seed, b, gamma), kept):
+            np.testing.assert_array_equal(got, want)
+
+    def test_floors_stay_finite_near_the_overflow_threshold(self):
+        # |B|_F of these finite entries overflows; the singular floors are
+        # scaled by dim * eps before it is formed, so they stay finite and
+        # the exactly zero Schur pivot is reported as singular
+        a = 1e308
+        B = np.array([[0.0, a, a], [a, a, 0.0], [a, 0.0, -a]])
+        lu = BorderedLu(B[:2, :2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMinorError) as exc:
+                lu.update(B[:2, 2], B[2, 2])
+        assert "inf" not in str(exc.value)
+
+
+class TestLeadingCholesky:
+    """The doubling factorization behind the Cholesky and bordered Hessian
+    tests, with a small first block so that small matrices take several
+    tries."""
+
+    @staticmethod
+    def factor(S, first, monkeypatch, rejects=lambda p: False, in_place=False):
+        monkeypatch.setattr(linalg, "_FIRST_BLOCK", first)
+        work = np.full(S.shape, np.nan, order="F")
+        fills = []
+
+        def fill(done, size):
+            fills.append((done, size))
+            work[:size, done:size] = S[:size, done:size]
+
+        factor, pivots = linalg._leading_cholesky(work, fill, rejects, in_place)
+        return factor, pivots, fills, work
+
+    @staticmethod
+    def with_pivots(d, seed=0):
+        """A symmetric matrix whose Cholesky pivots are ``d`` until the
+        first nonpositive one."""
+        n = d.size
+        rng = np.random.default_rng(seed)
+        F = np.eye(n) + np.tril(rng.standard_normal((n, n)), -1) / n
+        S = (F * d) @ F.T
+        return 0.5 * (S + S.T)
+
+    def test_tries_double_up_to_the_order(self, monkeypatch):
+        S = self.with_pivots(np.linspace(1.0, 2.0, 10))
+        factor, pivots, fills, work = self.factor(S, 2, monkeypatch)
+        assert fills == [(0, 2), (2, 4), (4, 8), (8, 10)]
+        full, info = sla.lapack.dpotrf(S)
+        assert info == 0
+        np.testing.assert_allclose(pivots, np.diag(full) ** 2, rtol=1e-12)
+        np.testing.assert_allclose(np.triu(factor), full, rtol=1e-12, atol=1e-14)
+        # each try factored a copy: the filled entries are kept
+        np.testing.assert_array_equal(np.triu(work), np.triu(S))
+
+    @pytest.mark.parametrize("first", [2, 3, 16])
+    def test_one_try_when_the_first_block_holds_the_order(self, first, monkeypatch):
+        S = self.with_pivots(np.ones(3))
+        _, pivots, fills, _ = self.factor(S, first, monkeypatch)
+        assert fills == ([(0, 2), (2, 3)] if first == 2 else [(0, 3)])
+        assert pivots.size == 3
+
+    @pytest.mark.parametrize("step, tries", [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (9, 4)])
+    def test_stops_at_the_block_of_the_first_negative_pivot(self, step, tries, monkeypatch):
+        d = np.ones(10)
+        d[step - 1] = -1.0
+        _, pivots, fills, _ = self.factor(self.with_pivots(d), 2, monkeypatch)
+        assert len(fills) == tries
+        assert pivots.size == step - 1
+
+    def test_stops_at_the_block_of_the_first_rejected_pivot(self, monkeypatch):
+        d = np.ones(10)
+        d[4] = 1e-3
+        _, pivots, fills, _ = self.factor(
+            self.with_pivots(d), 2, monkeypatch, rejects=lambda p: (p < 0.1).any()
+        )
+        assert fills == [(0, 2), (2, 4), (4, 8)]
+        assert pivots.size == 8
+        assert pivots[4] == pytest.approx(1e-3)
+
+    def test_in_place_only_at_the_full_order(self, monkeypatch):
+        S = self.with_pivots(np.linspace(1.0, 2.0, 6))
+        factor, _, fills, work = self.factor(S, 4, monkeypatch, in_place=True)
+        assert fills == [(0, 4), (4, 6)]
+        assert np.shares_memory(factor, work)
+        d = np.ones(6)
+        d[1] = -1.0
+        factor, _, fills, work = self.factor(self.with_pivots(d), 4, monkeypatch,
+                                             in_place=True)
+        assert fills == [(0, 4)]
+        assert not np.shares_memory(factor, work)
 
 
 def sequential_swaps(piv):

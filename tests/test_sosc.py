@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from curvcheck import linalg
 from curvcheck.linalg import (
     DimensionMismatchError,
     HessianOperator,
@@ -667,6 +668,150 @@ class TestBorderedHessian:
         verdict = bordered_hessian_test(problem.hessian, problem.jacobian)
         assert verdict.status is not Status.ERROR
         assert verdict.holds == problem.truth
+
+    def test_overflowing_norm_keeps_finite_floors(self):
+        # |B|_F overflows on these finite entries; the reduced Hessian is
+        # exactly 0, so the Schur pivot is 0 and the minor is singular,
+        # reported against a finite floor and without a warning
+        a = 1e308
+        problem = Problem(np.array([[a, a]]), np.diag([a, -a]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = verify(problem, "bht")
+        assert (verdict.status, verdict.step, verdict.reason) == (
+            Status.ERROR, 1, "singular_minor")
+        assert "inf" not in verdict.diagnostics["detail"]
+
+
+# ---------------------------------------------------------------------------
+# Leading blocks of the Cholesky and bordered Hessian factorizations
+# ---------------------------------------------------------------------------
+
+
+def counted_dpotrf(monkeypatch):
+    """Record the order of every LAPACK ``dpotrf`` call."""
+    orders = []
+    original = sla.lapack.dpotrf
+
+    def counted(a, *args, **kwargs):
+        orders.append(np.shape(a)[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla.lapack, "dpotrf", counted)
+    return orders
+
+
+def pivots_with_one_negative(L, step, rng):
+    """Positive pivots in [1, 2], except -1 at ``step``."""
+    d = rng.uniform(1.0, 2.0, L)
+    d[step - 1] = -1.0
+    return d
+
+
+class TestLeadingBlocks:
+    """Both tests factor doubling leading blocks from order 256, and stop
+    at the block that holds the first failing pivot."""
+
+    EDGES = [(255, 1), (256, 1), (257, 2), (511, 2), (512, 2), (513, 3)]
+
+    @pytest.mark.parametrize("step, tries", EDGES)
+    def test_cholesky_failure_at_a_block_edge(self, step, tries, monkeypatch):
+        # an orthonormal basis W and H = W diag(d) W^T: the reduced matrix
+        # is diag(d), whose only negative entry is at the failing step
+        L, M = 514, 2
+        rng = np.random.default_rng(step)
+        Q, _ = np.linalg.qr(rng.standard_normal((L + M, L + M)))
+        basis = adhoc_basis(Q[:, :L], Q[:, L:].T)
+        H = (Q[:, :L] * pivots_with_one_negative(L, step, rng)) @ Q[:, :L].T
+        status, ref_step, reason, products, alphas = reference_cholesky(op(H), basis)
+        orders = counted_dpotrf(monkeypatch)
+        verdict = implicit_cholesky(op(H), basis)
+        assert (verdict.status, verdict.step, verdict.reason) == (
+            status, ref_step, reason) == (Status.FAILS, step, None)
+        assert verdict.diagnostics["operator_products"] == products == L + 1
+        assert verdict.diagnostics["alpha"] == pytest.approx(alphas[-1], rel=1e-9)
+        assert verdict.diagnostics["alpha"] == pytest.approx(-1.0, rel=1e-9)
+        assert orders == [256, 512, 514][:tries]
+
+    @pytest.mark.parametrize("step, tries", EDGES)
+    def test_bht_failure_at_a_block_edge(self, step, tries, monkeypatch):
+        # with A = [I_M 0] the Schur complement of the seed in the bordered
+        # matrix is H22, here F diag(d) F^T with F unit lower triangular, so
+        # the first minor of the wrong sign is at the failing step
+        L, M = 514, 2
+        rng = np.random.default_rng(step)
+        F = np.eye(L) + np.tril(rng.standard_normal((L, L)), -1) / L
+        H = rng.standard_normal((L + M, L + M)) / L
+        H[M:, M:] = (F * pivots_with_one_negative(L, step, rng)) @ F.T
+        H = 0.5 * (H + H.T)
+        A = np.eye(M, L + M)
+        orders = counted_dpotrf(monkeypatch)
+        verdict = bordered_hessian_test(H, A)
+        assert orders == [256, 512, 514][:tries]
+        assert (verdict.status, verdict.step, verdict.reason,
+                verdict.diagnostics["minors"]) == reference_bht(H, A) == (
+            Status.FAILS, step, None, step)
+        assert verdict.diagnostics["sign"] == -1
+        assert verdict.diagnostics.get("operator_products", 0) == 0
+
+    @pytest.mark.parametrize("n, m", [(20, 6), (300, 44), (300, 43)])
+    @pytest.mark.parametrize("method", ["cholesky", "bht"])
+    def test_one_try_up_to_order_256(self, n, m, method, monkeypatch):
+        problem = generate(GeneratorSpec(n=n, m=m, p=n, seed=n))
+        orders = counted_dpotrf(monkeypatch)
+        assert verify(problem, method).holds
+        assert orders == ([n - m] if n - m <= 256 else [256, n - m])
+
+    @pytest.mark.parametrize("method", ["cholesky", "bht"])
+    def test_tries_on_the_dense_large_shape(self, method, monkeypatch):
+        # N = 1000, M = 250: the holds problem takes three tries, and its
+        # deep-fail twin (p = L - 1) fails in the second block
+        orders = counted_dpotrf(monkeypatch)
+        options = VerifyOptions(tol_rank=0.0)
+        holds = generate(GeneratorSpec(n=1000, m=250, p=1000, seed=1))
+        assert verify(holds, method, options).holds
+        assert orders == [256, 512, 750]
+        orders.clear()
+        fails = generate(GeneratorSpec(n=1000, m=250, p=749, seed=1))
+        verdict = verify(fails, method, options)
+        assert verdict.status is Status.FAILS and 256 < verdict.step <= 512
+        assert orders == [256, 512]
+
+    @pytest.mark.parametrize("first", [2, 8, 128])
+    def test_verdicts_do_not_depend_on_the_first_block(self, first, monkeypatch):
+        # a small first block makes small problems take several tries
+        rng = np.random.default_rng(first)
+        draws = []
+        for trial in range(30):
+            n = int(rng.integers(4, 201))
+            m = int(rng.integers(1, n))
+            p = int(rng.integers(0, n + 1))
+            draws.append(generate(GeneratorSpec(
+                n=n, m=m, p=p, seed=trial, conditioning=("well", "ill")[trial % 2])))
+
+        def outcomes():
+            for problem in draws:
+                for method in ("cholesky", "bht"):
+                    v = verify(problem, method, VerifyOptions(tol_rank=0.0))
+                    d = v.diagnostics
+                    yield (method, v.status, v.step, v.reason, d["operator_products"],
+                           d.get("minors"), d.get("sign"))
+
+        default = list(outcomes())
+        monkeypatch.setattr(linalg, "_FIRST_BLOCK", first)
+        assert list(outcomes()) == default
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("p", [300, 250])
+    @pytest.mark.parametrize("method", ["cholesky", "bht"])
+    def test_verify_leaves_the_problem_alone(self, order, p, method):
+        base = generate(GeneratorSpec(n=300, m=20, p=p, seed=5))
+        problem = Problem(np.array(base.jacobian, order=order),
+                          np.array(base.hessian, order=order))
+        verdict = verify(problem, method)
+        assert verdict.status is (Status.HOLDS if p == 300 else Status.FAILS)
+        np.testing.assert_array_equal(problem.hessian, base.hessian)
+        np.testing.assert_array_equal(problem.jacobian, base.jacobian)
 
 
 # ---------------------------------------------------------------------------
