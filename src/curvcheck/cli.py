@@ -3,8 +3,8 @@
 Exit codes for ``check``: 0 the condition holds, 1 it fails, 2 the test
 was inconclusive, 3 input/schema problems.  Every command exits 2 on a
 usage error, which includes a tolerance out of range (``--tol-fonc`` as
-well), a benchmark size below 4, a trial count below 1 and a Thomson
-point count K below 2.
+well), an empty list of sizes or methods, a benchmark size below 4, a
+trial count below 1 and a Thomson point count K below 2.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bench as _bench
 from . import problems as _problems
-from .sosc import METHODS, Status, VerifyOptions, _check_limit, verify
+from .sosc import FD_SIGMA, METHODS, Status, VerifyOptions, _check_limit, verify
 from .stationary import MaxIterationsError, solve_thomson
 
 _METHOD_ALIASES = {
@@ -45,7 +45,10 @@ def _canonical_method(name: str) -> str:
 
 
 def _method_list(raw: str):
-    return [_canonical_method(tok) for tok in raw.split(",") if tok.strip()]
+    methods = [_canonical_method(tok) for tok in raw.split(",") if tok.strip()]
+    if not methods:
+        raise argparse.ArgumentTypeError(f"no method given in {raw!r}")
+    return methods
 
 
 def _int_list(raw: str):
@@ -53,12 +56,14 @@ def _int_list(raw: str):
 
 
 def _int_list_from(least: int, what: str):
-    """Parser of a comma-separated list of integers, each at least
-    ``least``; a smaller one is a usage error."""
+    """Parser of a nonempty comma-separated list of integers, each at least
+    ``least``; an empty list or a smaller value is a usage error."""
 
     def int_list(raw: str):
         values = _int_list(raw)
-        if min(values, default=least) < least:
+        if not values:
+            raise argparse.ArgumentTypeError(f"no {what} given in {raw!r}")
+        if min(values) < least:
             raise argparse.ArgumentTypeError(
                 f"{what} must be at least {least}, got {raw!r}"
             )
@@ -76,7 +81,8 @@ def _positive_int(raw: str) -> int:
 
 def _options_from_args(args) -> VerifyOptions:
     """The verify options of the parsed arguments: each field is read from
-    the flag of its name, ``--tol-alpha`` for ``tol_alpha``, and so on."""
+    the flag of its name, ``--tol-rank`` for ``tol_rank`` and ``--seed``
+    for ``seed``."""
     return VerifyOptions(**{
         field.name: getattr(args, field.name)
         for field in dataclasses.fields(VerifyOptions)
@@ -84,13 +90,9 @@ def _options_from_args(args) -> VerifyOptions:
 
 
 def _add_tolerance_args(parser):
-    parser.add_argument("--tol-alpha", type=float, default=0.0)
-    parser.add_argument("--tol-feas", type=float, default=1e-8)
-    parser.add_argument("--pcg-tol", type=float, default=1e-10)
     parser.add_argument("--tol-rank", type=float, default=None,
                         help="constraint rank guard; 0 disables, default scales "
                              "with the Jacobian norm")
-    parser.add_argument("--fd-sigma", type=float, default=1e-6)
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -101,9 +103,11 @@ def _print_verdict(verdict, method: str) -> None:
         print(f"step:      {verdict.step}")
     if verdict.curvature is not None:
         print(f"curvature: {verdict.curvature:.17g}")
+    diag = verdict.diagnostics
     if verdict.reason is not None:
         print(f"reason:    {verdict.reason}")
-    diag = verdict.diagnostics
+    if "detail" in diag:
+        print(f"detail:    {diag['detail']}")
     print(f"operator products: {diag.get('operator_products', 0)}")
     print(f"continuations:     {diag.get('continuations', 0)}")
     if "minors" in diag:
@@ -286,7 +290,7 @@ def cmd_compare(args) -> int:
         reason = "" if verdict.reason is None else f" ({verdict.reason})"
         print(f"  {method:>16}: {verdict.status.value}{step}{reason}")
 
-    H = problem.operator(options.fd_sigma).matrix
+    H = problem.operator(FD_SIGMA).matrix
     if H is not None and not (np.isfinite(H).all() and np.isfinite(problem.jacobian).all()):
         # the eigensolvers would raise on NaN or inf
         print(f"  {'eigen-oracle':>16}: skipped (H or A holds NaN or inf)")

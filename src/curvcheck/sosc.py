@@ -85,6 +85,16 @@ METHODS = ("cholesky", "diagonalization", "pcg", "bht", "inertia")
 
 _log = logging.getLogger(__name__)
 
+# The verifiers' fixed tolerances.  There is no pivot threshold: a pivot or
+# curvature counts as positive only when it is > 0.
+#: largest feasibility defect |A d|_inf / (|d| |A|_F) of a certificate
+TOL_FEAS = 1e-8
+#: projected residual norm squared at which a pcg sweep has converged
+PCG_TOL = 1e-10
+#: finite-difference scale: a gradient-backed product steps
+#: ``FD_SIGMA * (1 + |x|_inf)``
+FD_SIGMA = 1e-6
+
 
 class Status(enum.Enum):
     HOLDS = "holds"
@@ -134,12 +144,12 @@ def _certified_failure(
     A: Optional[np.ndarray],
     d: np.ndarray,
     step: int,
-    tol_feas: float,
     diagnostics: dict,
 ) -> SoscVerdict:
     """Re-verify a candidate direction through the operator before emitting
-    FAILS; round-off pathologies downgrade to ERROR, and a curvature that is
-    not finite to ERROR ``non_finite``: it certifies nothing."""
+    FAILS; a nonnegative curvature or a feasibility defect above
+    :data:`TOL_FEAS` downgrades to ERROR, and a curvature that is not
+    finite to ERROR ``non_finite``: it certifies nothing."""
     curvature = float(d @ hessian.apply(d))
     if not np.isfinite(curvature):
         return SoscVerdict(
@@ -147,7 +157,7 @@ def _certified_failure(
             diagnostics=dict(diagnostics, recomputed_curvature=curvature),
         )
     defect = _feasibility_defect(A, d)
-    if curvature >= 0.0 or defect > tol_feas:
+    if curvature >= 0.0 or defect > TOL_FEAS:
         return SoscVerdict(
             Status.ERROR,
             step=step,
@@ -162,15 +172,6 @@ def _certified_failure(
     )
 
 
-def _norms(X: np.ndarray, axis: int) -> np.ndarray:
-    """Euclidean norms of the columns (``axis=0``) or rows of ``X``, each
-    summed relative to its largest entry as BLAS ``dnrm2`` does, so that
-    finite entries cannot overflow."""
-    big = np.abs(X).max(axis=axis, keepdims=True, initial=0.0)
-    big[big == 0.0] = 1.0
-    return (big * np.linalg.norm(X / big, axis=axis, keepdims=True)).squeeze(axis)
-
-
 def _check_limit(name: str, value: float, positive: bool = False) -> None:
     """Raise ``ValueError``, its message starting with ``name``, unless
     ``value`` is finite and nonnegative (``positive``: positive)."""
@@ -179,21 +180,16 @@ def _check_limit(name: str, value: float, positive: bool = False) -> None:
         raise ValueError(f"{name} must be finite and {sense}, got {value!r}")
 
 
-def _classify(alpha: float, scale: float, tol_alpha: float) -> str:
+def _classify(alpha: float) -> str:
     """What a pivot or curvature says: ``"positive"`` (accept),
     ``"negative"`` (negative curvature), or the reason of an inconclusive
     ERROR, ``"non_finite"`` for NaN or inf and ``"semidefinite_boundary"``
-    within the threshold of zero.
-
-    The threshold is exactly 0 at ``tol_alpha = 0``, also when ``scale``
-    overflowed to inf.
-    """
+    for zero."""
     if not math.isfinite(alpha):
         return "non_finite"
-    thresh = tol_alpha * scale if tol_alpha else 0.0
-    if alpha > thresh:
+    if alpha > 0.0:
         return "positive"
-    if alpha < -thresh:
+    if alpha < 0.0:
         return "negative"
     return "semidefinite_boundary"
 
@@ -206,8 +202,6 @@ def _classify(alpha: float, scale: float, tol_alpha: float) -> str:
 def implicit_cholesky(
     hessian: HessianOperator,
     basis: NullSpaceBasis,
-    tol_alpha: float = 0.0,
-    tol_feas: float = 1e-8,
 ) -> SoscVerdict:
     """Cholesky factorization of the reduced matrix ``W^T H W``.
 
@@ -220,15 +214,13 @@ def implicit_cholesky(
     only for the leading block that holds it, and L <= 256 takes one call.
     The pivots are the squared diagonal of the triangular factor.
     ``dpotrf`` stops at the first nonpositive pivot, which is then
-    recomputed from the partial factor so ``tol_alpha`` applies to it;
-    two triangular solves turn the partial factor into a feasible
-    direction of negative curvature whose curvature is that pivot.  A pivot at the boundary (within ``tol_alpha`` of zero, scaled)
-    yields an inconclusive ERROR ``semidefinite_boundary``, and a NaN or
-    inf pivot ERROR ``non_finite`` at its step, since definiteness is
-    neither verified nor refuted.  A negative or non-finite
-    ``tol_alpha`` raises ``ValueError``.
+    recomputed from the partial factor; two triangular solves turn the
+    partial factor into a feasible direction of negative curvature whose
+    curvature is that pivot.  A zero pivot, or one that the two disagree
+    on, yields an inconclusive ERROR ``semidefinite_boundary``, and a NaN
+    or inf pivot ERROR ``non_finite`` at its step, since definiteness is
+    neither verified nor refuted.
     """
-    _check_limit("tol_alpha", tol_alpha)
     W = basis.matrix
     N, L = W.shape
     if hessian.dimension != N:
@@ -249,14 +241,8 @@ def implicit_cholesky(
     # OpenBLAS dpotrf does not stop at a NaN pivot
     U, alphas = _leading_cholesky(R, fill, lambda p: not np.isfinite(p).all())
     k = alphas.size
-    thresh = 0.0
-    if tol_alpha > 0:
-        # scale |w_n| |v_n| of each pivot, v_n being the n-th column of H W
-        # after elimination: V U^-1 diag(U)
-        Y = solve_triangular(U[:k, :k], V[:, :k].T, trans="T", check_finite=False)
-        scales = _norms(W[:, :k], axis=0) * _norms(Y, axis=1)
-        thresh = tol_alpha * scales * np.abs(np.diag(U)[:k])
-    rejected = np.flatnonzero(~(np.isfinite(alphas) & (alphas > thresh)))
+    # a pivot whose square underflowed to 0 is at the boundary too
+    rejected = np.flatnonzero(~(np.isfinite(alphas) & (alphas > 0.0)))
 
     diagnostics = {"operator_products": hessian.product_count - start}
     if rejected.size:
@@ -274,21 +260,18 @@ def implicit_cholesky(
     t = solve_triangular(U[:k, :k], R[:k, k], trans="T", check_finite=False)
     s = solve_triangular(U[:k, :k], t, check_finite=False)
     alpha = float(R[k, k] - t @ t)
-    scale = float(dnrm2(W[:, k])) * float(dnrm2(V[:, k] - V[:, :k] @ s))
     diagnostics["alpha"] = alpha
-    kind = _classify(alpha, scale, tol_alpha)
+    kind = _classify(alpha)
     if kind != "negative":
         # dpotrf and the recomputation disagree on the sign, or the pivot
-        # is within tolerance of zero or not finite
+        # is zero or not finite
         return SoscVerdict(
             Status.ERROR, step=k + 1,
             reason="semidefinite_boundary" if kind == "positive" else kind,
             diagnostics=diagnostics,
         )
     d = W[:, k] - W[:, :k] @ s
-    verdict = _certified_failure(
-        hessian, basis.jacobian, d, k + 1, tol_feas, diagnostics
-    )
+    verdict = _certified_failure(hessian, basis.jacobian, d, k + 1, diagnostics)
     verdict.diagnostics["operator_products"] = hessian.product_count - start
     return verdict
 
@@ -306,8 +289,6 @@ _PANEL = 64
 def diagonalization(
     hessian: HessianOperator,
     basis: NullSpaceBasis,
-    tol_alpha: float = 0.0,
-    tol_feas: float = 1e-8,
 ) -> SoscVerdict:
     """Oblique Gram-Schmidt conjugation of the basis, one product per step.
 
@@ -326,12 +307,10 @@ def diagonalization(
     the update is left-looking: step n applies the panel's earlier steps
     to its own column only, ``v_n -= V_{s:n} ((Z_{s:n}^T w_n) /
     alpha_{s:n})``, with V and Z in Fortran order so that each column is
-    contiguous.  A failure pays only for the steps it reached.  A pivot at
-    the boundary is ERROR ``semidefinite_boundary``, a NaN or inf pivot
-    ERROR ``non_finite``, at its step.  A negative or non-finite
-    ``tol_alpha`` raises ``ValueError``.
+    contiguous.  A failure pays only for the steps it reached.  A zero
+    pivot is ERROR ``semidefinite_boundary``, a NaN or inf pivot ERROR
+    ``non_finite``, at its step.
     """
-    _check_limit("tol_alpha", tol_alpha)
     W = basis.matrix
     N, L = W.shape
     if hessian.dimension != N:
@@ -354,10 +333,8 @@ def diagonalization(
             v -= V[:, s:n] @ ((W[:, n] @ Z[:, s:n]) / alphas[s:n])
         z = hessian.apply(v)
         alpha = float(v @ z)
-        # the threshold is 0 at tol_alpha = 0, whatever the scale
-        scale = float(dnrm2(v)) * float(dnrm2(z)) if tol_alpha else 0.0
         alphas[n] = alpha
-        kind = _classify(alpha, scale, tol_alpha)
+        kind = _classify(alpha)
         if kind != "positive":
             stop = n
             break
@@ -374,8 +351,7 @@ def diagonalization(
         )
 
     verdict = _certified_failure(
-        hessian, basis.jacobian, V[:, stop].copy(), stop + 1, tol_feas,
-        diagnostics,
+        hessian, basis.jacobian, V[:, stop].copy(), stop + 1, diagnostics
     )
     verdict.diagnostics["operator_products"] = hessian.product_count - start
     verdict.diagnostics["alpha"] = alphas[stop]
@@ -388,34 +364,31 @@ def diagonalization(
 
 
 # pseudorandom restart seeds drawn before an unsearched subspace counts as
-# exhausted: a Gaussian draw projects to below ``tol`` only when the
-# subspace left is numerically empty
+# exhausted: a Gaussian draw projects to below :data:`PCG_TOL` only when
+# the subspace left is numerically empty
 _SEED_DRAWS = 3
 
 
 def continued_pcg(
     hessian: HessianOperator,
     projector: NullSpaceProjector,
-    tol: float = 1e-10,
-    tol_alpha: float = 0.0,
-    tol_feas: float = 1e-8,
     seed: int = 0,
     b0: Optional[np.ndarray] = None,
 ) -> SoscVerdict:
     """Projected CG with continuation until the null space is exhausted.
 
     Convergence of a CG sweep alone says nothing about definiteness, so a
-    converged sweep (projected residual norm squared at or below ``tol``)
-    appends its conjugated images to the projector and restarts from a
-    fresh pseudorandom seed projected into the shrunken subspace.  The
-    verdict is HOLDS only after as many conjugate directions as the null
-    space has dimensions, every one with positive curvature; a nonpositive
-    curvature value stops the search, the current search direction being
-    the certificate.  Failing to draw a usable restart seed with dimensions
-    still unsearched, in :data:`_SEED_DRAWS` attempts, is reported as an
-    inconclusive ERROR; so is a curvature at the boundary
-    (``semidefinite_boundary``) or NaN or inf (``non_finite``), at its
-    step.
+    converged sweep (projected residual norm squared at or below
+    :data:`PCG_TOL`) appends its conjugated images to the projector and
+    restarts from a fresh pseudorandom seed projected into the shrunken
+    subspace.  The verdict is HOLDS only after as many conjugate directions
+    as the null space has dimensions, every one with positive curvature; a
+    nonpositive curvature value stops the search, the current search
+    direction being the certificate.  Failing to draw a usable restart
+    seed with dimensions still unsearched, in :data:`_SEED_DRAWS`
+    attempts, is reported as an inconclusive ERROR; so is a zero
+    curvature (``semidefinite_boundary``) or a NaN or inf one
+    (``non_finite``), at its step.
 
     ``b0`` overrides the pseudorandom first seed (it is projected onto the
     feasible subspace); restarts always draw from the seeded generator
@@ -424,12 +397,8 @@ def continued_pcg(
     again; the residual and the search direction are then updated in
     place.  Each search direction is the argument of one
     ``hessian.apply``, and each continuation appends its sweep's images
-    as one :meth:`NullSpaceProjector.append_column` block.  A
-    ``tol`` that is not finite and positive, or a ``tol_alpha`` that is
-    not finite and nonnegative, raises ``ValueError``.
+    as one :meth:`NullSpaceProjector.append_column` block.
     """
-    _check_limit("tol", tol, positive=True)
-    _check_limit("tol_alpha", tol_alpha)
     N = hessian.dimension
     if projector.dimension != N:
         raise DimensionMismatchError("operator and projector dimensions differ")
@@ -441,7 +410,7 @@ def continued_pcg(
     def draw_seed() -> Optional[np.ndarray]:
         for _ in range(_SEED_DRAWS):
             cand = projector.project(rng.standard_normal(N))
-            if float(dnrm2(cand)) >= tol:
+            if float(dnrm2(cand)) >= PCG_TOL:
                 return cand
         return None
 
@@ -456,7 +425,7 @@ def continued_pcg(
     n_conj = 0
     if b0 is not None:
         b = projector.project(np.asarray(b0, dtype=float))
-        if float(dnrm2(b)) < tol:
+        if float(dnrm2(b)) < PCG_TOL:
             b = draw_seed()
     else:
         b = draw_seed()
@@ -476,14 +445,10 @@ def continued_pcg(
             tau = omega
             q = hessian.apply(p)
             eta = float(p @ q)
-            # the threshold is 0 at tol_alpha = 0, whatever the scale
-            scale = float(dnrm2(p)) * float(dnrm2(q)) if tol_alpha else 0.0
-            kind = _classify(eta, scale, tol_alpha)
+            kind = _classify(eta)
             if kind == "negative":
-                diagnostics = {"eta": eta}
                 verdict = _certified_failure(
-                    hessian, projector.jacobian, p.copy(), n_conj + 1, tol_feas,
-                    diagnostics,
+                    hessian, projector.jacobian, p.copy(), n_conj + 1, {"eta": eta}
                 )
                 return finish(verdict)
             if kind != "positive":
@@ -498,7 +463,7 @@ def continued_pcg(
             r -= (tau / eta) * q
             s = projector.project(r)
             omega = float(r @ s)
-            if abs(omega) <= tol:
+            if abs(omega) <= PCG_TOL:
                 sweeps_converged += 1
                 break
             p *= omega / tau
@@ -660,31 +625,25 @@ def inertia_test(
 
 @dataclasses.dataclass
 class VerifyOptions:
-    """Tolerances shared by the verifiers.
+    """The settings of a verification; the verifiers' other tolerances are
+    the module constants :data:`TOL_FEAS`, :data:`PCG_TOL` and
+    :data:`FD_SIGMA`.
 
     ``tol_rank=None`` selects the scaled default constraint-rank guard;
     zero disables the guard so the tests run on whatever the factorizations
     produce (the benchmark harness does this to expose round-off behavior).
-    ``tol_alpha``, ``tol_feas`` and a given ``tol_rank`` must be finite and
-    nonnegative, ``pcg_tol`` and ``fd_sigma`` finite and positive, and
-    ``seed`` a nonnegative integer; any other value raises ``ValueError``,
-    its message starting with the field's name.
+    ``seed`` seeds the pseudorandom starts of ``pcg``.  A given
+    ``tol_rank`` must be finite and nonnegative and ``seed`` a nonnegative
+    integer; any other value raises ``ValueError``, its message starting
+    with the field's name.
     """
 
-    tol_alpha: float = 0.0
-    tol_feas: float = 1e-8
-    pcg_tol: float = 1e-10
     tol_rank: Optional[float] = None
-    fd_sigma: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        limits = [("tol_alpha", False), ("tol_feas", False),
-                  ("pcg_tol", True), ("fd_sigma", True)]
         if self.tol_rank is not None:
-            limits.append(("tol_rank", False))
-        for name, positive in limits:
-            _check_limit(name, getattr(self, name), positive)
+            _check_limit("tol_rank", self.tol_rank)
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
@@ -718,7 +677,7 @@ def verify(
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
     t0 = time.perf_counter()
-    hessian = problem.operator(options.fd_sigma)
+    hessian = problem.operator(FD_SIGMA)
     verdict: SoscVerdict
 
     try:
@@ -731,16 +690,10 @@ def verify(
         elif method in ("cholesky", "diagonalization"):
             basis = null_space_basis(problem.jacobian, options.tol_rank)
             runner = implicit_cholesky if method == "cholesky" else diagonalization
-            verdict = runner(
-                hessian, basis, tol_alpha=options.tol_alpha, tol_feas=options.tol_feas
-            )
+            verdict = runner(hessian, basis)
         elif method == "pcg":
             projector = NullSpaceProjector(problem.jacobian, options.tol_rank)
-            verdict = continued_pcg(
-                hessian, projector, tol=options.pcg_tol,
-                tol_alpha=options.tol_alpha, tol_feas=options.tol_feas,
-                seed=options.seed,
-            )
+            verdict = continued_pcg(hessian, projector, seed=options.seed)
         else:
             check_full_rank(problem.jacobian, options.tol_rank)
             runner = bordered_hessian_test if method == "bht" else inertia_test

@@ -145,6 +145,26 @@ class TestCheck:
             assert main(["check", str(path), "--method", method]) == 2
             assert "reason:    non_finite" in capsys.readouterr().out
 
+    def test_inconclusive_verdict_prints_its_detail(self, tmp_path, capsys):
+        # check printed only "reason: rank_deficient" here, not which pivot
+        # tripped the guard
+        path = tmp_path / "rank_deficient.json"
+        save_problem(Problem(jacobian=np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
+                             hessian=np.eye(3)), path)
+        assert main(["check", str(path), "--method", "pcg"]) == 2
+        out = capsys.readouterr().out
+        assert "reason:    rank_deficient" in out
+        assert "detail:    smallest pivot 0.000e+00 <= tolerance" in out
+        save_problem(Problem(jacobian=np.array([[0.0, 0.0, 1.0]]),
+                             hessian=np.diag([1.0, np.nan, 1.0])), path)
+        assert main(["check", str(path), "--method", "bht"]) == 2
+        assert "detail:    input holds NaN or inf" in capsys.readouterr().out
+        # a conclusive verdict carries no detail
+        save_problem(Problem(jacobian=np.array([[0.0, 0.0, 1.0]]), hessian=np.eye(3)),
+                     path)
+        assert main(["check", str(path)]) == 0
+        assert "detail:" not in capsys.readouterr().out
+
 
 class TestBench:
     def test_csv_schema_and_determinism(self, tmp_path, capsys):
@@ -181,12 +201,16 @@ class TestBench:
 
     @pytest.mark.parametrize("command", ["bench", "thomson"])
     def test_unknown_method_in_list_is_a_usage_error(self, tmp_path, command, capsys):
+        # an empty list exited 0 after doing nothing
         sizes = ["--n-list", "8"] if command == "bench" else ["--k-list", "2"]
-        with pytest.raises(SystemExit) as exc:
-            main([command, *sizes, "--methods", "inertia,foo",
-                  "--out", str(tmp_path / "x.csv")])
-        assert exc.value.code == 2
-        assert "unknown method 'foo'" in capsys.readouterr().err
+        for methods, message in [("inertia,foo", "unknown method 'foo'"),
+                                 (",", "no method given"), ("", "no method given")]:
+            with pytest.raises(SystemExit) as exc:
+                main([command, *sizes, "--methods", methods,
+                      "--out", str(tmp_path / "x.csv")])
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_methods_subset(self, tmp_path):
         out = tmp_path / "subset.csv"
@@ -212,11 +236,15 @@ class TestBench:
         assert row[header.index("agree")] == ""
 
     def test_rejects_tiny_sizes(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--n-list", "3", "--trials-per-n", "1",
-                  "--out", str(tmp_path / "x.csv")])
-        assert exc.value.code == 2
-        assert "at least 4" in capsys.readouterr().err
+        # an empty list exited 0 after writing a header-only CSV
+        for sizes, message in [("3", "at least 4"), ("", "no benchmark sizes"),
+                               (",", "no benchmark sizes")]:
+            with pytest.raises(SystemExit) as exc:
+                main(["bench", "--n-list", sizes, "--trials-per-n", "1",
+                      "--out", str(tmp_path / "x.csv")])
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_rejects_a_non_positive_trial_count(self, tmp_path, trials, capsys):
@@ -238,8 +266,9 @@ class TestOptions:
         "compare": ["compare", "p.json"],
     }
     # a value for each field that differs from every command's default
-    VALUES = {"tol_alpha": "0.125", "tol_feas": "0.25", "pcg_tol": "0.5",
-              "tol_rank": "0.75", "fd_sigma": "1.5", "seed": "3"}
+    VALUES = {"tol_rank": "0.75", "seed": "3"}
+    # the verifiers read these as constants of curvcheck.sosc
+    REMOVED_FLAGS = ("--tol-alpha", "--tol-feas", "--pcg-tol", "--fd-sigma")
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_each_option_is_set_by_its_one_flag(self, command):
@@ -258,12 +287,13 @@ class TestOptions:
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("flag, value", [
         ("--tol-alpha", "-1"), ("--tol-feas", "-1e-8"), ("--pcg-tol", "0"),
-        ("--tol-rank", "-1"), ("--tol-alpha", "nan"),
+        ("--tol-rank", "-1"), ("--tol-alpha", "nan"), ("--fd-sigma", "1e-6"),
     ])
     def test_out_of_range_option_is_a_usage_error(self, command, flag, value,
                                                   monkeypatch, capsys):
         # before the options were checked, --pcg-tol 0 escaped from pcg as a
-        # ValueError traceback and exit 1, which reads as "fails"
+        # ValueError traceback and exit 1, which reads as "fails".  A
+        # removed flag is refused whatever its value
         from curvcheck import cli
 
         calls = []
@@ -272,7 +302,11 @@ class TestOptions:
         with pytest.raises(SystemExit) as exc:
             main(self.COMMANDS[command] + [f"{flag}={value}"])
         assert exc.value.code == 2
-        assert f"argument {flag}: must be finite" in capsys.readouterr().err
+        if flag in self.REMOVED_FLAGS:
+            message = f"unrecognized arguments: {flag}={value}"
+        else:
+            message = f"argument {flag}: must be finite"
+        assert message in capsys.readouterr().err
         assert calls == []
 
     @pytest.mark.parametrize("command", [
@@ -294,7 +328,7 @@ class TestOptions:
 
     def test_negative_tol_alpha_on_a_failing_problem_exit_two(self, tmp_path):
         # with tol_alpha = -1 diagonalization read this failing problem as
-        # holding, and check exited 0
+        # holding, and check exited 0; the flag is gone, and refused
         path = tmp_path / "f.json"
         save_problem(generate(GeneratorSpec(n=12, m=3, p=8, seed=4)), path)
         assert main(["check", str(path), "--method", "diag"]) == 1
@@ -386,11 +420,13 @@ class TestThomsonCommand:
         assert verdicts == {"holds"}
 
     def test_rejects_fewer_than_two_points(self, capsys):
-        # K = 1 exited 1 with a "need at least two points" traceback
-        with pytest.raises(SystemExit) as exc:
-            main(["thomson", "--k-list", "3,1"])
-        assert exc.value.code == 2
-        assert "at least 2" in capsys.readouterr().err
+        # K = 1 exited 1 with a "need at least two points" traceback, and an
+        # empty list exited 0 after doing nothing
+        for ks, message in [("3,1", "at least 2"), ("", "no point counts K")]:
+            with pytest.raises(SystemExit) as exc:
+                main(["thomson", "--k-list", ks])
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
 
     def test_saved_problem_replays_through_check(self, tmp_path):
         prefix = str(tmp_path) + "/"
@@ -439,7 +475,8 @@ class TestThomsonCommand:
 
     @pytest.mark.parametrize("sigma", ["0", "-1e-6", "nan", "inf", "abc", "-1"])
     def test_fd_sigma_must_be_positive_and_finite(self, sigma, capsys):
-        # --tol-fonc -1, 0 or nan exited 0 after "solver failed" lines
+        # --tol-fonc -1, 0 or nan exited 0 after "solver failed" lines.  The
+        # step scale is the constant FD_SIGMA, and --fd-sigma is refused
         for flag in ("--fd-sigma", "--tol-fonc"):
             with pytest.raises(SystemExit) as exc:
                 main(["thomson", "--k-list", "4", f"{flag}={sigma}"])
