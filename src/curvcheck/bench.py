@@ -68,12 +68,10 @@ def run_trial(
     seed: int,
     methods: Sequence[str] = METHODS,
     options: Optional[VerifyOptions] = None,
-    repeats: int = 1,
 ) -> list:
-    """Generate one problem and run every requested method on it.
+    """Generate one problem and run every requested method on it once.
 
-    ``repeats > 1`` re-runs each method and keeps the median wall time
-    (verdicts are deterministic, so only the timing differs).
+    ``options`` defaults to the rank guard off, ``tol_rank=0``.
     """
     if options is None:
         options = VerifyOptions(tol_rank=0.0)
@@ -82,9 +80,6 @@ def run_trial(
     records = []
     for method in methods:
         verdict = verify(problem, method, options)
-        times = [verdict.diagnostics["wall_time_s"]]
-        for _ in range(repeats - 1):
-            times.append(verify(problem, method, options).diagnostics["wall_time_s"])
         records.append(
             TrialRecord(
                 seed=seed, n=n, m=m, p=p, conditioning=conditioning,
@@ -93,7 +88,7 @@ def run_trial(
                 truth=problem.truth,
                 agree=(None if problem.truth is None
                        else (verdict.status is Status.HOLDS) == problem.truth),
-                wall_time_s=float(np.median(times)),
+                wall_time_s=verdict.diagnostics["wall_time_s"],
                 operator_products=int(verdict.diagnostics.get("operator_products", 0)),
                 continuations=int(verdict.diagnostics.get("continuations", 0)),
                 fail_step=verdict.step,
@@ -126,18 +121,15 @@ def run_campaign(
     """Run trials_per_n random problems at each size with every method.
 
     Constraint count and positive-eigenvalue count are drawn uniformly per
-    trial.  Timing uses a median of 3 repeats for sizes of 500 and above,
-    a single shot below.
+    trial, and each verification is timed once; ``options`` is passed to
+    :func:`run_trial`.
     """
     for n in n_list:
         if n < 4:
             raise ValueError("benchmark sizes must be at least 4")
-    if options is None:
-        options = VerifyOptions(tol_rank=0.0)
     records = []
     for n, m, p, seed in _trial_args(n_list, trials_per_n, base_seed):
-        records.extend(run_trial(n, m, p, conditioning, seed, methods, options,
-                                 3 if n >= 500 else 1))
+        records.extend(run_trial(n, m, p, conditioning, seed, methods, options))
     return records
 
 

@@ -2,9 +2,9 @@
 
 Exit codes for ``check``: 0 the condition holds, 1 it fails, 2 the test
 was inconclusive, 3 input/schema problems.  Every command exits 2 on a
-usage error, which includes a tolerance out of range (``--tol-fonc`` as
-well), an empty list of sizes or methods, a benchmark size below 4, a
-trial count below 1 and a Thomson point count K below 2.
+usage error, which includes a ``--tol-rank`` out of range, an empty list
+of sizes or methods, a benchmark size below 4, a trial count below 1 and
+a Thomson point count K below 2.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bench as _bench
 from . import problems as _problems
-from .sosc import FD_SIGMA, METHODS, Status, VerifyOptions, _check_limit, verify
+from .sosc import METHODS, Status, VerifyOptions, verify
 from .stationary import MaxIterationsError, solve_thomson
 
 _METHOD_ALIASES = {
@@ -190,7 +190,7 @@ def _thomson_rows(args):
     rows = []
     for k in args.k_list:
         try:
-            point = solve_thomson(k, seed=args.seed, tol_fonc=args.tol_fonc)
+            point = solve_thomson(k, seed=args.seed)
         except MaxIterationsError as exc:
             print(f"K={k}: solver failed: {exc}", file=sys.stderr)
             rows.append([k, 3 * k, k + 3, "", "solver_failed", "", "", "", "", ""])
@@ -290,7 +290,7 @@ def cmd_compare(args) -> int:
         reason = "" if verdict.reason is None else f" ({verdict.reason})"
         print(f"  {method:>16}: {verdict.status.value}{step}{reason}")
 
-    H = problem.operator(FD_SIGMA).matrix
+    H = problem.operator().matrix
     if H is not None and not (np.isfinite(H).all() and np.isfinite(problem.jacobian).all()):
         # the eigensolvers would raise on NaN or inf
         print(f"  {'eigen-oracle':>16}: skipped (H or A holds NaN or inf)")
@@ -352,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
                       required=True)
     p_th.add_argument("--methods", type=_method_list,
                       default="cholesky,diagonalization,inertia")
-    p_th.add_argument("--tol-fonc", type=float, default=1e-9)
     p_th.add_argument("--out", default=None)
     p_th.add_argument("--save-problems", default=None, metavar="PREFIX",
                       help="write each solved instance as problem JSON "
@@ -373,8 +372,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.options = _options_from_args(args)
-        if args.command == "thomson":
-            _check_limit("tol_fonc", args.tol_fonc, positive=True)
     except ValueError as exc:
         # the message starts with the field's name, which names its flag
         name, _, detail = str(exc).partition(" ")

@@ -84,6 +84,9 @@ _PIVOT_TOL = 1e-8  # BorderedLu's pivot stall threshold
 # order of the first leading block _leading_cholesky factors; a matrix of
 # this order or less is factored by one dpotrf call
 _FIRST_BLOCK = 256
+#: finite-difference scale of :meth:`HessianOperator.from_gradient`: a
+#: product steps ``FD_SIGMA * (1 + |x|_inf)``
+FD_SIGMA = 1e-6
 _log = logging.getLogger(__name__)
 
 
@@ -188,7 +191,7 @@ class HessianOperator:
         grad: Callable,
         x: np.ndarray,
         lam: Optional[np.ndarray] = None,
-        sigma: float = 1e-6,
+        sigma: float = FD_SIGMA,
     ) -> "HessianOperator":
         """Finite-difference operator from a Lagrangian-gradient callback.
 
@@ -281,13 +284,12 @@ def _symmetric_part(H: np.ndarray) -> np.ndarray:
 class NullSpaceBasis:
     """An N x L matrix whose columns span ``null(A)``.
 
-    ``jacobian`` keeps the matrix the basis was computed from so failure
-    certificates can be re-verified against it; ad-hoc bases may leave it
-    None.
+    ``jacobian`` is the M x N matrix A, kept so that failure certificates
+    are re-verified against it.
     """
 
     matrix: np.ndarray
-    jacobian: Optional[np.ndarray] = None
+    jacobian: np.ndarray
 
 
 def default_rank_tolerance(A: np.ndarray) -> float:

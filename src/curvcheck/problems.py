@@ -110,9 +110,9 @@ class Problem:
     def l(self) -> int:
         return self.n - self.m
 
-    def operator(self, sigma: float) -> HessianOperator:
+    def operator(self) -> HessianOperator:
         """A fresh Hessian operator (fresh product counter) for this problem;
-        ``sigma`` is the finite-difference scale of a gradient-backed one."""
+        a gradient-backed one steps :data:`~curvcheck.linalg.FD_SIGMA`."""
         if self.hessian is not None:
             return HessianOperator.from_matrix(self.hessian)
         if self.matvec is not None:
@@ -120,9 +120,7 @@ class Problem:
         if self.gradient is not None:
             if self.x is None:
                 raise ValueError("gradient-backed problem needs a base point x")
-            return HessianOperator.from_gradient(
-                self.gradient, self.x, self.lam, sigma
-            )
+            return HessianOperator.from_gradient(self.gradient, self.x, self.lam)
         raise ValueError("problem has no Hessian representation")
 
 

@@ -85,15 +85,13 @@ METHODS = ("cholesky", "diagonalization", "pcg", "bht", "inertia")
 
 _log = logging.getLogger(__name__)
 
-# The verifiers' fixed tolerances.  There is no pivot threshold: a pivot or
-# curvature counts as positive only when it is > 0.
+# The verifiers' fixed tolerances; the finite-difference scale is
+# :data:`curvcheck.linalg.FD_SIGMA`.  There is no pivot threshold: a pivot
+# or curvature counts as positive only when it is > 0.
 #: largest feasibility defect |A d|_inf / (|d| |A|_F) of a certificate
 TOL_FEAS = 1e-8
 #: projected residual norm squared at which a pcg sweep has converged
 PCG_TOL = 1e-10
-#: finite-difference scale: a gradient-backed product steps
-#: ``FD_SIGMA * (1 + |x|_inf)``
-FD_SIGMA = 1e-6
 
 
 class Status(enum.Enum):
@@ -126,12 +124,12 @@ class SoscVerdict:
         return self.status is Status.HOLDS
 
 
-def _feasibility_defect(A: Optional[np.ndarray], d: np.ndarray) -> float:
-    """|A d|_inf relative to |d| |A|_F; zero when no Jacobian is attached.
+def _feasibility_defect(A: np.ndarray, d: np.ndarray) -> float:
+    """|A d|_inf relative to |d| |A|_F; zero when A has no rows.
 
     BLAS ``dnrm2`` scales as it sums, so |A|_F of a finite A cannot
     overflow and turn the defect into zero."""
-    if A is None or A.shape[0] == 0:
+    if A.shape[0] == 0:
         return 0.0
     scale = float(dnrm2(d)) * float(dnrm2(A.ravel()))
     if not scale > 0.0:
@@ -141,7 +139,7 @@ def _feasibility_defect(A: Optional[np.ndarray], d: np.ndarray) -> float:
 
 def _certified_failure(
     hessian: HessianOperator,
-    A: Optional[np.ndarray],
+    A: np.ndarray,
     d: np.ndarray,
     step: int,
     diagnostics: dict,
@@ -170,14 +168,6 @@ def _certified_failure(
         Status.FAILS, direction=d, curvature=curvature, step=step,
         diagnostics=diagnostics,
     )
-
-
-def _check_limit(name: str, value: float, positive: bool = False) -> None:
-    """Raise ``ValueError``, its message starting with ``name``, unless
-    ``value`` is finite and nonnegative (``positive``: positive)."""
-    if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
-        sense = "positive" if positive else "nonnegative"
-        raise ValueError(f"{name} must be finite and {sense}, got {value!r}")
 
 
 def _classify(alpha: float) -> str:
@@ -626,8 +616,8 @@ def inertia_test(
 @dataclasses.dataclass
 class VerifyOptions:
     """The settings of a verification; the verifiers' other tolerances are
-    the module constants :data:`TOL_FEAS`, :data:`PCG_TOL` and
-    :data:`FD_SIGMA`.
+    the constants :data:`TOL_FEAS`, :data:`PCG_TOL` and
+    :data:`curvcheck.linalg.FD_SIGMA`.
 
     ``tol_rank=None`` selects the scaled default constraint-rank guard;
     zero disables the guard so the tests run on whatever the factorizations
@@ -642,8 +632,9 @@ class VerifyOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol_rank is not None:
-            _check_limit("tol_rank", self.tol_rank)
+        tol_rank = self.tol_rank
+        if tol_rank is not None and not (np.isfinite(tol_rank) and tol_rank >= 0):
+            raise ValueError(f"tol_rank must be finite and nonnegative, got {tol_rank!r}")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
@@ -677,7 +668,7 @@ def verify(
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
     t0 = time.perf_counter()
-    hessian = problem.operator(FD_SIGMA)
+    hessian = problem.operator()
     verdict: SoscVerdict
 
     try:

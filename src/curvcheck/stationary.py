@@ -21,19 +21,16 @@ import dataclasses
 import numpy as np
 
 from .problems import CoincidentPointsError, ThomsonInstance, ThomsonProblem
-from .sosc import _check_limit
 
 __all__ = [
-    "EvaluationFailureError",
     "MaxIterationsError",
     "FoncPoint",
     "fonc_residual",
     "solve_thomson",
 ]
 
-
-class EvaluationFailureError(RuntimeError):
-    """A user callback raised while evaluating the stationarity residuals."""
+#: max-norm stationarity residual :func:`solve_thomson` solves to
+TOL_FONC = 1e-9
 
 
 class MaxIterationsError(RuntimeError):
@@ -59,18 +56,13 @@ def fonc_residual(problem, x: np.ndarray, lam: np.ndarray) -> tuple:
     """Max-norm residuals of stationarity and feasibility at (x, lam).
 
     ``problem`` must provide ``gradient(x)``, ``jacobian(x)``, and
-    ``constraints(x)`` callbacks.
+    ``constraints(x)`` callbacks; an exception they raise propagates.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    try:
-        g = np.asarray(problem.gradient(x), dtype=float)
-        A = np.atleast_2d(np.asarray(problem.jacobian(x), dtype=float))
-        c = np.atleast_1d(np.asarray(problem.constraints(x), dtype=float))
-    except CoincidentPointsError:
-        raise
-    except Exception as exc:  # noqa: BLE001 - surfaced as a typed failure
-        raise EvaluationFailureError(str(exc)) from exc
+    g = np.asarray(problem.gradient(x), dtype=float)
+    A = np.atleast_2d(np.asarray(problem.jacobian(x), dtype=float))
+    c = np.atleast_1d(np.asarray(problem.constraints(x), dtype=float))
     grad_lag = g - A.T @ lam
     feas = float(np.linalg.norm(c, np.inf)) if c.size else 0.0
     return float(np.linalg.norm(grad_lag, np.inf)), feas
@@ -138,7 +130,7 @@ def _backtrack(pts, energy, grad, gnorm, t, prob):
     return None
 
 
-def solve_thomson(k: int, seed: int = 0, tol_fonc: float = 1e-9) -> FoncPoint:
+def solve_thomson(k: int, seed: int = 0) -> FoncPoint:
     """Minimize the sphere energy and emit a frame-fixed stationary point.
 
     Gradient descent runs on the plain product-of-spheres formulation; the
@@ -154,12 +146,10 @@ def solve_thomson(k: int, seed: int = 0, tol_fonc: float = 1e-9) -> FoncPoint:
     gradient norm instead; true energy decrease continues, it just stops
     being measurable.
 
-    A ``tol_fonc`` that is not finite and positive raises ``ValueError``.
     Raises :class:`MaxIterationsError` when the Riemannian gradient does
-    not reach the tolerance within :data:`_MAX_ITER` (200 000) accepted
+    not reach :data:`TOL_FONC` within :data:`_MAX_ITER` (200 000) accepted
     steps.
     """
-    _check_limit("tol_fonc", tol_fonc, positive=True)
     prob = ThomsonProblem(ThomsonInstance(k))
     rng = np.random.default_rng(seed)
 
@@ -169,8 +159,8 @@ def solve_thomson(k: int, seed: int = 0, tol_fonc: float = 1e-9) -> FoncPoint:
         pts = _retract(rng.standard_normal((k, 3)))
         energy, grad = _sphere_energy_and_grad(prob, pts)
 
-    # target the 2-norm a bit below the requested max-norm residual
-    target = 0.5 * tol_fonc
+    # target the 2-norm a bit below the max-norm residual TOL_FONC
+    target = 0.5 * TOL_FONC
     step = 1e-2
     prev_pts = None
     prev_grad = None
@@ -196,7 +186,7 @@ def solve_thomson(k: int, seed: int = 0, tol_fonc: float = 1e-9) -> FoncPoint:
 
     if not converged:
         raise MaxIterationsError(
-            f"no stationary point to tolerance {tol_fonc:g} within {_MAX_ITER} steps"
+            f"no stationary point to tolerance {TOL_FONC:g} within {_MAX_ITER} steps"
         )
 
     Q = _canonical_rotation(pts)

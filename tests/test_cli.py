@@ -235,6 +235,21 @@ class TestBench:
         assert row[header.index("truth")] == ""
         assert row[header.index("agree")] == ""
 
+    def test_each_verify_runs_once_at_every_size(self, monkeypatch):
+        # a size of 500 or more is timed once too; a small problem stands
+        # in for the drawn one
+        from curvcheck import bench
+
+        calls = []
+        verify = bench.verify
+        monkeypatch.setattr(bench, "generate", lambda spec: Problem(
+            jacobian=np.array([[0.0, 0.0, 1.0]]), hessian=np.eye(3)))
+        monkeypatch.setattr(bench, "verify", lambda problem, method, options: (
+            calls.append((method, options)) or verify(problem, method, options)))
+        records = bench.run_campaign([8, 500], 1, methods=("cholesky", "pcg"))
+        assert len(records) == len(calls) == 4
+        assert all(options == VerifyOptions(tol_rank=0.0) for _, options in calls)
+
     def test_rejects_tiny_sizes(self, tmp_path, capsys):
         # an empty list exited 0 after writing a header-only CSV
         for sizes, message in [("3", "at least 4"), ("", "no benchmark sizes"),
@@ -476,9 +491,10 @@ class TestThomsonCommand:
     @pytest.mark.parametrize("sigma", ["0", "-1e-6", "nan", "inf", "abc", "-1"])
     def test_fd_sigma_must_be_positive_and_finite(self, sigma, capsys):
         # --tol-fonc -1, 0 or nan exited 0 after "solver failed" lines.  The
-        # step scale is the constant FD_SIGMA, and --fd-sigma is refused
+        # step scale is the constant FD_SIGMA and the solver tolerance the
+        # constant TOL_FONC, and either flag is refused whatever its value
         for flag in ("--fd-sigma", "--tol-fonc"):
             with pytest.raises(SystemExit) as exc:
                 main(["thomson", "--k-list", "4", f"{flag}={sigma}"])
             assert exc.value.code == 2
-            assert flag in capsys.readouterr().err
+            assert f"unrecognized arguments: {flag}={sigma}" in capsys.readouterr().err

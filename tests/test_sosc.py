@@ -42,7 +42,10 @@ from curvcheck.sosc import (
 
 
 def adhoc_basis(W, A=None):
-    return NullSpaceBasis(np.asarray(W, dtype=float), A)
+    """The basis W of null(A); A defaults to an orthonormal basis of the
+    orthogonal complement of W's columns, as rows."""
+    W = np.asarray(W, dtype=float)
+    return NullSpaceBasis(W, sla.null_space(W.T).T if A is None else A)
 
 
 def op(H):
@@ -484,6 +487,27 @@ class TestContinuedPcg:
         assert verdict.diagnostics["operator_products"] == n
         # every sweep on the identity converges in one step
         assert verdict.diagnostics["continuations"] == n - 1
+
+    def test_seed_in_the_row_space_falls_back_to_a_drawn_one(self):
+        # b0 projects to zero, so the first seed is drawn as if no b0 were
+        # given
+        A = np.array([[1.0, 0.0, 0.0]])
+        verdict = continued_pcg(op(np.eye(3)), NullSpaceProjector(A),
+                                b0=np.array([1.0, 0.0, 0.0]))
+        drawn = continued_pcg(op(np.eye(3)), NullSpaceProjector(A))
+        assert verdict.status is Status.HOLDS
+        assert verdict.diagnostics == drawn.diagnostics
+
+    def test_no_usable_seed_is_subspace_exhausted(self):
+        class NullProjector(NullSpaceProjector):
+            def project(self, r):
+                return np.zeros_like(r)
+
+        verdict = continued_pcg(op(np.eye(3)), NullProjector(np.empty((0, 3))))
+        assert verdict.status is Status.ERROR
+        assert verdict.reason == "subspace_exhausted"
+        assert verdict.step is None
+        assert verdict.diagnostics["operator_products"] == 0
 
     def test_callback_returning_a_view_of_its_argument(self):
         # s -> s reversed is symmetric, and a callback may return that view
@@ -944,6 +968,20 @@ class TestVerify:
             assert verdict.step == (1 if method == "pcg" else 3), method
             assert verdict.diagnostics["operator_products"] == verdict.step, method
             assert verdict.direction is None, method
+
+    def test_non_finite_recheck_of_a_failure_is_not_a_failure(self):
+        # the first product gives negative curvature, the certificate's
+        # re-check product NaN: no direction is certified
+        products = iter([lambda s: -s, lambda s: np.full_like(s, np.nan)])
+        hessian = HessianOperator.from_callback(lambda s: next(products)(s), 2)
+        basis = adhoc_basis(np.eye(2)[:, :1], np.array([[0.0, 1.0]]))
+        verdict = diagonalization(hessian, basis)
+        assert verdict.status is Status.ERROR
+        assert verdict.reason == "non_finite"
+        assert verdict.step == 1
+        assert verdict.direction is None
+        assert np.isnan(verdict.diagnostics["recomputed_curvature"])
+        assert verdict.diagnostics["operator_products"] == 2
 
     @pytest.mark.parametrize("p, expected", [(12, Status.HOLDS), (8, Status.FAILS)])
     def test_overflowing_product_norms_keep_a_zero_threshold(self, p, expected):
