@@ -176,7 +176,9 @@ def cmd_bench(args) -> int:
         print(_bench.summarize(records))
         try:
             _bench.write_csv(records, out)
-            out.flush()
+            # a full disk fails at the last flush, which closing at the end
+            # of the with statement would raise outside this try
+            out.close()
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
@@ -266,7 +268,9 @@ def cmd_thomson(args) -> int:
                 "continuations",
             ])
             writer.writerows(rows)
-            out.flush()
+            # a full disk fails at the last flush, which closing at the end
+            # of the with statement would raise outside this try
+            out.close()
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3

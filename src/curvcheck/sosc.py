@@ -44,8 +44,9 @@ import dataclasses
 import enum
 import logging
 import math
+import numbers
 import time
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -184,6 +185,30 @@ def _classify(alpha: float) -> str:
     return "semidefinite_boundary"
 
 
+def _stopped(
+    hessian: HessianOperator,
+    A: np.ndarray,
+    alpha: float,
+    direction: Optional[Callable[[], np.ndarray]],
+    step: int,
+    diagnostics: dict,
+) -> SoscVerdict:
+    """The verdict of a matrix-free test that stopped at ``step`` on the
+    pivot or curvature ``alpha``: a negative one is passed to
+    :func:`_certified_failure` with the candidate ``direction()``, which is
+    called in that case only; any other is an inconclusive ERROR with
+    :func:`_classify`'s reason, where a positive one (a pivot ``dpotrf``
+    stopped at whose recomputation is positive) is at the boundary too."""
+    kind = _classify(alpha)
+    if kind == "negative":
+        return _certified_failure(hessian, A, direction(), step, diagnostics)
+    return SoscVerdict(
+        Status.ERROR, step=step,
+        reason="semidefinite_boundary" if kind == "positive" else kind,
+        diagnostics=diagnostics,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Implicit Cholesky
 # ---------------------------------------------------------------------------
@@ -231,37 +256,24 @@ def implicit_cholesky(
     # OpenBLAS dpotrf does not stop at a NaN pivot
     U, alphas = _leading_cholesky(R, fill, lambda p: not np.isfinite(p).all())
     k = alphas.size
-    # a pivot whose square underflowed to 0 is at the boundary too
+    # the rule of _stopped applied to every returned pivot at once: these
+    # are squares, so a rejected one is zero (also a square that
+    # underflowed) or not finite, and no direction is needed
     rejected = np.flatnonzero(~(np.isfinite(alphas) & (alphas > 0.0)))
 
-    diagnostics = {"operator_products": hessian.product_count - start}
     if rejected.size:
-        alpha = alphas[rejected[0]]
-        diagnostics["alpha"] = alpha
-        return SoscVerdict(
-            Status.ERROR, step=int(rejected[0]) + 1,
-            reason="semidefinite_boundary" if np.isfinite(alpha) else "non_finite",
-            diagnostics=diagnostics,
-        )
-    if k == L:
-        diagnostics["alphas"] = alphas
-        return SoscVerdict(Status.HOLDS, diagnostics=diagnostics)
-
-    t = solve_triangular(U[:k, :k], R[:k, k], trans="T", check_finite=False)
-    s = solve_triangular(U[:k, :k], t, check_finite=False)
-    alpha = float(R[k, k] - t @ t)
-    diagnostics["alpha"] = alpha
-    kind = _classify(alpha)
-    if kind != "negative":
-        # dpotrf and the recomputation disagree on the sign, or the pivot
-        # is zero or not finite
-        return SoscVerdict(
-            Status.ERROR, step=k + 1,
-            reason="semidefinite_boundary" if kind == "positive" else kind,
-            diagnostics=diagnostics,
-        )
-    d = W[:, k] - W[:, :k] @ s
-    verdict = _certified_failure(hessian, basis.jacobian, d, k + 1, diagnostics)
+        k = int(rejected[0])
+        verdict = _stopped(hessian, basis.jacobian, alphas[k], None, k + 1,
+                           {"alpha": alphas[k]})
+    elif k == L:
+        verdict = SoscVerdict(Status.HOLDS, diagnostics={"alphas": alphas})
+    else:
+        # dpotrf stopped at pivot k: recompute it from the partial factor
+        t = solve_triangular(U[:k, :k], R[:k, k], trans="T", check_finite=False)
+        s = solve_triangular(U[:k, :k], t, check_finite=False)
+        alpha = float(R[k, k] - t @ t)
+        verdict = _stopped(hessian, basis.jacobian, alpha,
+                           lambda: W[:, k] - W[:, :k] @ s, k + 1, {"alpha": alpha})
     verdict.diagnostics["operator_products"] = hessian.product_count - start
     return verdict
 
@@ -311,7 +323,6 @@ def diagonalization(
     alphas = np.zeros(L)
     Z = np.empty((N, L), order="F")
 
-    stop = None
     for n in range(L):
         v = V[:, n]
         if n % _PANEL == 0:
@@ -324,27 +335,14 @@ def diagonalization(
         z = hessian.apply(v)
         alpha = float(v @ z)
         alphas[n] = alpha
-        kind = _classify(alpha)
-        if kind != "positive":
-            stop = n
+        if _classify(alpha) != "positive":
+            verdict = _stopped(hessian, basis.jacobian, alpha, v.copy, n + 1,
+                               {"alpha": alphas[n]})
             break
         Z[:, n] = z
-
-    diagnostics = {"operator_products": hessian.product_count - start}
-    if stop is None:
-        diagnostics["alphas"] = alphas
-        return SoscVerdict(Status.HOLDS, diagnostics=diagnostics)
-    if kind != "negative":
-        diagnostics["alpha"] = alphas[stop]
-        return SoscVerdict(
-            Status.ERROR, step=stop + 1, reason=kind, diagnostics=diagnostics,
-        )
-
-    verdict = _certified_failure(
-        hessian, basis.jacobian, V[:, stop].copy(), stop + 1, diagnostics
-    )
+    else:
+        verdict = SoscVerdict(Status.HOLDS, diagnostics={"alphas": alphas})
     verdict.diagnostics["operator_products"] = hessian.product_count - start
-    verdict.diagnostics["alpha"] = alphas[stop]
     return verdict
 
 
@@ -397,57 +395,36 @@ def continued_pcg(
     start = hessian.product_count
     rng = np.random.default_rng(seed)
 
-    def draw_seed() -> Optional[np.ndarray]:
-        for _ in range(_SEED_DRAWS):
-            cand = projector.project(rng.standard_normal(N))
-            if float(dnrm2(cand)) >= PCG_TOL:
-                return cand
-        return None
-
-    def finish(verdict: SoscVerdict) -> SoscVerdict:
-        verdict.diagnostics["operator_products"] = hessian.product_count - start
-        verdict.diagnostics["continuations"] = continuations
-        verdict.diagnostics["sweeps_converged"] = sweeps_converged
-        return verdict
-
     continuations = 0
     sweeps_converged = 0
     n_conj = 0
-    if b0 is not None:
-        b = projector.project(np.asarray(b0, dtype=float))
-        if float(dnrm2(b)) < PCG_TOL:
-            b = draw_seed()
-    else:
-        b = draw_seed()
-    if b is None:
-        return finish(
-            SoscVerdict(Status.ERROR, reason="subspace_exhausted", diagnostics={})
-        )
-
+    b = None if b0 is None else projector.project(np.asarray(b0, dtype=float))
     while True:
+        # draw the first seed, unless b0 projects to a usable one, and each
+        # restart's
+        if b is None or float(dnrm2(b)) < PCG_TOL:
+            for _ in range(_SEED_DRAWS):
+                b = projector.project(rng.standard_normal(N))
+                if float(dnrm2(b)) >= PCG_TOL:
+                    break
+            else:
+                verdict = SoscVerdict(Status.ERROR, reason="subspace_exhausted")
+                break
         # the seed is its own projection, so r is its projected residual
         r = b / float(dnrm2(b))
         omega = float(r @ r)
         p = r.copy()
         sweep_images = []
+        verdict = None
 
         while n_conj < L:
             tau = omega
             q = hessian.apply(p)
             eta = float(p @ q)
-            kind = _classify(eta)
-            if kind == "negative":
-                verdict = _certified_failure(
-                    hessian, projector.jacobian, p.copy(), n_conj + 1, {"eta": eta}
-                )
-                return finish(verdict)
-            if kind != "positive":
-                return finish(
-                    SoscVerdict(
-                        Status.ERROR, step=n_conj + 1, reason=kind,
-                        diagnostics={"eta": eta},
-                    )
-                )
+            if _classify(eta) != "positive":
+                verdict = _stopped(hessian, projector.jacobian, eta, p.copy,
+                                   n_conj + 1, {"eta": eta})
+                break
             n_conj += 1
             sweep_images.append(q)
             r -= (tau / eta) * q
@@ -459,9 +436,10 @@ def continued_pcg(
             p *= omega / tau
             p += s
 
-        if n_conj >= L:
-            return finish(SoscVerdict(Status.HOLDS, diagnostics={}))
-
+        if verdict is None and n_conj >= L:
+            verdict = SoscVerdict(Status.HOLDS)
+        if verdict is not None:
+            break
         # converged early: restrict the subspace to the conjugate
         # complement of this sweep and restart
         continuations += 1
@@ -477,11 +455,12 @@ def continued_pcg(
             projector.append_column(np.column_stack(sweep_images))
         except DependentColumnError:
             pass
-        b = draw_seed()
-        if b is None:
-            return finish(
-                SoscVerdict(Status.ERROR, reason="subspace_exhausted", diagnostics={})
-            )
+        b = None
+
+    verdict.diagnostics["operator_products"] = hessian.product_count - start
+    verdict.diagnostics["continuations"] = continuations
+    verdict.diagnostics["sweeps_converged"] = sweeps_converged
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +468,25 @@ def continued_pcg(
 # ---------------------------------------------------------------------------
 
 
-def _dense_hessian(hessian: Union[HessianOperator, np.ndarray]) -> np.ndarray:
-    """The operator's stored matrix, read without a copy, or the matrix
-    assembled from N products; a bare array goes through
-    :meth:`HessianOperator.from_matrix` like any dense Hessian."""
+def _dense_inputs(
+    hessian: Union[HessianOperator, np.ndarray],
+    A: np.ndarray,
+):
+    """The prelude of the two classical tests: the Hessian as a dense
+    matrix, the Jacobian as an array, and ERROR ``non_finite`` when either
+    holds NaN or inf, else None.
+
+    The dense matrix is the operator's stored matrix, read without a copy,
+    or the matrix assembled from N products; a bare array goes through
+    :meth:`HessianOperator.from_matrix` like any dense Hessian.  Raises
+    :class:`DimensionMismatchError` when H and A disagree on N."""
     if not isinstance(hessian, HessianOperator):
         hessian = HessianOperator.from_matrix(hessian)
-    if hessian.matrix is not None:
-        return hessian.matrix
-    return hessian.materialize()
+    H = hessian.matrix if hessian.matrix is not None else hessian.materialize()
+    A = _as_jacobian(A)
+    if H.shape[0] != A.shape[1]:
+        raise DimensionMismatchError("H and A dimensions are inconsistent")
+    return H, A, _non_finite(H, A)
 
 
 def _non_finite(*arrays: np.ndarray) -> Optional[SoscVerdict]:
@@ -533,14 +522,10 @@ def bordered_hessian_test(
     (``non_finite``), and a NaN or inf pivot (``non_finite`` at its step),
     where the factorization of finite entries overflowed.
     """
-    H = _dense_hessian(hessian)
-    A = _as_jacobian(A)
-    M, N = A.shape
-    if H.shape[0] != N:
-        raise DimensionMismatchError("H and A dimensions are inconsistent")
-    rejected = _non_finite(H, A)
+    H, A, rejected = _dense_inputs(hessian, A)
     if rejected is not None:
         return rejected
+    M, N = A.shape
     L = N - M
     B = _problems.build_bordered(H, A)
     expected = -1 if M % 2 else 1
@@ -589,14 +574,10 @@ def inertia_test(
     in H or A gives ERROR ``non_finite``, and so does NaN or inf in D,
     where the factorization of finite entries overflowed.
     """
-    H = _dense_hessian(hessian)
-    A = _as_jacobian(A)
-    M, N = A.shape
-    if H.shape[0] != N:
-        raise DimensionMismatchError("H and A dimensions are inconsistent")
-    rejected = _non_finite(H, A)
+    H, A, rejected = _dense_inputs(hessian, A)
     if rejected is not None:
         return rejected
+    M, N = A.shape
     K = _problems.build_kkt(H, A)
     fact = ldl_factor(K)
     diagnostics = {"inertia": fact.inertia}
@@ -623,9 +604,9 @@ class VerifyOptions:
     zero disables the guard so the tests run on whatever the factorizations
     produce (the benchmark harness does this to expose round-off behavior).
     ``seed`` seeds the pseudorandom starts of ``pcg``.  A given
-    ``tol_rank`` must be finite and nonnegative and ``seed`` a nonnegative
-    integer; any other value raises ``ValueError``, its message starting
-    with the field's name.
+    ``tol_rank`` must be a finite and nonnegative real number, not a bool,
+    and ``seed`` a nonnegative integer; any other value raises
+    ``ValueError``, its message starting with the field's name.
     """
 
     tol_rank: Optional[float] = None
@@ -633,7 +614,10 @@ class VerifyOptions:
 
     def __post_init__(self):
         tol_rank = self.tol_rank
-        if tol_rank is not None and not (np.isfinite(tol_rank) and tol_rank >= 0):
+        if tol_rank is not None and (
+            isinstance(tol_rank, bool) or not isinstance(tol_rank, numbers.Real)
+            or not (np.isfinite(tol_rank) and tol_rank >= 0)
+        ):
             raise ValueError(f"tol_rank must be finite and nonnegative, got {tol_rank!r}")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:

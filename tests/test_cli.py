@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import os
 import warnings
 
 import numpy as np
@@ -198,6 +199,15 @@ class TestBench:
                      "--out", str(tmp_path / "no" / "such.csv")]) == 3
         assert capsys.readouterr().err.startswith("error: ")
         assert calls == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_disk_exit_three(self, capsys):
+        # the CSV fits in the write buffer, so the disk is found full when
+        # the file is closed
+        assert main(["bench", "--n-list", "8", "--trials-per-n", "1",
+                     "--methods", "inertia", "--out", "/dev/full"]) == 3
+        assert capsys.readouterr().err == (
+            "error: [Errno 28] No space left on device\n")
 
     @pytest.mark.parametrize("command", ["bench", "thomson"])
     def test_unknown_method_in_list_is_a_usage_error(self, tmp_path, command, capsys):
@@ -480,6 +490,27 @@ class TestThomsonCommand:
                      "--save-problems", prefix]) == 3
         assert capsys.readouterr().err.startswith("error: ")
         assert calls == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_disk_exit_three(self, capsys):
+        assert main(["thomson", "--k-list", "2", "--methods", "inertia",
+                     "--out", "/dev/full"]) == 3
+        assert capsys.readouterr().err == (
+            "error: [Errno 28] No space left on device\n")
+
+    def test_solver_failure_is_a_row(self, tmp_path, capsys, monkeypatch):
+        from curvcheck import cli
+        from curvcheck.stationary import MaxIterationsError
+
+        def fail(k, seed):
+            raise MaxIterationsError(f"no stationary point for K={k}")
+
+        monkeypatch.setattr(cli, "solve_thomson", fail)
+        out = tmp_path / "thomson.csv"
+        assert main(["thomson", "--k-list", "4", "--out", str(out)]) == 0
+        assert "K=4: solver failed: " in capsys.readouterr().err
+        rows = list(csv.reader(open(out)))
+        assert rows[1:] == [["4", "12", "7", "", "solver_failed", "", "", "", "", ""]]
 
     @pytest.mark.parametrize("flag", ["--out", "--save-problems"])
     def test_unwritable_output_exit_three(self, tmp_path, flag, capsys):

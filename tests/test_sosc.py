@@ -9,6 +9,7 @@ import scipy.linalg as sla
 
 from curvcheck import linalg
 from curvcheck.linalg import (
+    DependentColumnError,
     DimensionMismatchError,
     HessianOperator,
     NullSpaceBasis,
@@ -312,6 +313,25 @@ class TestImplicitCholesky:
         assert verdict.reason == "non_finite"
         assert verdict.step == 3
 
+    def test_pivot_recomputed_positive_is_boundary(self, monkeypatch):
+        # dpotrf stopping at a pivot whose recomputation from the partial
+        # factor is positive leaves the sign open; here the factorization
+        # is cut after its first pivot, and the second recomputes to 3
+        from curvcheck import sosc
+
+        def cut(work, fill, rejects):
+            U, alphas = linalg._leading_cholesky(work, fill, rejects)
+            return U, alphas[:1]
+
+        monkeypatch.setattr(sosc, "_leading_cholesky", cut)
+        H = np.diag([2.0, 3.0, 5.0])
+        verdict = implicit_cholesky(op(H), adhoc_basis(np.eye(3)[:, :2]))
+        assert verdict.status is Status.ERROR
+        assert verdict.reason == "semidefinite_boundary"
+        assert verdict.step == 2
+        assert verdict.diagnostics["alpha"] == 3.0
+        assert verdict.diagnostics["operator_products"] == 2
+
 
 # ---------------------------------------------------------------------------
 # Diagonalization
@@ -508,6 +528,41 @@ class TestContinuedPcg:
         assert verdict.reason == "subspace_exhausted"
         assert verdict.step is None
         assert verdict.diagnostics["operator_products"] == 0
+
+    def test_refused_images_do_not_stop_the_search(self):
+        # the projector may refuse a sweep's images as already annihilated;
+        # the search restarts without them and still covers null(A)
+        class RefusingProjector(NullSpaceProjector):
+            def append_column(self, C):
+                raise DependentColumnError("images inside the annihilated span")
+
+        A = np.array([[0.0, 0.0, 1.0]])
+        verdict = continued_pcg(op(np.eye(3)), RefusingProjector(A))
+        assert verdict.status is Status.HOLDS
+        assert verdict.diagnostics["continuations"] == 1
+        assert verdict.diagnostics["operator_products"] == 2
+        assert verdict.diagnostics["sweeps_converged"] == 2
+
+    def test_no_usable_restart_seed_is_subspace_exhausted(self):
+        # the first sweep converges with one of two dimensions searched;
+        # every restart seed then projects to zero
+        class EmptiedProjector(NullSpaceProjector):
+            appended = False
+
+            def append_column(self, C):
+                super().append_column(C)
+                self.appended = True
+
+            def project(self, r):
+                return np.zeros_like(r) if self.appended else super().project(r)
+
+        A = np.array([[0.0, 0.0, 1.0]])
+        verdict = continued_pcg(op(np.eye(3)), EmptiedProjector(A))
+        assert verdict.status is Status.ERROR
+        assert verdict.reason == "subspace_exhausted"
+        assert verdict.step is None
+        assert verdict.diagnostics["continuations"] == 1
+        assert verdict.diagnostics["operator_products"] == 1
 
     def test_callback_returning_a_view_of_its_argument(self):
         # s -> s reversed is symmetric, and a callback may return that view
@@ -1167,6 +1222,7 @@ class TestVerify:
         ("pcg_tol", 0.0), ("pcg_tol", -1e-10), ("pcg_tol", np.inf),
         ("fd_sigma", 0.0), ("fd_sigma", -1e-6), ("fd_sigma", np.nan),
         ("tol_rank", -1.0), ("tol_rank", np.nan), ("tol_rank", np.inf),
+        ("tol_rank", True), ("tol_rank", "0.5"),
     ])
     def test_options_out_of_range_are_rejected(self, field, value):
         # the verifiers read tol_alpha, tol_feas, pcg_tol and fd_sigma as
