@@ -1,10 +1,11 @@
 """Command-line front end: check, bench, thomson, compare.
 
 Exit codes for ``check``: 0 the condition holds, 1 it fails, 2 the test
-was inconclusive, 3 input/schema problems.  Every command exits 2 on a
-usage error, which includes a ``--tol-rank`` out of range, an empty list
-of sizes or methods, a benchmark size below 4, a trial count below 1 and
-a Thomson point count K below 2.
+was inconclusive.  Every command exits 3 on an input that cannot be read
+or an output that cannot be written, stdout included, and 2 on a usage
+error, which includes a ``--tol-rank`` out of range, an empty list of
+sizes or methods, a benchmark size below 4, a trial count below 1 and a
+Thomson point count K below 2.
 """
 
 from __future__ import annotations
@@ -24,15 +25,8 @@ from . import problems as _problems
 from .sosc import METHODS, Status, VerifyOptions, verify
 from .stationary import MaxIterationsError, solve_thomson
 
-_METHOD_ALIASES = {
-    "cholesky": "cholesky",
-    "chol": "cholesky",
-    "diagonalization": "diagonalization",
-    "diag": "diagonalization",
-    "pcg": "pcg",
-    "bht": "bht",
-    "inertia": "inertia",
-}
+_METHOD_ALIASES = {**{m: m for m in METHODS}, "chol": "cholesky",
+                   "diag": "diagonalization"}
 
 
 def _canonical_method(name: str) -> str:
@@ -118,53 +112,34 @@ def _print_verdict(verdict, method: str) -> None:
 
 
 def cmd_check(args) -> int:
-    try:
-        problem = _problems.load_problem(args.problem)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    problem = _problems.load_problem(args.problem)
     method = args.method
     verdict = verify(problem, method, args.options)
     _print_verdict(verdict, method)
     if verdict.direction is not None:
         sidecar = args.direction_out or (str(args.problem) + ".direction.json")
-        try:
-            with open(sidecar, "w", encoding="utf-8") as fh:
-                json.dump(
-                    {
-                        "direction": [float(v) for v in verdict.direction],
-                        "curvature": verdict.curvature,
-                        "step": verdict.step,
-                    },
-                    fh,
-                )
-                fh.write("\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        with open(sidecar, "w", encoding="utf-8") as fh:
+            json.dump(
+                {
+                    "direction": [float(v) for v in verdict.direction],
+                    "curvature": verdict.curvature,
+                    "step": verdict.step,
+                },
+                fh,
+            )
+            fh.write("\n")
         print(f"direction written to {sidecar}")
-    if verdict.status is Status.HOLDS:
-        return 0
-    if verdict.status is Status.FAILS:
-        return 1
-    return 2
+    return {Status.HOLDS: 0, Status.FAILS: 1}.get(verdict.status, 2)
 
 
 def _open_out(path):
     """Open ``path`` for a CSV before the work that fills it, so that an
-    unwritable path is reported at once; None after printing the error."""
-    try:
-        return open(path, "w", newline="", encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+    unwritable path is reported at once."""
+    return open(path, "w", newline="", encoding="utf-8")
 
 
 def cmd_bench(args) -> int:
-    out = _open_out(args.out)
-    if out is None:
-        return 3
-    with out:
+    with _open_out(args.out) as out:
         records = _bench.run_campaign(
             args.n_list,
             args.trials_per_n,
@@ -174,21 +149,13 @@ def cmd_bench(args) -> int:
             options=args.options,
         )
         print(_bench.summarize(records))
-        try:
-            _bench.write_csv(records, out)
-            # a full disk fails at the last flush, which closing at the end
-            # of the with statement would raise outside this try
-            out.close()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        _bench.write_csv(records, out)
     print(f"{len(records)} records written to {args.out}")
     return 0
 
 
 def _thomson_rows(args):
-    """Solve and verify each K of ``--k-list``; the CSV rows, or None after
-    a problem snapshot could not be written."""
+    """Solve and verify each K of ``--k-list``; the CSV rows."""
     rows = []
     for k in args.k_list:
         try:
@@ -211,11 +178,7 @@ def _thomson_rows(args):
                 provenance=problem.provenance,
             )
             dest = f"{args.save_problems}thomson_k{k}.json"
-            try:
-                _problems.save_problem(snapshot, dest)
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return None
+            _problems.save_problem(snapshot, dest)
             print(f"K={k}: problem written to {dest}")
         print(f"K={k}: energy {energy:.12g}, stationarity residual "
               f"{point.fonc_residual:.3g}")
@@ -249,41 +212,25 @@ def cmd_thomson(args) -> int:
         # its directory can be checked
         folder = os.path.dirname(args.save_problems) or "."
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-            print(f"error: cannot write problems to {folder!r}", file=sys.stderr)
-            return 3
+            raise OSError(f"cannot write problems to {folder!r}")
     if not args.out:
-        return 3 if _thomson_rows(args) is None else 0
-    out = _open_out(args.out)
-    if out is None:
-        return 3
-    with out:
+        _thomson_rows(args)
+        return 0
+    with _open_out(args.out) as out:
         rows = _thomson_rows(args)
-        if rows is None:
-            return 3
-        try:
-            writer = csv.writer(out)
-            writer.writerow([
-                "K", "N", "M", "method", "verdict", "energy",
-                "fonc_residual", "wall_time_s", "operator_products",
-                "continuations",
-            ])
-            writer.writerows(rows)
-            # a full disk fails at the last flush, which closing at the end
-            # of the with statement would raise outside this try
-            out.close()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        writer = csv.writer(out)
+        writer.writerow([
+            "K", "N", "M", "method", "verdict", "energy",
+            "fonc_residual", "wall_time_s", "operator_products",
+            "continuations",
+        ])
+        writer.writerows(rows)
     print(f"rows written to {args.out}")
     return 0
 
 
 def cmd_compare(args) -> int:
-    try:
-        problem = _problems.load_problem(args.problem)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    problem = _problems.load_problem(args.problem)
     options = args.options
     print(f"N={problem.n} M={problem.m} L={problem.l}")
     results = {}
@@ -381,9 +328,24 @@ def main(argv=None) -> int:
         name, _, detail = str(exc).partition(" ")
         parser.error(f"argument --{name.replace('_', '-')}: {detail}")
     t0 = time.perf_counter()
-    code = args.func(args)
-    if args.command != "check":
-        print(f"total time: {time.perf_counter() - t0:.3g}s")
+    try:
+        code = args.func(args)
+    except (OSError, ValueError) as exc:
+        # exit 1 would read as "the condition fails"
+        print(f"error: {exc}", file=sys.stderr)
+        code = 3
+    try:
+        if args.command != "check":
+            print(f"total time: {time.perf_counter() - t0:.3g}s")
+        sys.stdout.flush()
+    except OSError as exc:
+        # stdout is closed or full: reported unless a command's error was,
+        # and pointed at the null device, as the interpreter flushes it
+        # again at exit
+        if code != 3:
+            print(f"error: {exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 3
     return code
 
 

@@ -371,14 +371,19 @@ def _qr_at(A: np.ndarray, tol_rank: Optional[float]):
     return qr, tau
 
 
-def _apply_q(qr: np.ndarray, tau: np.ndarray, C: np.ndarray) -> None:
-    """Overwrite the Fortran-ordered N x k array ``C`` with ``Q C``, Q the
-    product of the reflectors ``qr`` and ``tau`` of :func:`_qr_at`, through
-    LAPACK ``dormqr``, which works in place on a Fortran-ordered array; on
-    columns of the identity this forms those columns of Q without forming
-    the rest."""
-    _, work, _ = sla.lapack.dormqr("L", "N", qr, tau, C, -1)
-    sla.lapack.dormqr("L", "N", qr, tau, C, int(work[0]), overwrite_c=1)
+def _q_columns(reflectors, C: np.ndarray, start: int) -> np.ndarray:
+    """Overwrite the Fortran-ordered N x k array ``C`` with the columns of
+    Q from ``start`` on and return it.  Q is the product of the reflectors
+    ``(qr, tau)`` of :func:`_qr_at`, or ``I_N`` when ``reflectors`` is None
+    (M = 0).  LAPACK ``dormqr`` applies them in place to those columns of
+    the identity, which forms them without forming the rest of Q."""
+    C[:] = 0.0
+    np.fill_diagonal(C[start:], 1.0)
+    if reflectors is not None:
+        qr, tau = reflectors
+        _, work, _ = sla.lapack.dormqr("L", "N", qr, tau, C, -1)
+        sla.lapack.dormqr("L", "N", qr, tau, C, int(work[0]), overwrite_c=1)
+    return C
 
 
 def null_space_basis(
@@ -405,11 +410,8 @@ def null_space_basis(
     """
     A = _as_jacobian(A)
     M, N = A.shape
-    if M == 0:
-        return NullSpaceBasis(np.eye(N), A)
-    W = np.zeros((N, N - M), order="F")
-    np.fill_diagonal(W[M:], 1.0)
-    _apply_q(*_qr_at(A, tol_rank), W)
+    reflectors = _qr_at(A, tol_rank) if M else None
+    W = _q_columns(reflectors, np.empty((N, N - M), order="F"), M)
     return NullSpaceBasis(np.ascontiguousarray(W), A)
 
 
@@ -453,20 +455,13 @@ class NullSpaceProjector:
         self._reflectors = _qr_at(A, tol_rank) if self._m else None
         self._z_formed = False
         if self._m and 2 * (self._n - self._m) > self._n:
-            self._form(self._q[:, : self._m], 0)
-
-    def _form(self, C: np.ndarray, start: int) -> None:
-        """Fill ``C`` with the columns of Q from ``start`` on."""
-        C[:] = 0.0
-        np.fill_diagonal(C[start:], 1.0)
-        if self._reflectors is not None:
-            _apply_q(*self._reflectors, C)
+            _q_columns(self._reflectors, self._q[:, : self._m], 0)
 
     def _basis(self) -> np.ndarray:
         """``Z``, formed at its first read."""
         Z = self._q[:, self._c :]
         if not self._z_formed:
-            self._form(Z, self._m)
+            _q_columns(self._reflectors, Z, self._m)
             self._z_formed = True
             self._reflectors = None
         return Z

@@ -4,11 +4,14 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import curvcheck
 from curvcheck.cli import _options_from_args, build_parser, main
 from curvcheck.bench import CSV_HEADER
 from curvcheck.problems import (
@@ -66,6 +69,11 @@ class TestCheck:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["check", str(path)]) == 3
+        # valid JSON that is not an object
+        path.write_text("[1, 2]", encoding="utf-8")
+        for command in ("check", "compare"):
+            assert main([command, str(path)]) == 3
+            assert "must be a JSON object" in capsys.readouterr().err
 
     def test_missing_file_exit_three(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 3
@@ -529,3 +537,56 @@ class TestThomsonCommand:
                 main(["thomson", "--k-list", "4", f"{flag}={sigma}"])
             assert exc.value.code == 2
             assert f"unrecognized arguments: {flag}={sigma}" in capsys.readouterr().err
+
+
+class TestUnwritableStdout:
+    """The CLI in a child process whose stdout cannot be written: exit 3
+    with one error line, both when a print inside the command fails
+    (unbuffered stdout) and when only the last flush does (buffered)."""
+
+    COMMANDS = {
+        "check": ["check", "{problem}"],
+        "compare": ["compare", "{problem}"],
+        "bench": ["bench", "--n-list", "8", "--trials-per-n", "1",
+                  "--methods", "inertia", "--out", "{tmp}/bench.csv"],
+        "thomson": ["thomson", "--k-list", "2", "--methods", "inertia"],
+    }
+
+    def run(self, command, tmp_path, problem, stdout):
+        argv = [arg.format(problem=problem, tmp=tmp_path)
+                for arg in self.COMMANDS[command]]
+        src = os.path.dirname(os.path.dirname(curvcheck.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        results = []
+        for unbuffered in (True, False):
+            env.pop("PYTHONUNBUFFERED", None)
+            if unbuffered:
+                env["PYTHONUNBUFFERED"] = "1"
+            proc = subprocess.run(
+                [sys.executable, "-m", "curvcheck.cli", *argv], stdout=stdout,
+                stderr=subprocess.PIPE, env=env, text=True, timeout=300,
+            )
+            results.append((proc.returncode, proc.stderr))
+        return results
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_closed_pipe_exit_three(self, command, tmp_path, identity_problem):
+        # each exited 1 with a BrokenPipeError traceback, as `| head -1` does
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            results = self.run(command, tmp_path, identity_problem, write_end)
+        finally:
+            os.close(write_end)
+        for code, err in results:
+            assert (code, err) == (3, "error: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_full_stdout_exit_three(self, command, tmp_path, identity_problem):
+        # check on a problem that holds exited 1 with an OSError traceback
+        with open("/dev/full", "w") as full:
+            results = self.run(command, tmp_path, identity_problem, full)
+        for code, err in results:
+            assert (code, err) == (3, "error: [Errno 28] No space left on device\n")

@@ -102,6 +102,18 @@ class TestHessianOperator:
         op = HessianOperator.from_matrix(np.eye(3))
         with pytest.raises(DimensionMismatchError):
             op.apply(np.ones(4))
+        with pytest.raises(DimensionMismatchError, match="3 rows"):
+            op.apply_block(np.ones((4, 2)))
+        with pytest.raises(DimensionMismatchError, match="square"):
+            HessianOperator.from_matrix(np.ones((3, 2)))
+        short = HessianOperator.from_callback(lambda s: s[:2], 3)
+        with pytest.raises(DimensionMismatchError, match="wrong shape"):
+            short.apply(np.ones(3))
+
+    @pytest.mark.parametrize("sigma", [0.0, -1e-6])
+    def test_fd_scale_must_be_positive(self, sigma):
+        with pytest.raises(ValueError, match="must be positive"):
+            HessianOperator.from_gradient(lambda x: x, np.zeros(2), sigma=sigma)
 
     def test_fd_matches_analytic_on_sphere_energy(self):
         # antipodal two-point configuration; multipliers make it stationary
@@ -240,6 +252,12 @@ class TestNullSpaceBasis:
     def test_third_axis(self):
         basis = null_space_basis(np.array([[0.0, 0.0, 1.0]]))
         np.testing.assert_allclose(basis.matrix[2], 0, atol=1e-14)
+        # a 1-D Jacobian is read as one row; a 3-D one is refused
+        row = null_space_basis(np.array([0.0, 0.0, 1.0]))
+        np.testing.assert_array_equal(row.matrix, basis.matrix)
+        assert row.jacobian.shape == (1, 3)
+        with pytest.raises(DimensionMismatchError, match="2-D"):
+            null_space_basis(np.zeros((1, 1, 3)))
 
     def test_matches_exact_generator_basis(self):
         problem = generate(GeneratorSpec(n=30, m=12, p=20, seed=3))
@@ -684,6 +702,13 @@ class TestBorderedLu:
         with pytest.raises(SingularMinorError):
             lu.update(np.zeros(2), 0.0)
 
+    def test_shapes_are_checked(self):
+        with pytest.raises(DimensionMismatchError, match="seed must be square"):
+            BorderedLu(np.ones((2, 3)))
+        lu = BorderedLu(np.eye(2))
+        with pytest.raises(DimensionMismatchError, match="2 rows"):
+            lu.update(np.zeros(3), 1.0)
+
     def test_from_empty_seed(self):
         lu = BorderedLu(np.zeros((0, 0)))
         assert lu.update(np.zeros(0), -5.0) == -1
@@ -1096,6 +1121,8 @@ class TestLdlFactor:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             ldl_factor(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(DimensionMismatchError, match="square"):
+            ldl_factor(np.zeros((2, 3)))
 
     def test_symmetry_check_does_not_overflow(self):
         # |K|_F of a 1e200 matrix overflows as a plain sum of squares

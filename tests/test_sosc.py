@@ -932,6 +932,19 @@ def test_classical_kernels_reject_m_at_least_n(kernel, A):
         kernel(np.diag([1.0, -1.0]), np.asarray(A))
 
 
+def test_kernels_reject_inputs_of_another_dimension():
+    # an operator on R^3 with a basis, projector or Jacobian on R^4
+    A = np.array([[0.0, 0.0, 0.0, 1.0]])
+    for kernel in (implicit_cholesky, diagonalization):
+        with pytest.raises(DimensionMismatchError, match="basis dimensions"):
+            kernel(op(np.eye(3)), null_space_basis(A))
+    with pytest.raises(DimensionMismatchError, match="projector dimensions"):
+        continued_pcg(op(np.eye(3)), NullSpaceProjector(A))
+    for kernel in (bordered_hessian_test, inertia_test):
+        with pytest.raises(DimensionMismatchError, match="inconsistent"):
+            kernel(np.eye(3), A)
+
+
 # ---------------------------------------------------------------------------
 # Dispatcher
 # ---------------------------------------------------------------------------

@@ -115,6 +115,11 @@ class TestSolveThomson:
             assert point.fonc_residual <= stationary.TOL_FONC == 1e-9
             assert point.feas_residual <= 1e-12
 
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(stationary, "_MAX_ITER", 2)
+        with pytest.raises(stationary.MaxIterationsError, match="within 2 steps"):
+            solve_thomson(8, seed=2)
+
     def test_energy_monotone_on_accepted_steps(self, monkeypatch):
         # the line search returns each accepted step; the energies start
         # from the one it was first called at
