@@ -43,8 +43,12 @@ built from:
 
 Dense Hessians are symmetrized only in :meth:`HessianOperator.from_matrix`
 (and in :meth:`~HessianOperator.materialize` for product-backed ones);
-the kernels below take their inputs as given.  The dense refactors of
-:class:`BorderedLu` are logged at DEBUG level.
+the kernels below take their inputs as given.  A Hessian that equals its
+transpose bit for bit is its own symmetric part: the operator stores a
+read-only view of it, not a copy, so a caller who changes that Hessian
+afterwards builds a new operator.  Arrays are copied only where a kernel
+reads the copy; a LAPACK workspace query is handed its array in place.
+The dense refactors of :class:`BorderedLu` are logged at DEBUG level.
 
 All operations are pure functions of their inputs except the operator's
 product counter and the projector's state.  Arrays are never modified in
@@ -122,9 +126,10 @@ class HessianOperator:
     Every operator is one product callable ``matvec`` on vectors of length
     ``dimension``; the constructors differ only in the callable they build:
 
-    - :meth:`from_matrix` stores ``(H + H^T)/2`` in :attr:`matrix` and
-      multiplies by it: a vector through BLAS ``dsymv`` on one triangle, a
-      block through a general matrix product, so :meth:`apply` and
+    - :meth:`from_matrix` stores ``(H + H^T)/2`` in :attr:`matrix`, as a
+      read-only view that shares memory with an exactly symmetric ``H``,
+      and multiplies by it: a vector through BLAS ``dsymv`` on one
+      triangle, a block through a general matrix product, so :meth:`apply` and
       :meth:`apply_block` may differ in the last bits.  This is the one
       place a dense Hessian is symmetrized; the classical tests read
       :attr:`matrix` as is.
@@ -159,17 +164,24 @@ class HessianOperator:
     def from_matrix(cls, matrix: np.ndarray) -> "HessianOperator":
         """Wrap an explicit dense matrix, stored as ``(H + H^T)/2``.
 
-        The stored matrix is exactly symmetric and C-ordered.  A product
-        ``H s`` is BLAS ``dsymv`` on its upper triangle, passed as the lower
-        triangle of the Fortran-ordered transpose, so neither the matrix
-        nor a contiguous ``s`` is copied; it reads half the entries that a
-        general matrix-vector product reads.  Blocks go through
+        The stored matrix is a read-only, C-ordered view of what
+        :func:`_symmetric_part` returns: of ``H`` itself (or of its
+        transpose, for a Fortran-ordered ``H``) when ``H`` equals its
+        transpose bit for bit, so that a verification holds one copy of
+        ``H``, and of a new array otherwise.  A write through the view
+        raises; a caller who changes ``H`` afterwards builds a new
+        operator.  A product ``H s`` is BLAS ``dsymv`` on the upper
+        triangle of the stored matrix, passed as the lower triangle of the
+        Fortran-ordered transpose, so neither the matrix nor a contiguous
+        ``s`` is copied; it reads half the entries that a general
+        matrix-vector product reads.  Blocks go through
         :meth:`apply_block`'s general matrix product.
         """
         H = np.asarray(matrix, dtype=float)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise DimensionMismatchError("explicit Hessian must be square")
-        H = _symmetric_part(H)
+        H = _symmetric_part(H).view()
+        H.flags.writeable = False
         return cls(H.shape[0], functools.partial(sla.blas.dsymv, 1.0, H.T, lower=1), H)
 
     @classmethod
@@ -260,12 +272,28 @@ class HessianOperator:
         return _symmetric_part(self.apply_block(np.eye(self.dimension)))
 
 
-def _symmetric_part(H: np.ndarray) -> np.ndarray:
-    """``(H + H^T)/2`` as a new C-ordered array, finite wherever H is.
+def _bitwise_symmetric(X: np.ndarray) -> bool:
+    """Whether the square ``X`` equals its transpose bit for bit (so 0.0
+    and -0.0 differ).  The first row is compared with the first column
+    before the whole matrix, so that most matrices that are not symmetric
+    answer after reading 2n entries."""
+    bits = X.view(np.int64)
+    return np.array_equal(bits[:1], bits[:, :1].T) and np.array_equal(bits, bits.T)
 
-    The sum is halved in place; where it overflows, which finite entries
-    above about 9e307 can make it do, the halves are summed instead.
+
+def _symmetric_part(H: np.ndarray) -> np.ndarray:
+    """``(H + H^T)/2`` as a C-ordered array, finite wherever H is.
+
+    An ``H`` equal to its transpose bit for bit is its own halved sum and
+    is returned without a copy: ``H`` itself when it is C-ordered, the
+    C-ordered view ``H.T`` when it is Fortran-ordered (a strided ``H`` is
+    copied), so the result may share memory with ``H``.  Otherwise the
+    sum is a new array halved in place; where it overflows, which finite
+    entries above about 9e307 can make it do, the halves are summed
+    instead.
     """
+    if _bitwise_symmetric(H):
+        return np.ascontiguousarray(H.T if H.flags.f_contiguous else H)
     try:
         with np.errstate(over="raise"):
             S = np.add(H, H.T, order="C")
@@ -322,11 +350,13 @@ def _pivoted_qr(X: np.ndarray):
     0-based column order of P.
 
     The workspace is queried first: at its default ``lwork`` ``dgeqp3``
-    runs unblocked, about 1.4x slower on a 1000 x 250 matrix.
+    runs unblocked, about 1.4x slower on a 1000 x 250 matrix.  X is copied
+    once, into the Fortran-ordered array that the query (which returns
+    before reading it) and the factorization both take in place.
     """
-    X = np.asarray_chkfinite(X, dtype=float)
-    work = sla.lapack.dgeqp3(X, lwork=-1)[3]
-    qr, jpvt, tau, _, _ = sla.lapack.dgeqp3(X, lwork=int(work[0]))
+    X = np.asarray_chkfinite(np.array(X, dtype=float, order="F"))
+    work = sla.lapack.dgeqp3(X, lwork=-1, overwrite_a=1)[3]
+    qr, jpvt, tau, _, _ = sla.lapack.dgeqp3(X, lwork=int(work[0]), overwrite_a=1)
     return qr, tau, jpvt - 1
 
 
@@ -381,7 +411,8 @@ def _q_columns(reflectors, C: np.ndarray, start: int) -> np.ndarray:
     np.fill_diagonal(C[start:], 1.0)
     if reflectors is not None:
         qr, tau = reflectors
-        _, work, _ = sla.lapack.dormqr("L", "N", qr, tau, C, -1)
+        # the query returns before reading C, so it need not be copied
+        _, work, _ = sla.lapack.dormqr("L", "N", qr, tau, C, -1, overwrite_c=1)
         sla.lapack.dormqr("L", "N", qr, tau, C, int(work[0]), overwrite_c=1)
     return C
 
@@ -938,15 +969,22 @@ def ldl_factor(K: np.ndarray) -> LdlFactorization:
     always completes; zero pivots surface as zero eigenvalue counts in the
     inertia.  ``K`` must be finite and symmetric to a relative 1e-8 in the
     Frobenius norm, taken with BLAS ``dnrm2`` so that it does not overflow;
-    that norm is only computed for a ``K`` that is not exactly symmetric.
+    that norm is only computed for a ``K`` that is not symmetric bit for
+    bit.  A ``K`` that is has the same entries as ``K^T``, so a C-ordered
+    one is passed as its Fortran-ordered transpose, which LAPACK takes
+    after a plain copy rather than a transposing one; any other ``K`` is
+    passed as given.
     """
     K = np.asarray_chkfinite(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise DimensionMismatchError("matrix must be square")
-    if not np.array_equal(K, K.T):
+    exact = _bitwise_symmetric(K)
+    if not exact:
         scale = float(sla.blas.dnrm2(K.ravel()))
         if float(sla.blas.dnrm2((K - K.T).ravel())) > 1e-8 * scale:
             raise ValueError("matrix is not symmetric")
+    if exact and K.flags.c_contiguous:
+        K = K.T
     # without lwork dsytrf runs unblocked, about 2x slower at n = 1000
     lwork, _ = sla.lapack.dsytrf_lwork(K.shape[0], lower=1)
     factor, ipiv, info = sla.lapack.dsytrf(K, lower=1, lwork=int(lwork))

@@ -226,6 +226,28 @@ class TestHessianOperator:
             assert op.matrix.flags.c_contiguous
             assert op.matrix.T.flags.f_contiguous
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_exactly_symmetric_matrix_is_stored_without_a_copy(self, order):
+        # an H equal to its transpose bit for bit is its own halved sum: the
+        # operator keeps a read-only, C-ordered view of it
+        K = np.random.default_rng(17).standard_normal((40, 40))
+        H = np.array(0.5 * (K + K.T), order=order)
+        op = HessianOperator.from_matrix(H)
+        assert np.shares_memory(op.matrix, H)
+        assert op.matrix.flags.c_contiguous and not op.matrix.flags.writeable
+        np.testing.assert_array_equal(op.matrix, 0.5 * (H + H.T))
+        with pytest.raises(ValueError, match="read-only"):
+            op.matrix[0, 0] = 1.0
+        assert H.flags.writeable
+
+    def test_signed_zeros_are_symmetrized(self):
+        # 0.0 == -0.0, but the pair is not symmetric bit for bit, and its
+        # halved sum is 0.0 on both sides
+        H = np.array([[1.0, 0.0], [-0.0, 1.0]])
+        op = HessianOperator.from_matrix(H)
+        assert not np.shares_memory(op.matrix, H)
+        assert not np.signbit(op.matrix).any()
+
     def test_constructor_needs_product(self):
         with pytest.raises(TypeError):
             HessianOperator(3)
@@ -1141,6 +1163,35 @@ class TestLdlFactor:
         kept = K.copy()
         ldl_factor(K)
         np.testing.assert_array_equal(K, kept)
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_symmetric_input_factors_like_its_fortran_copy(self, n):
+        # an exactly symmetric C-ordered K reaches dsytrf as K^T, which has
+        # the same entries; the factor and pivots are those of a Fortran
+        # copy of K, bit for bit, and K is left as it was
+        problem = generate(GeneratorSpec(n=n + 1, m=1, p=n // 2, seed=n))
+        K = build_kkt(problem.operator().matrix, problem.jacobian)
+        assert K.flags.c_contiguous and np.array_equal(K, K.T)
+        kept = K.copy()
+        lwork, _ = sla.lapack.dsytrf_lwork(K.shape[0], lower=1)
+        factor, ipiv, _ = sla.lapack.dsytrf(np.asfortranarray(K), lower=1, lwork=int(lwork))
+        fact = ldl_factor(K)
+        np.testing.assert_array_equal(fact.factor, factor)
+        np.testing.assert_array_equal(fact.ipiv, ipiv)
+        np.testing.assert_array_equal(K, kept)
+
+    def test_nearly_symmetric_input_factors_its_lower_triangle(self):
+        # a K symmetric to 1e-8 but not bit for bit is passed as given, so
+        # dsytrf reads its own lower triangle
+        K = _symmetric(np.random.default_rng(5), 30)
+        K[0, 1] += 1e-12
+        lwork, _ = sla.lapack.dsytrf_lwork(30, lower=1)
+        factor, ipiv, _ = sla.lapack.dsytrf(K, lower=1, lwork=int(lwork))
+        fact = ldl_factor(K)
+        np.testing.assert_array_equal(fact.factor, factor)
+        np.testing.assert_array_equal(fact.ipiv, ipiv)
+        upper, _, _ = sla.lapack.dsytrf(K.T, lower=1, lwork=int(lwork))
+        assert not np.array_equal(fact.factor, upper)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_inertia_matches_eigensolver(self, seed):

@@ -64,6 +64,37 @@ def test_dense_product_matches_the_symmetric_part(n, seed, exponent, fortran):
     assert op.product_count == 2
 
 
+def _verdict_bits(verdict):
+    """Everything a verdict holds but its wall time, arrays as bytes."""
+    def bits(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        return repr(value)
+
+    diagnostics = {k: bits(v) for k, v in verdict.diagnostics.items() if k != "wall_time_s"}
+    direction = None if verdict.direction is None else bits(verdict.direction)
+    return (verdict.status, verdict.step, verdict.reason, repr(verdict.curvature),
+            direction, diagnostics)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(spec=generator_specs())
+def test_verdicts_do_not_depend_on_the_layout_of_h(spec):
+    # a stored H is a view of an exactly symmetric input, of its transpose
+    # for a Fortran-ordered one: C order, F order and a read-only H give
+    # the same verdicts, bit for bit, as does the generator's own H
+    problem = generate(spec)
+    H = problem.hessian
+    frozen = H.copy()
+    frozen.flags.writeable = False
+    layouts = [H.copy(), np.asfortranarray(H), frozen]
+    for method in METHODS:
+        expected = _verdict_bits(verify(problem, method))
+        for layout in layouts:
+            got = verify(Problem(problem.jacobian, layout), method)
+            assert _verdict_bits(got) == expected, method
+
+
 @PROPERTY_SETTINGS
 @given(spec=generator_specs())
 def test_no_draw_both_holds_and_fails(spec):
