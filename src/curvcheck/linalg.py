@@ -25,13 +25,14 @@ built from:
     subspace's basis rotated by their Householder reflectors in compact WY
     form (LAPACK ``dgeqrt`` and ``dgemqrt``) and one column per column
     kept passed to the complement.
-  - :class:`BorderedLu`: an LU factorization of a matrix that grows by
-    symmetric borders, tracking determinant signs exactly; a border of k
-    columns is absorbed at once through the Cholesky factor of its Schur
-    complement, formed in place by BLAS ``dtrsm`` and one product.  The
-    factors stay in the packed form of LAPACK ``dgetrf``, and those
-    extended by a border are assembled only when the next update reads
-    them.
+  - :class:`BorderedLu`: an LU factorization of the growing leading
+    blocks of one matrix ``B``, symmetric past its seed block, tracking
+    determinant signs exactly; the next k columns of ``B`` are absorbed
+    at once through the Cholesky factor of their Schur complement, formed
+    in place by BLAS ``dtrsm`` and one product.  ``B`` is read through
+    views and never copied.  The factors stay in the packed form of
+    LAPACK ``dgetrf``, and those extended by a border are assembled only
+    when the next update reads them.
   - :func:`_leading_cholesky`: the Cholesky factorization of
     :class:`BorderedLu` and of the Cholesky test, one LAPACK ``dpotrf``
     per leading block of doubling order from :data:`_FIRST_BLOCK`, which
@@ -288,18 +289,24 @@ def _symmetric_part(H: np.ndarray) -> np.ndarray:
     is returned without a copy: ``H`` itself when it is C-ordered, the
     C-ordered view ``H.T`` when it is Fortran-ordered (a strided ``H`` is
     copied), so the result may share memory with ``H``.  Otherwise the
-    sum is a new array halved in place; where it overflows, which finite
-    entries above about 9e307 can make it do, the halves are summed
-    instead.
+    sum is a new array halved in place; at the entries where it overflows,
+    which finite entries above about 9e307 can make it do, the halves are
+    summed instead, so every other entry keeps the halved sum's bits
+    (the halves round subnormals).
     """
     if _bitwise_symmetric(H):
         return np.ascontiguousarray(H.T if H.flags.f_contiguous else H)
     try:
         with np.errstate(over="raise"):
             S = np.add(H, H.T, order="C")
+        over = None
     except FloatingPointError:
-        return np.add(0.5 * H, 0.5 * H.T, order="C")
+        with np.errstate(over="ignore"):
+            S = np.add(H, H.T, order="C")
+        over = np.isinf(S)
     S *= 0.5
+    if over is not None:
+        S[over] = 0.5 * H[over] + 0.5 * H.T[over]
     return S
 
 
@@ -626,15 +633,17 @@ def _leading_cholesky(
 
 
 class BorderedLu:
-    """LU factorization of a matrix growing by bordering, with exact signs.
+    """LU factorization of the leading blocks of one matrix, with exact
+    signs.
 
-    Starting from a partially pivoted LU of the seed ``B_n``, each
-    :meth:`update` appends a symmetric border of k columns ``b`` with its
-    k x k corner ``gamma`` and absorbs it at once: two triangular solves
-    (BLAS ``dtrsm``) push ``b`` through the current factors, one product
-    forms the upper triangle of the Schur complement ``S = gamma - b^T
-    B_n^-1 b`` in place, and LAPACK ``dpotrf`` factors ``S``.  These run
-    on leading blocks of doubling order (:func:`_leading_cholesky`): each
+    ``BorderedLu(B, n0)`` factors the seed ``B[:n0, :n0]`` with partial
+    pivoting.  Each :meth:`update` absorbs the next k columns of ``B`` at
+    once, as the border ``b = B[:n, n:n+k]`` of the n x n block factored
+    so far with its k x k corner ``gamma``: two triangular solves (BLAS
+    ``dtrsm``) push ``b`` through the current factors, one product forms
+    the upper triangle of the Schur complement ``S = gamma - b^T B_n^-1
+    b`` in place, and LAPACK ``dpotrf`` factors ``S``.  These run on
+    leading blocks of doubling order (:func:`_leading_cholesky`): each
     block solves and forms only the columns it adds, and the update stops
     at the first block that holds an irregular pivot, so the columns after
     it are never pushed through the factors.  As ``det(B_{n+j}) = det(B_n)
@@ -646,34 +655,43 @@ class BorderedLu:
     its border column's scale, at or below the singular floor, or not
     finite) is recomputed from the partial factor, and that column takes
     the single-column step: it is bordered with its pivot, or, when the
-    pivot stalls, the grown matrix is refactored densely with partial pivoting.
-    The sign of each determinant is computed exactly from pivot signs and
-    permutation parity of the computed factorization.
+    pivot stalls, the leading block of ``B`` up to it is refactored
+    densely with partial pivoting.  The sign of each determinant is
+    computed exactly from pivot signs and permutation parity of the
+    computed factorization.
 
-    Both factors live in one packed array, L below its diagonal (whose
-    unit entries are not stored) and U on and above it, as LAPACK
-    ``dgetrf`` leaves them, Fortran-ordered; the triangular solves read
-    each triangle from it in place.  An absorbed border is committed lazily: the update keeps
-    the images of the border and the Cholesky factor of its Schur
-    complement, and the grown matrix and its extended factors are only
-    assembled at the start of the next update, the one place that reads
-    them.  :attr:`sign` and :attr:`dim` read the kept pivots directly.
+    ``B`` is read through views, never copied or written, so it must not
+    change while the factorization is in use.  Outside the seed it must
+    be symmetric: a border is read from its upper triangle, and a dense
+    refactor reads both.  Both factors live in one packed array, L below
+    its diagonal (whose unit entries are not stored) and U on and above
+    it, as LAPACK ``dgetrf`` leaves them, Fortran-ordered; the triangular
+    solves read each triangle from it in place.  An absorbed border is
+    committed lazily: the update keeps the images of the border and the
+    Cholesky factor of its Schur complement, and the extended factors are
+    only assembled at the start of the next update, the one place that
+    reads them.  :attr:`sign` and :attr:`dim` read the kept pivots
+    directly.
     """
 
-    def __init__(self, seed: np.ndarray):
-        B = np.asarray(seed, dtype=float)
+    def __init__(self, B: np.ndarray, n0: int):
+        B = np.asarray(B, dtype=float)
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
-            raise DimensionMismatchError("seed must be square")
-        self._matrix = B.copy()
-        self._lu, self._perm, self._parity = _lu_with_parity(B)
-        # (X, Y, ubar, pivots, rows, corner) of a border absorbed but not
-        # yet assembled into the matrix and its factors; see _commit
+            raise DimensionMismatchError("bordered matrix must be square")
+        if not 0 <= n0 <= B.shape[0]:
+            raise DimensionMismatchError(
+                f"seed order {n0} is outside 0..{B.shape[0]}"
+            )
+        self._B = B
+        self._lu, self._perm, self._parity = _lu_with_parity(B[:n0, :n0])
+        # (X, Y, ubar, pivots) of a border absorbed but not yet assembled
+        # into the factors; see _commit
         self._pending = None
 
     @property
     def dim(self) -> int:
         extra = 0 if self._pending is None else self._pending[3].size
-        return self._matrix.shape[0] + extra
+        return self._lu.shape[0] + extra
 
     @property
     def sign(self) -> int:
@@ -686,15 +704,15 @@ class BorderedLu:
             return 0
         return int(self._parity * np.prod(np.sign(udiag)))
 
-    def update(self, b: np.ndarray, gamma):
-        """Grow by the border ``(b, gamma)``; return the new minors' signs.
+    def update(self, k: int) -> np.ndarray:
+        """Absorb the next ``k`` columns of ``B``; return the new minors'
+        signs.
 
-        ``b`` is the n x k border and ``gamma`` its k x k corner, read from
-        its upper triangle like the columns it completes.  The update stops
-        after the first column whose pivot is not a healthy positive one and
-        returns the signs of the new leading minors up to that column; the
-        caller passes the remaining columns again.  A 1-D ``b`` with a
-        scalar ``gamma`` is the k = 1 case and returns one int.
+        ``k`` is clamped to the columns that are left, so an update at the
+        end returns no signs.  The update stops after the first column
+        whose pivot is not a healthy positive one and returns the signs of
+        the new leading minors up to that column; the caller asks for the
+        remaining columns again.
 
         Raises :class:`SingularMinorError` when the first new minor is
         numerically singular, which makes its sign meaningless, and
@@ -702,61 +720,51 @@ class BorderedLu:
         the first new minor is NaN or inf, which leaves it undefined; such
         a minor later in the border ends the update just before it.
         """
-        b = np.asarray(b, dtype=float)
-        single = b.ndim == 1
-        if single:
-            b = b[:, None]
         self._commit()
         n = self.dim
-        k = b.shape[1] if b.ndim == 2 else 0
-        if b.ndim != 2 or b.shape[0] != n or np.size(gamma) != k * k:
-            raise DimensionMismatchError(
-                f"border must have {n} rows and a square corner of its width"
-            )
-        if k == 0:
+        k = min(k, self._B.shape[0] - n)
+        if k <= 0:
             return np.zeros(0, dtype=int)
-        corner = np.triu(np.reshape(gamma, (k, k)))
+        b, corner = self._B[:n, n:n + k], self._B[n:n + k, n:n + k]
         udiag = np.abs(np.diag(self._lu))
         if not np.isfinite(udiag).all():
             raise FloatingPointError("a pivot of the current factors is not finite")
         singular = udiag.size and udiag.min() == 0.0
         if singular:
             # an exactly singular factor cannot be bordered: the first
-            # column refactors and the caller passes the rest again
+            # column refactors and the caller asks for the rest again
             b, corner, k = b[:, :1], corner[:1, :1], 1
 
         # stall threshold and singular floor of each new minor, from the
         # entries of each border column above and on the diagonal; the
         # Frobenius norms are summed relative to the largest entry, since
         # the squares of finite entries can overflow or underflow
-        strict = np.triu(corner, 1)
         above = np.empty((n + k, k))
         np.abs(b, out=above[:n])
-        np.abs(strict, out=above[n:])
-        corner = corner + strict.T
+        np.abs(np.triu(corner, 1), out=above[n:])
         diag = np.abs(np.diag(corner))
         colmax = np.maximum(above.max(axis=0), diag)
         stall = _PIVOT_TOL * np.maximum(colmax, 1e-300)
-        big = max(np.abs(self._matrix).max(initial=0.0), colmax.max()) or 1.0
+        current = self._B[:n, :n]
+        big = max(np.abs(current).max(initial=0.0), colmax.max()) or 1.0
         above /= big
         growth = 2.0 * np.einsum("ij,ij->j", above, above) + (diag / big) ** 2
         del above
         # fro is |B_dim|_F / big; dim * eps scales big before fro does, so
         # that finite entries near the overflow threshold give finite floors
         scaled = (n + 1 + np.arange(k)) * _EPS
-        fro = np.sqrt(np.linalg.norm(self._matrix / big) ** 2 + np.cumsum(growth))
+        fro = np.sqrt(np.linalg.norm(current / big) ** 2 + np.cumsum(growth))
         floor = np.maximum(scaled * big * fro, scaled * 1e-300)
 
         pivot = np.nan
         if singular:
             j = 0
         else:
-            rows = b[self._perm]
             # Y = L^-1 b[perm] and X = U^-T b, and the upper triangle of the
             # Schur complement of the current matrix in the grown one, S =
             # corner - X^T Y, are formed in place for the columns each try
             # of _leading_cholesky adds
-            Y, X = np.array(rows, order="F"), np.array(b, order="F")
+            Y, X = np.array(b[self._perm], order="F"), np.array(b, order="F")
             schur = np.empty((k, k), order="F")
 
             def fill(done, size):
@@ -808,11 +816,10 @@ class BorderedLu:
                     "bordered LU: refactoring the leading %d x %d block densely "
                     "(pivot %.3e, stall threshold %.3e)", n + c, n + c, pivot, stall[j],
                 )
-                grown = self._grown(b[:, :c], corner[:c, :c])
-                lu, perm, parity = _lu_with_parity(grown)
+                lu, perm, parity = _lu_with_parity(self._B[:n + c, :n + c])
                 least = np.abs(np.diag(lu)).min()
                 if least > floor[j]:
-                    self._matrix, self._lu, self._perm, self._parity = grown, lu, perm, parity
+                    self._lu, self._perm, self._parity = lu, perm, parity
                     border = None
             if j == 0 and not np.isfinite(least):
                 raise FloatingPointError(f"pivot {least:.3e} is not finite")
@@ -822,38 +829,23 @@ class BorderedLu:
                 )
         if border is not None and border[1].size:
             c = border[1].size
-            self._pending = (X[:, :c], Y[:, :c], *border, rows[:, :c], corner[:c, :c])
+            self._pending = (X[:, :c], Y[:, :c], *border)
         if self.dim > n + j:
             signs.append(self.sign)
-        return signs[0] if single else np.array(signs)
-
-    def _grown(self, b, corner):
-        """The current matrix bordered by the columns ``b`` and the
-        symmetric corner ``corner``."""
-        n, c = b.shape
-        grown = np.empty((n + c, n + c))
-        grown[:n, :n] = self._matrix
-        grown[:n, n:] = b
-        grown[n:, :n] = b.T
-        grown[n:, n:] = corner
-        return grown
+        return np.array(signs)
 
     def _commit(self):
-        """Assemble the grown matrix and the extended factors of the
-        border absorbed by the last update, from ``X = U^-T b``, ``Y =
-        L^-1 b[perm]``, the upper triangle of ``ubar`` and the new pivots:
-        the lower factor gains ``X^T`` and ``ubar^T`` scaled to a unit
-        diagonal, the upper factor ``Y`` and ``diag(ubar) ubar`` with the
-        pivots on its diagonal.  The factors are Fortran-ordered, as BLAS
-        ``dtrsm`` reads them."""
+        """Assemble the extended factors of the border absorbed by the last
+        update, from ``X = U^-T b``, ``Y = L^-1 b[perm]``, the upper
+        triangle of ``ubar`` and the new pivots: the lower factor gains
+        ``X^T`` and ``ubar^T`` scaled to a unit diagonal, the upper factor
+        ``Y`` and ``diag(ubar) ubar`` with the pivots on its diagonal.  The
+        factors are Fortran-ordered, as BLAS ``dtrsm`` reads them."""
         if self._pending is None:
             return
-        X, Y, ubar, pivots, rows, corner = self._pending
+        X, Y, ubar, pivots = self._pending
         self._pending = None
         n, c = X.shape
-        b = np.empty((n, c))
-        b[self._perm] = rows
-        self._matrix = self._grown(b, corner)
         # dpotrf leaves the strict lower triangle of ubar as it found it
         ubar = np.triu(ubar)
         scale = np.diag(ubar)

@@ -508,13 +508,14 @@ def bordered_hessian_test(
     matrix.
 
     The condition holds exactly when the last L leading principal minors
-    of [[0, A], [A^T, H]] all have sign (-1)^M.  The 2M x 2M seed is
-    factored once and the whole L-column border is passed to one
-    :meth:`BorderedLu.update`: the signs follow from the Cholesky pivots
-    of the border's Schur complement, factored in leading blocks of
-    doubling order up to the block that holds the first irregular pivot.
-    An irregular pivot (negative, stalled or singular) ends that update
-    at its column, and the remaining columns are passed again.  Needs the Hessian entries
+    of [[0, A], [A^T, H]] all have sign (-1)^M.  :class:`BorderedLu`
+    factors the 2M x 2M seed of that one matrix once, and one
+    :meth:`BorderedLu.update` asks for all L columns after it: the signs
+    follow from the Cholesky pivots of the border's Schur complement,
+    factored in leading blocks of doubling order up to the block that
+    holds the first irregular pivot.  An irregular pivot (negative,
+    stalled or singular) ends that update at its column, and the next
+    update asks for the columns that are left.  Needs the Hessian entries
     explicitly (operator-backed Hessians are materialized first); provides
     no direction of negative curvature on failure.  A numerically singular
     minor makes the test inconclusive, which is reported as ERROR rather
@@ -530,12 +531,11 @@ def bordered_hessian_test(
     B = _problems.build_bordered(H, A)
     expected = -1 if M % 2 else 1
 
-    lu = BorderedLu(B[: 2 * M, : 2 * M])
+    lu = BorderedLu(B, 2 * M)
     i = 0
     while i < L:
-        dim = 2 * M + i
         try:
-            signs = lu.update(B[:dim, dim:], B[dim:, dim:])
+            signs = lu.update(L - i)
         except (SingularMinorError, FloatingPointError) as exc:
             reason = "singular_minor" if isinstance(exc, SingularMinorError) else "non_finite"
             return SoscVerdict(

@@ -423,6 +423,17 @@ class TestCompare:
         assert "eigen-oracle: skipped (A rank deficient)" in out
         assert "min reduced eigenvalue" not in out
 
+    def test_large_problem_skips_the_oracle(self, tmp_path, capsys):
+        # bht reads singular_minor here: the seed's block of A is zero
+        n = 501
+        path = tmp_path / "large.json"
+        save_problem(Problem(jacobian=np.eye(n)[-1:], hessian=np.eye(n)), path)
+        assert main(["compare", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "eigen-oracle: skipped (N > 500)" in out
+        assert "min reduced eigenvalue" not in out
+        assert out.count(": holds") == 4
+
     @pytest.mark.parametrize("field", ["A", "H"])
     def test_non_finite_problem_skips_the_oracle(self, tmp_path, field, capsys):
         # the eigensolvers of the oracle would raise on NaN

@@ -2,6 +2,7 @@
 
 import functools
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -62,6 +63,32 @@ class TestHessianOperator:
         assert np.isfinite(op.matrix).all()
         np.testing.assert_array_equal(op.matrix, 0.5 * H + 0.5 * H.T)
         np.testing.assert_array_equal(op.matrix, op.matrix.T)
+
+    def test_symmetrization_halves_only_the_overflowing_sums(self):
+        # the off-diagonal sum overflows and is taken from the halves; the
+        # subnormal diagonal entry keeps its halved sum, which the halves
+        # 0.5 * 5e-324 + 0.5 * 5e-324 would round to 0
+        H = np.array([[5e-324, 1.7e308], [1.5e308, 1.0]])
+        S = HessianOperator.from_matrix(H).matrix
+        assert S[0, 0] == 5e-324
+        assert S[0, 1] == S[1, 0] == 0.5 * 1.7e308 + 0.5 * 1.5e308
+        assert S[1, 1] == 1.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_symmetrization_keeps_every_finite_sum_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        exponents = rng.choice([-323, -310, -1, 0, 307, 308], size=(40, 40))
+        H = rng.uniform(-1.7, 1.7, (40, 40)) * 10.0 ** exponents
+        with np.errstate(over="ignore"):
+            total = H + H.T
+        finite = np.isfinite(total)
+        assert not finite.all()
+        S = linalg._symmetric_part(H)
+        np.testing.assert_array_equal(S[finite].view(np.int64),
+                                      (0.5 * total[finite]).view(np.int64))
+        np.testing.assert_array_equal(S[~finite], 0.5 * H[~finite] + 0.5 * H.T[~finite])
+        assert np.isfinite(S).all()
+        assert linalg._bitwise_symmetric(S)
 
     def test_symmetrization_is_the_halved_sum_on_finite_sums(self):
         rng = np.random.default_rng(3)
@@ -687,25 +714,27 @@ class TestProjector:
 class TestBorderedLu:
     def test_hand_example(self):
         # grow [[0,1],[1,2]] by a zero border and diagonal 2: det -2
-        lu = BorderedLu(np.array([[0.0, 1.0], [1.0, 2.0]]))
-        sign = lu.update(np.zeros(2), 2.0)
-        assert sign == -1
+        B = np.array([[0.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
+        assert list(BorderedLu(B, 2).update(1)) == [-1]
 
     def test_non_finite_pivot_has_no_sign(self):
         # an overflowed seed factor leaves every later sign undefined: the
         # sign reads 0 and an update raises, rather than int(NaN) raising
-        lu = BorderedLu(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+        B = np.array([[np.nan, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+        lu = BorderedLu(B, 2)
         assert lu.sign == 0
         with pytest.raises(FloatingPointError):
-            lu.update(np.ones(2), 1.0)
+            lu.update(1)
 
     def test_diagonal_growth_sign_flip(self):
         rng = np.random.default_rng(1)
-        B = rng.standard_normal((4, 4))
-        lu = BorderedLu(B)
+        B = np.zeros((6, 6))
+        B[:4, :4] = rng.standard_normal((4, 4))
+        B[4, 4], B[5, 5] = 3.0, -2.0
+        lu = BorderedLu(B, 4)
         base = lu.sign
-        assert lu.update(np.zeros(4), 3.0) == base
-        assert lu.update(np.zeros(5), -2.0) == -base
+        assert list(lu.update(1)) == [base]
+        assert list(lu.update(1)) == [-base]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_fresh_determinants(self, seed):
@@ -714,55 +743,64 @@ class TestBorderedLu:
         total = int(rng.integers(n0 + 1, 100))
         B = rng.standard_normal((total, total))
         B = 0.5 * (B + B.T)
-        lu = BorderedLu(B[:n0, :n0])
+        lu = BorderedLu(B, n0)
         for dim in range(n0 + 1, total + 1):
-            sign = lu.update(B[: dim - 1, dim - 1], B[dim - 1, dim - 1])
+            (sign,) = lu.update(1)
             assert sign == naive_det_sign(B[:dim, :dim]), f"minor {dim}"
 
     def test_singular_growth_raises(self):
-        lu = BorderedLu(np.eye(2))
+        lu = BorderedLu(np.diag([1.0, 1.0, 0.0]), 2)
         with pytest.raises(SingularMinorError):
-            lu.update(np.zeros(2), 0.0)
+            lu.update(1)
 
     def test_shapes_are_checked(self):
-        with pytest.raises(DimensionMismatchError, match="seed must be square"):
-            BorderedLu(np.ones((2, 3)))
-        lu = BorderedLu(np.eye(2))
-        with pytest.raises(DimensionMismatchError, match="2 rows"):
-            lu.update(np.zeros(3), 1.0)
+        with pytest.raises(DimensionMismatchError, match="must be square"):
+            BorderedLu(np.ones((2, 3)), 2)
+        for n0 in (-1, 4):
+            with pytest.raises(DimensionMismatchError, match=f"seed order {n0} is outside 0..3"):
+                BorderedLu(np.eye(3), n0)
 
     def test_from_empty_seed(self):
-        lu = BorderedLu(np.zeros((0, 0)))
-        assert lu.update(np.zeros(0), -5.0) == -1
-        assert lu.update(np.array([0.0]), 1.0) == -1
+        lu = BorderedLu(np.diag([-5.0, 1.0]), 0)
+        assert list(lu.update(1)) == [-1]
+        assert list(lu.update(1)) == [-1]
+
+    def test_update_is_clamped_to_the_columns_left(self):
+        rng = np.random.default_rng(4)
+        G = rng.standard_normal((9, 9))
+        B = G @ G.T + 9 * np.eye(9)
+        lu = BorderedLu(B, 3)
+        assert lu.update(0).size == 0
+        assert lu.dim == 3
+        assert list(lu.update(100)) == [1] * 6
+        assert lu.dim == 9
+        for k in (0, 1, 100):
+            assert lu.update(k).size == 0
+        assert (lu.dim, lu.sign) == (9, 1)
+        assert BorderedLu(B, 9).update(5).size == 0
 
     def test_recovers_from_singular_intermediate(self):
         # leading 1x1 minor is exactly zero; later minors are fine
         B = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
-        lu = BorderedLu(B[:1, :1])
-        assert lu.update(B[:1, 1], B[1, 1]) == naive_det_sign(B[:2, :2])
-        assert lu.update(B[:2, 2], B[2, 2]) == naive_det_sign(B)
+        lu = BorderedLu(B, 1)
+        assert list(lu.update(1)) == [naive_det_sign(B[:2, :2])]
+        assert list(lu.update(1)) == [naive_det_sign(B)]
 
     @staticmethod
     def grow(B, n0, width):
         """Signs of the leading minors of B past the n0 x n0 seed, from
-        single-column updates (``width`` None) or from borders of up to
-        ``width`` columns, passing the rest again after a short update.
-        Also returns the dimension of the minor that raised
-        :class:`SingularMinorError`, or None."""
-        lu = BorderedLu(B[:n0, :n0])
+        updates of up to ``width`` columns, asking for the rest again after
+        a short update.  Also returns the dimension of the minor that
+        raised :class:`SingularMinorError`, or None."""
+        lu = BorderedLu(B, n0)
         signs = []
         d = n0
         while d < B.shape[0]:
-            e = d + 1 if width is None else min(d + width, B.shape[0])
             try:
-                if width is None:
-                    got = [lu.update(B[:d, d], B[d, d])]
-                else:
-                    got = list(lu.update(B[:d, d:e], B[d:e, d:e]))
+                got = list(lu.update(width))
             except SingularMinorError:
                 return signs, d + 1
-            assert 1 <= len(got) <= e - d
+            assert 1 <= len(got) <= min(width, B.shape[0] - d)
             signs += got
             d += len(got)
         return signs, None
@@ -798,8 +836,8 @@ class TestBorderedLu:
             linalg, "_lu_with_parity",
             lambda C: refactors.append(C.shape[0]) or original(C),
         )
-        single = self.grow(B, n0, None)
-        for width in (1, 3, total):
+        single = self.grow(B, n0, 1)
+        for width in (3, total):
             refactors.clear()
             assert self.grow(B, n0, width) == single, f"width {width}"
             if case in ("zero_seed", "stall"):
@@ -813,30 +851,29 @@ class TestBorderedLu:
     def test_stalled_pivot_refactor_logs_at_debug(self, caplog):
         # the second pivot of [[1, 1], [1, 1 + 1e-10]] stalls below 1e-8 of
         # its column scale, so the grown matrix is refactored densely
-        lu = BorderedLu(np.array([[1.0]]))
+        B = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
         with caplog.at_level(logging.DEBUG, logger="curvcheck.linalg"):
-            assert lu.update(np.array([1.0]), 1.0 + 1e-10) == 1
+            assert list(BorderedLu(B, 1).update(1)) == [1]
         assert [r.levelno for r in caplog.records] == [logging.DEBUG]
         assert "refactoring the leading 2 x 2 block densely" in caplog.text
         caplog.clear()
-        BorderedLu(np.array([[1.0]])).update(np.array([1.0]), 1.0 + 1e-10)
+        BorderedLu(B, 1).update(1)
         assert not caplog.records
 
     def test_pending_border_reads_like_the_assembled_one(self):
         # dim and sign come from the kept pivots before the next update
-        # assembles the grown matrix and its factors
+        # assembles the extended factors
         rng = np.random.default_rng(7)
         B = rng.standard_normal((30, 30))
         B = B @ B.T + 30 * np.eye(30)
-        lu = BorderedLu(B[:4, :4])
-        assert list(lu.update(B[:4, 4:12], B[4:12, 4:12])) == [1] * 8
+        B[12:, 12:] -= 100 * np.eye(18)
+        lu = BorderedLu(B, 4)
+        assert list(lu.update(8)) == [1] * 8
         assert (lu.dim, lu.sign) == (12, 1)
-        C = B.copy()
-        C[12:, 12:] -= 100 * np.eye(18)
-        got = lu.update(C[:12, 12:], C[12:, 12:])
-        assert got[0] == naive_det_sign(C[:13, :13]) == -1
+        got = lu.update(18)
+        assert got[0] == naive_det_sign(B[:13, :13]) == -1
         assert (lu.dim, lu.sign) == (13, -1)
-        assert lu.update(C[:13, 13], C[13, 13]) == naive_det_sign(C[:14, :14])
+        assert list(lu.update(1)) == [naive_det_sign(B[:14, :14])]
 
     def test_bht_holds_with_one_update_and_no_assembly(self, monkeypatch):
         # the whole border is absorbed by one update, and nothing reads
@@ -863,23 +900,48 @@ class TestBorderedLu:
     @pytest.mark.parametrize("k", [1, 5, 300])
     def test_inputs_are_left_alone(self, order, k):
         # the triangular solves, the Schur complement and dpotrf work in
-        # place on the update's own arrays, never on the caller's; k = 300
-        # takes two tries of the doubling factorization
+        # place on the update's own arrays, never on B; k = 300 takes two
+        # tries of the doubling factorization
         rng = np.random.default_rng(k)
         G = rng.standard_normal((k + 6, k + 6))
-        B = G @ G.T + (k + 6) * np.eye(k + 6)
-        seed, b, gamma = (np.array(X, order=order) for X in (B[:4, :4], B[:4, 4:4 + k],
-                                                             B[4:4 + k, 4:4 + k]))
-        if k == 1:
-            b, gamma = b[:, 0], gamma[0, 0]
-        kept = [np.array(x, copy=True) for x in (B, seed, b, gamma)]
-        lu = BorderedLu(seed)
-        signs = lu.update(b, gamma)
-        assert np.all(np.asarray(signs) == 1)
+        B = np.array(G @ G.T + (k + 6) * np.eye(k + 6), order=order)
+        kept = B.copy()
+        lu = BorderedLu(B, 4)
+        assert list(lu.update(k)) == [1] * k
         # a second update assembles the first border's factors
-        assert list(lu.update(B[: 4 + k, 4 + k :], B[4 + k :, 4 + k :])) == [1, 1]
-        for got, want in zip((B, seed, b, gamma), kept):
-            np.testing.assert_array_equal(got, want)
+        assert list(lu.update(2)) == [1, 1]
+        np.testing.assert_array_equal(B, kept)
+
+    def test_read_only_matrix_is_absorbed_to_the_end(self):
+        # a stall refactor and a doubling Cholesky run on a read-only B
+        rng = np.random.default_rng(5)
+        G = rng.standard_normal((40, 40))
+        B = G @ G.T + 40 * np.eye(40)
+        b = B[:19, 19]
+        B[19, 19] = b @ np.linalg.solve(B[:19, :19], b) + 1e-10 * np.abs(B[:20, 19]).max()
+        B.flags.writeable = False
+        kept = B.copy()
+        lu = BorderedLu(B, 2)
+        signs = []
+        while lu.dim < 40:
+            signs += list(lu.update(40))
+        assert signs == [naive_det_sign(B[:d, :d]) for d in range(3, 41)]
+        np.testing.assert_array_equal(B, kept)
+
+    def test_holds_no_copy_of_the_matrix(self):
+        # a 1500 x 1500 B of 18 MB: factoring an 8 x 8 seed and absorbing
+        # four columns allocates a few kB, not a copy of B
+        rng = np.random.default_rng(6)
+        B = rng.standard_normal((1500, 1500))
+        B = B + B.T + 3000 * np.eye(1500)
+        tracemalloc.start()
+        try:
+            signs = BorderedLu(B, 8).update(4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert list(signs) == [1] * 4
+        assert peak < B.nbytes / 100
 
     def test_floors_stay_finite_near_the_overflow_threshold(self):
         # |B|_F of these finite entries overflows; the singular floors are
@@ -887,11 +949,11 @@ class TestBorderedLu:
         # the exactly zero Schur pivot is reported as singular
         a = 1e308
         B = np.array([[0.0, a, a], [a, a, 0.0], [a, 0.0, -a]])
-        lu = BorderedLu(B[:2, :2])
+        lu = BorderedLu(B, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularMinorError) as exc:
-                lu.update(B[:2, 2], B[2, 2])
+                lu.update(1)
         assert "inf" not in str(exc.value)
 
 
