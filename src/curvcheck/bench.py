@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .problems import GeneratorSpec, generate
-from .sosc import METHODS, Status, VerifyOptions, verify
+from .sosc import METHODS, SoscVerdict, Status, VerifyOptions, verify
 
 __all__ = [
     "TrialRecord",
@@ -33,81 +33,53 @@ CSV_HEADER = (
 
 @dataclasses.dataclass
 class TrialRecord:
-    seed: int
-    n: int
-    m: int
-    p: int
-    conditioning: str
+    """One method's verdict on one generated problem: the spec that drew
+    the problem, the method and the verdict :func:`verify` returned."""
+
+    spec: GeneratorSpec
     method: str
-    verdict: str
-    truth: Optional[bool]
-    agree: Optional[bool]
-    wall_time_s: float
-    operator_products: int
-    continuations: int
-    fail_step: Optional[int]
+    verdict: SoscVerdict
 
     def row(self) -> list:
+        """The record's CSV row, in the order of :data:`CSV_HEADER`."""
+        spec, verdict = self.spec, self.verdict
+        diag = verdict.diagnostics
         return [
-            self.seed, self.n, self.m, self.p, self.conditioning, self.method,
-            self.verdict,
-            "" if self.truth is None else self.truth,
-            "" if self.agree is None else self.agree,
-            format(self.wall_time_s, ".17g"),
-            self.operator_products,
-            self.continuations,
-            "" if self.fail_step is None else self.fail_step,
+            spec.seed, spec.n, spec.m, spec.p, spec.conditioning, self.method,
+            verdict.status.value, spec.truth, verdict.holds == spec.truth,
+            format(diag["wall_time_s"], ".17g"),
+            diag["operator_products"],
+            diag["continuations"],
+            "" if verdict.step is None else verdict.step,
         ]
 
 
 def run_trial(
-    n: int,
-    m: int,
-    p: int,
-    conditioning: str,
-    seed: int,
+    spec: GeneratorSpec,
     methods: Sequence[str] = METHODS,
     options: Optional[VerifyOptions] = None,
 ) -> list:
-    """Generate one problem and run every requested method on it once.
+    """Generate the problem of ``spec`` and run every requested method on
+    it once.
 
     ``options`` defaults to the rank guard off, ``tol_rank=0``.
     """
     if options is None:
         options = VerifyOptions(tol_rank=0.0)
-    spec = GeneratorSpec(n=n, m=m, p=p, conditioning=conditioning, seed=seed)
     problem = generate(spec)
-    records = []
-    for method in methods:
-        verdict = verify(problem, method, options)
-        records.append(
-            TrialRecord(
-                seed=seed, n=n, m=m, p=p, conditioning=conditioning,
-                method=method,
-                verdict=verdict.status.value,
-                truth=problem.truth,
-                agree=(None if problem.truth is None
-                       else (verdict.status is Status.HOLDS) == problem.truth),
-                wall_time_s=verdict.diagnostics["wall_time_s"],
-                operator_products=int(verdict.diagnostics.get("operator_products", 0)),
-                continuations=int(verdict.diagnostics.get("continuations", 0)),
-                fail_step=verdict.step,
-            )
-        )
-    return records
+    return [TrialRecord(spec, method, verify(problem, method, options))
+            for method in methods]
 
 
-def _trial_args(n_list, trials_per_n, base_seed):
-    """Deterministic (n, m, p, seed) tuples for a campaign."""
-    out = []
+def _trial_args(n_list, trials_per_n, base_seed, conditioning):
+    """The campaign's generator specs, each seeded from (base_seed, n, t)."""
     for n in n_list:
         for t in range(trials_per_n):
             seed = int(np.random.SeedSequence([base_seed, n, t]).generate_state(1)[0])
             rng = np.random.default_rng(seed)
             m = int(rng.integers(1, n))
             p = int(rng.integers(0, n + 1))
-            out.append((n, m, p, seed))
-    return out
+            yield GeneratorSpec(n=n, m=m, p=p, conditioning=conditioning, seed=seed)
 
 
 def run_campaign(
@@ -128,8 +100,8 @@ def run_campaign(
         if n < 4:
             raise ValueError("benchmark sizes must be at least 4")
     records = []
-    for n, m, p, seed in _trial_args(n_list, trials_per_n, base_seed):
-        records.extend(run_trial(n, m, p, conditioning, seed, methods, options))
+    for spec in _trial_args(n_list, trials_per_n, base_seed, conditioning):
+        records.extend(run_trial(spec, methods, options))
     return records
 
 
@@ -146,31 +118,31 @@ def _rate(num: int, den: int) -> str:
     return f"{num}/{den} ({100.0 * num / den:.1f}%)" if den else "n/a"
 
 
+def _time(record: TrialRecord) -> float:
+    return record.verdict.diagnostics["wall_time_s"]
+
+
 def summarize(records: Sequence[TrialRecord]) -> str:
     """Per-method accuracy counts, continuation fraction, relative timings."""
     lines = []
     methods = sorted({r.method for r in records})
-    sizes = sorted({r.n for r in records})
+    sizes = sorted({r.spec.n for r in records})
     by_method = {m: [r for r in records if r.method == m] for m in methods}
-
-    inertia_times = {}
-    for r in by_method.get("inertia", []):
-        inertia_times[(r.seed, r.n)] = r.wall_time_s
+    inertia_times = {r.spec: _time(r) for r in by_method.get("inertia", [])}
 
     lines.append(f"{'method':>16} {'trials':>7} {'FP':>14} {'FN':>14} "
                  f"{'errors':>7} {'rel. median time':>17}")
     for m in methods:
         recs = by_method[m]
-        truths = [r for r in recs if r.truth is not None]
-        holds_truth = [r for r in truths if r.truth]
-        fails_truth = [r for r in truths if not r.truth]
-        fp = sum(1 for r in fails_truth if r.verdict == "holds")
-        fn = sum(1 for r in holds_truth if r.verdict != "holds")
-        errors = sum(1 for r in recs if r.verdict == "error")
+        holds_truth = [r for r in recs if r.spec.truth]
+        fails_truth = [r for r in recs if not r.spec.truth]
+        fp = sum(1 for r in fails_truth if r.verdict.holds)
+        fn = sum(1 for r in holds_truth if not r.verdict.holds)
+        errors = sum(1 for r in recs if r.verdict.status is Status.ERROR)
         ratios = [
-            r.wall_time_s / inertia_times[(r.seed, r.n)]
+            _time(r) / inertia_times[r.spec]
             for r in recs
-            if (r.seed, r.n) in inertia_times and inertia_times[(r.seed, r.n)] > 0
+            if inertia_times.get(r.spec, 0) > 0
         ]
         rel = f"{float(np.median(ratios)):.2f}x" if ratios else "n/a"
         lines.append(
@@ -178,9 +150,9 @@ def summarize(records: Sequence[TrialRecord]) -> str:
             f"{_rate(fn, len(holds_truth)):>14} {errors:>7} {rel:>17}"
         )
 
-    pcg = [r for r in by_method.get("pcg", []) if r.truth]
+    pcg = [r for r in by_method.get("pcg", []) if r.spec.truth]
     if pcg:
-        cont = sum(1 for r in pcg if r.continuations > 0)
+        cont = sum(1 for r in pcg if r.verdict.diagnostics["continuations"] > 0)
         lines.append(
             f"pcg continued at least once in {_rate(cont, len(pcg))} of "
             "condition-holds trials"

@@ -102,13 +102,13 @@ def _print_verdict(verdict, method: str) -> None:
         print(f"reason:    {verdict.reason}")
     if "detail" in diag:
         print(f"detail:    {diag['detail']}")
-    print(f"operator products: {diag.get('operator_products', 0)}")
-    print(f"continuations:     {diag.get('continuations', 0)}")
+    print(f"operator products: {diag['operator_products']}")
+    print(f"continuations:     {diag['continuations']}")
     if "minors" in diag:
         print(f"minors computed:   {diag['minors']}")
     if "inertia" in diag:
         print(f"inertia:           {diag['inertia']}")
-    print(f"wall time [s]:     {diag.get('wall_time_s', 0.0):.6g}")
+    print(f"wall time [s]:     {diag['wall_time_s']:.6g}")
 
 
 def cmd_check(args) -> int:
@@ -158,13 +158,15 @@ def _thomson_rows(args):
     """Solve and verify each K of ``--k-list``; the CSV rows."""
     rows = []
     for k in args.k_list:
+        instance = _problems.ThomsonInstance(k)
         try:
             point = solve_thomson(k, seed=args.seed)
         except MaxIterationsError as exc:
             print(f"K={k}: solver failed: {exc}", file=sys.stderr)
-            rows.append([k, 3 * k, k + 3, "", "solver_failed", "", "", "", "", ""])
+            rows.append([k, instance.n, instance.m, "", "solver_failed",
+                         "", "", "", "", ""])
             continue
-        tprob = _problems.ThomsonProblem(_problems.ThomsonInstance(k))
+        tprob = _problems.ThomsonProblem(instance)
         energy = tprob.objective(point.x)
         problem = tprob.as_problem(point.x, point.lam)
         if args.save_problems:
@@ -188,15 +190,15 @@ def _thomson_rows(args):
             diag = verdict.diagnostics
             times[method] = diag["wall_time_s"]
             print(f"  {method:>16}: {verdict.status.value:6} "
-                  f"products={diag.get('operator_products', 0):4d} "
+                  f"products={diag['operator_products']:4d} "
                   f"time={diag['wall_time_s']:.4g}s")
             rows.append([
-                k, 3 * k, k + 3, method, verdict.status.value,
+                k, instance.n, instance.m, method, verdict.status.value,
                 format(energy, ".17g"),
                 format(point.fonc_residual, ".17g"),
                 format(diag["wall_time_s"], ".17g"),
-                diag.get("operator_products", 0),
-                diag.get("continuations", 0),
+                diag["operator_products"],
+                diag["continuations"],
             ])
         if "inertia" in times and times["inertia"] > 0:
             for method in args.methods:

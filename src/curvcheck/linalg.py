@@ -264,12 +264,13 @@ class HessianOperator:
     def materialize(self) -> np.ndarray:
         """Assemble a dense symmetric matrix from the operator.
 
-        Explicit operators return a copy; callback and finite-difference
-        operators apply the operator to all N coordinate directions (N
-        products) and symmetrize the result.
+        Explicit operators return the stored read-only matrix, without a
+        copy; callback and finite-difference operators apply the operator
+        to all N coordinate directions (N products) and symmetrize the
+        result.
         """
         if self.matrix is not None:
-            return self.matrix.copy()
+            return self.matrix
         return _symmetric_part(self.apply_block(np.eye(self.dimension)))
 
 

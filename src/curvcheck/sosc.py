@@ -476,13 +476,13 @@ def _dense_inputs(
     matrix, the Jacobian as an array, and ERROR ``non_finite`` when either
     holds NaN or inf, else None.
 
-    The dense matrix is the operator's stored matrix, read without a copy,
-    or the matrix assembled from N products; a bare array goes through
-    :meth:`HessianOperator.from_matrix` like any dense Hessian.  Raises
-    :class:`DimensionMismatchError` when H and A disagree on N."""
+    The dense matrix comes from :meth:`HessianOperator.materialize`; a
+    bare array goes through :meth:`HessianOperator.from_matrix` like any
+    dense Hessian.  Raises :class:`DimensionMismatchError` when H and A
+    disagree on N."""
     if not isinstance(hessian, HessianOperator):
         hessian = HessianOperator.from_matrix(hessian)
-    H = hessian.matrix if hessian.matrix is not None else hessian.materialize()
+    H = hessian.materialize()
     A = _as_jacobian(A)
     if H.shape[0] != A.shape[1]:
         raise DimensionMismatchError("H and A dimensions are inconsistent")

@@ -21,7 +21,7 @@ from curvcheck.problems import (
     near_rank_deficient_kkt,
     save_problem,
 )
-from curvcheck.sosc import METHODS, VerifyOptions
+from curvcheck.sosc import METHODS, Status, VerifyOptions
 
 
 @pytest.fixture
@@ -239,19 +239,29 @@ class TestBench:
         methods = {row[5] for row in rows[1:]}
         assert methods == {"cholesky", "inertia"}
 
-    def test_no_truth_leaves_truth_and_agree_empty(self, tmp_path, monkeypatch):
+    def test_record_is_the_spec_and_the_verdict(self, tmp_path):
         from curvcheck import bench
 
-        monkeypatch.setattr(bench, "generate", lambda spec: Problem(
-            jacobian=np.array([[0.0, 0.0, 1.0]]), hessian=np.eye(3)))
-        records = bench.run_trial(3, 1, 3, "well", seed=0, methods=("cholesky",))
-        assert records[0].truth is None and records[0].agree is None
-        out = tmp_path / "no_truth.csv"
+        assert [f.name for f in dataclasses.fields(bench.TrialRecord)] == [
+            "spec", "method", "verdict"]
+        spec = GeneratorSpec(n=6, m=2, p=1, conditioning="ill", seed=5)
+        (record,) = bench.run_trial(spec, methods=("pcg",))
+        assert record.spec is spec and record.method == "pcg"
+        verdict = record.verdict
+        assert verdict.status is Status.FAILS and not spec.truth
+        out = tmp_path / "one.csv"
         with open(out, "w", newline="", encoding="utf-8") as fh:
-            bench.write_csv(records, fh)
+            bench.write_csv([record], fh)
         header, row = list(csv.reader(open(out)))
-        assert row[header.index("truth")] == ""
-        assert row[header.index("agree")] == ""
+        assert dict(zip(header, row)) == {
+            "seed": "5", "N": "6", "M": "2", "P": "1", "conditioning": "ill",
+            "method": "pcg", "verdict": "fails", "truth": "False",
+            "agree": "True",
+            "wall_time_s": format(verdict.diagnostics["wall_time_s"], ".17g"),
+            "operator_products": str(verdict.diagnostics["operator_products"]),
+            "continuations": str(verdict.diagnostics["continuations"]),
+            "fail_step": str(verdict.step),
+        }
 
     def test_each_verify_runs_once_at_every_size(self, monkeypatch):
         # a size of 500 or more is timed once too; a small problem stands
@@ -269,6 +279,10 @@ class TestBench:
         assert all(options == VerifyOptions(tol_rank=0.0) for _, options in calls)
 
     def test_rejects_tiny_sizes(self, tmp_path, capsys):
+        from curvcheck import bench
+
+        with pytest.raises(ValueError, match="at least 4"):
+            bench.run_campaign([8, 3], 1)
         # an empty list exited 0 after writing a header-only CSV
         for sizes, message in [("3", "at least 4"), ("", "no benchmark sizes"),
                                (",", "no benchmark sizes")]:

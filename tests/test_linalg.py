@@ -136,6 +136,8 @@ class TestHessianOperator:
         short = HessianOperator.from_callback(lambda s: s[:2], 3)
         with pytest.raises(DimensionMismatchError, match="wrong shape"):
             short.apply(np.ones(3))
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            HessianOperator(0, lambda s: s)
 
     @pytest.mark.parametrize("sigma", [0.0, -1e-6])
     def test_fd_scale_must_be_positive(self, sigma):
@@ -180,6 +182,10 @@ class TestHessianOperator:
         H = np.array([[2.0, 1.0], [1.0, -1.0]])
         op = HessianOperator.from_callback(lambda s: H @ s, 2)
         np.testing.assert_allclose(op.materialize(), H, atol=1e-14)
+        # an explicit operator hands over its stored read-only matrix
+        explicit = HessianOperator.from_matrix(H)
+        assert explicit.materialize() is explicit.matrix
+        assert not explicit.materialize().flags.writeable
 
     def test_fd_gradient_calls(self):
         # g(x) is evaluated once, at the first product: k products cost
@@ -442,6 +448,11 @@ class TestProjector:
         proj = NullSpaceProjector(np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(proj.project(np.array([3.0, 4.0])), [0.0, 4.0],
                                    atol=1e-14)
+        with pytest.raises(DimensionMismatchError, match="length 2, got shape"):
+            proj.project(np.ones(3))
+        for q in (np.ones(3), np.ones((3, 1))):
+            with pytest.raises(DimensionMismatchError, match="expected 2 rows"):
+                proj.append_column(q)
 
     def test_oblique_unit_row(self):
         a = np.array([[1.0, 1.0]]) / np.sqrt(2.0)
@@ -724,6 +735,15 @@ class TestBorderedLu:
         lu = BorderedLu(B, 2)
         assert lu.sign == 0
         with pytest.raises(FloatingPointError):
+            lu.update(1)
+
+    def test_non_finite_refactored_pivot_raises(self):
+        # the first new column's bordered pivot is not finite, and so is
+        # the dense refactor of the grown block, whose LU overflows
+        B = 1.7e308 * np.array([[0.0, 0.6, 0.6], [0.6, -0.6, 1.0], [0.6, 1.0, -1.0]])
+        lu = BorderedLu(B, 2)
+        assert lu.sign == -1
+        with pytest.raises(FloatingPointError, match="pivot nan is not finite"):
             lu.update(1)
 
     def test_diagonal_growth_sign_flip(self):

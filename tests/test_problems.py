@@ -51,6 +51,8 @@ class TestRandomDraws:
         vals = {float(random_orthogonal(1, rng)[0, 0]) for _ in range(20)}
         assert vals <= {1.0, -1.0}
         assert len(vals) == 2
+        with pytest.raises(ValueError, match="n must be positive"):
+            random_orthogonal(0, rng)
 
     def test_orthogonality_residual(self):
         rng = np.random.default_rng(1)
@@ -154,6 +156,11 @@ class TestGenerator:
             GeneratorSpec(n=10, m=4, p=11)
         with pytest.raises(ValueError):
             GeneratorSpec(n=10, m=4, p=5, conditioning="meh")
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            GeneratorSpec(n=1, m=1, p=0)
+        for lo, hi in ((1.0, 1.0), (2.0, 1.0)):
+            with pytest.raises(ValueError, match="eig_lo < eig_hi"):
+                GeneratorSpec(n=10, m=4, p=5, eig_lo=lo, eig_hi=hi)
 
     def test_reproducible(self):
         a = generate(GeneratorSpec(n=12, m=3, p=7, seed=42))
@@ -175,6 +182,8 @@ class TestTruthRate:
             p = truth_probability(n)
             sigma = np.sqrt(p * (1 - p) / trials)
             assert abs(rate - p) <= 3 * sigma
+        with pytest.raises(ValueError, match="trials must be positive"):
+            sample_truth_rate(10, 0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +197,9 @@ class TestMatrixBuilders:
         A = np.array([[2.0]])
         np.testing.assert_array_equal(build_kkt(H, A), [[5.0, 2.0], [2.0, 0.0]])
         np.testing.assert_array_equal(build_bordered(H, A), [[0.0, 2.0], [2.0, 5.0]])
+        for build in (build_kkt, build_bordered):
+            with pytest.raises(ValueError, match="inconsistent"):
+                build(np.eye(2), A)
 
     def test_kkt_matches_ldl_example(self):
         K = build_kkt(np.eye(2), np.array([[1.0, 0.0]]))
@@ -256,6 +268,12 @@ class TestNearRankDeficientKkt:
         with pytest.raises(ValueError):
             near_rank_deficient_kkt(np.eye(2), A_prime, np.array([0.0]),
                                     np.array([0.0, 0.0]))
+        with pytest.raises(ValueError, match="one coefficient per existing row"):
+            near_rank_deficient_kkt(np.eye(2), A_prime, np.array([1.0, 1.0]),
+                                    np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="eps must be an N-vector"):
+            near_rank_deficient_kkt(np.eye(2), A_prime, np.array([1.0]),
+                                    np.array([0.0, 1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +352,8 @@ class TestThomson:
         tp = ThomsonProblem(ThomsonInstance(2))
         with pytest.raises(CoincidentPointsError):
             tp.objective(np.array([1.0, 0, 0, 1.0, 0, 0]))
+        with pytest.raises(ValueError, match="expected vector of length 6"):
+            tp.objective(np.array([1.0, 0, 0, -1.0, 0]))
 
     @pytest.mark.parametrize("callback", [
         "objective", "gradient", "objective_hessian", "lagrangian_gradient",
@@ -514,9 +534,14 @@ class TestSerialization:
     def test_point_and_multipliers_must_match_the_jacobian(self):
         A = np.array([[1.0, 0.0, 0.0]])
         for kwargs in ({"x": np.zeros(5)}, {"lam": np.zeros(7)},
-                       {"x": np.zeros((3, 1))}, {"lam": np.zeros(())}):
+                       {"x": np.zeros((3, 1))}, {"lam": np.zeros(())},
+                       {"hessian": np.eye(2)}):
             with pytest.raises(ValueError, match="inconsistent"):
-                Problem(jacobian=A, hessian=np.eye(3), **kwargs)
+                Problem(jacobian=A, **{"hessian": np.eye(3), **kwargs})
+        with pytest.raises(ValueError, match="no Hessian representation"):
+            Problem(jacobian=A).operator()
+        with pytest.raises(ValueError, match="needs a base point x"):
+            Problem(jacobian=A, gradient=lambda x: x).operator()
         problem = Problem(jacobian=A, hessian=np.eye(3), x=[1, 2, 3], lam=[0.5])
         assert problem.x.shape == (3,) and problem.lam.shape == (1,)
         unconstrained = Problem(jacobian=np.empty((0, 2)), hessian=np.eye(2),

@@ -1102,6 +1102,8 @@ class TestVerify:
             verdict = verify(problem, method)
             assert verdict.status is Status.HOLDS, method
             assert verdict.diagnostics["wall_time_s"] >= 0
+        with pytest.raises(ValueError, match="unknown method 'lanczos'"):
+            verify(problem, "lanczos")
 
     def test_semidefinite_boundary_not_holds(self):
         # scalar cubic objective at its flat stationary point: zero curvature

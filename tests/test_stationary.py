@@ -120,6 +120,24 @@ class TestSolveThomson:
         with pytest.raises(stationary.MaxIterationsError, match="within 2 steps"):
             solve_thomson(8, seed=2)
 
+    def test_failed_line_search_raises(self, monkeypatch):
+        # after the starting point every trial point reads as two
+        # coincident points, so no step passes any of the 120 trials
+        energy_and_grad = stationary._sphere_energy_and_grad
+        calls = []
+
+        def coincident_after_start(prob, pts):
+            calls.append(pts)
+            if len(calls) == 1:
+                return energy_and_grad(prob, pts)
+            return np.inf, None
+
+        monkeypatch.setattr(stationary, "_sphere_energy_and_grad",
+                            coincident_after_start)
+        with pytest.raises(stationary.MaxIterationsError):
+            solve_thomson(4, seed=0)
+        assert len(calls) == 1 + 120
+
     def test_energy_monotone_on_accepted_steps(self, monkeypatch):
         # the line search returns each accepted step; the energies start
         # from the one it was first called at
@@ -156,6 +174,15 @@ class TestSolveThomson:
         x = point.x
         assert x[1] == 0.0 and x[2] == 0.0  # first point pinned to the axis
         assert x[5] == 0.0                  # second point in-plane
+
+    def test_rotation_of_a_first_point_on_the_axis(self):
+        # no reflection is needed; the second point is turned into the
+        # e1-e2 plane about e1
+        pts = np.array([[1.0, 0.0, 0.0], [0.6, 0.0, -0.8], [0.0, 1.0, 0.0]])
+        Q = stationary._canonical_rotation(pts)
+        np.testing.assert_allclose(Q @ Q.T, np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(Q @ pts[0], [1.0, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(Q @ pts[1], [0.6, 0.8, 0.0], atol=1e-15)
 
     @pytest.mark.parametrize("k", range(3, 13))
     def test_condition_holds_at_emitted_points(self, k):
