@@ -244,12 +244,12 @@ def cmd_compare(args) -> int:
         print(f"  {method:>16}: {verdict.status.value}{step}{reason}")
 
     H = problem.operator().matrix
-    if H is not None and not (np.isfinite(H).all() and np.isfinite(problem.jacobian).all()):
+    if not (np.isfinite(H).all() and np.isfinite(problem.jacobian).all()):
         # the eigensolvers would raise on NaN or inf
         print(f"  {'eigen-oracle':>16}: skipped (H or A holds NaN or inf)")
-    elif H is not None and problem.n > 500:
+    elif problem.n > 500:
         print(f"  {'eigen-oracle':>16}: skipped (N > 500)")
-    elif H is not None:
+    else:
         from .linalg import RankDeficientError, _symmetric_part, null_space_basis
 
         # the reduced eigenvalues are the same for every orthonormal basis,

@@ -6,7 +6,9 @@ over the null space of the constraint Jacobian and returns a
 curvature for the three matrix-free tests), or ERROR when the test is
 inconclusive.
 
-The three matrix-free tests need only products ``s -> H s``:
+Every test receives H as a :class:`HessianOperator`; for a dense H that
+is ``HessianOperator.from_matrix(H)``.  The three matrix-free tests need
+only products ``s -> H s``:
 
   - :func:`implicit_cholesky` forms the reduced matrix ``W^T H W`` from one
     block product of L Hessian products and reads its Cholesky pivots from
@@ -21,7 +23,8 @@ The three matrix-free tests need only products ``s -> H s``:
     in the conjugate complement of the searched directions until the null
     space is exhausted or negative curvature appears.
 
-The two classical tests need the Hessian entries explicitly:
+The two classical tests need the Hessian entries explicitly; they read
+the operator's stored matrix, or materialize a product-backed one:
 
   - :func:`bordered_hessian_test` checks the signs of the trailing leading
     principal minors of the bordered matrix: one LU of the 2M x 2M seed,
@@ -33,9 +36,10 @@ The two classical tests need the Hessian entries explicitly:
   - :func:`inertia_test` factors the saddle-point matrix once (block LDL)
     and compares its inertia against (N, M, 0).
 
-:func:`verify` dispatches on a method name, builds whatever basis or
-projector the method needs, and attaches wall time and operator-product
-counts to the verdict.
+:func:`verify` dispatches on a method name, builds a fresh operator and
+whatever basis or projector the method needs, and attaches wall time and
+the operator's ``product_count`` to the verdict; no test counts products
+itself.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import logging
 import math
 import numbers
 import time
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -241,7 +245,6 @@ def implicit_cholesky(
     if hessian.dimension != N:
         raise DimensionMismatchError("operator and basis dimensions differ")
 
-    start = hessian.product_count
     V = hessian.apply_block(W)
     # the upper triangle of V^T W holds (H w_i) . w_j for i <= j, the inner
     # products of the modified elimination recurrence; a finite-difference
@@ -274,7 +277,6 @@ def implicit_cholesky(
         alpha = float(R[k, k] - t @ t)
         verdict = _stopped(hessian, basis.jacobian, alpha,
                            lambda: W[:, k] - W[:, :k] @ s, k + 1, {"alpha": alpha})
-    verdict.diagnostics["operator_products"] = hessian.product_count - start
     return verdict
 
 
@@ -318,7 +320,6 @@ def diagonalization(
     if hessian.dimension != N:
         raise DimensionMismatchError("operator and basis dimensions differ")
 
-    start = hessian.product_count
     V = np.array(W, order="F")
     alphas = np.zeros(L)
     Z = np.empty((N, L), order="F")
@@ -342,7 +343,6 @@ def diagonalization(
         Z[:, n] = z
     else:
         verdict = SoscVerdict(Status.HOLDS, diagnostics={"alphas": alphas})
-    verdict.diagnostics["operator_products"] = hessian.product_count - start
     return verdict
 
 
@@ -392,7 +392,6 @@ def continued_pcg(
         raise DimensionMismatchError("operator and projector dimensions differ")
     L = N - projector.n_constraints
 
-    start = hessian.product_count
     rng = np.random.default_rng(seed)
 
     continuations = 0
@@ -457,7 +456,6 @@ def continued_pcg(
             pass
         b = None
 
-    verdict.diagnostics["operator_products"] = hessian.product_count - start
     verdict.diagnostics["continuations"] = continuations
     verdict.diagnostics["sweeps_converged"] = sweeps_converged
     return verdict
@@ -469,19 +467,14 @@ def continued_pcg(
 
 
 def _dense_inputs(
-    hessian: Union[HessianOperator, np.ndarray],
+    hessian: HessianOperator,
     A: np.ndarray,
 ):
     """The prelude of the two classical tests: the Hessian as a dense
-    matrix, the Jacobian as an array, and ERROR ``non_finite`` when either
-    holds NaN or inf, else None.
-
-    The dense matrix comes from :meth:`HessianOperator.materialize`; a
-    bare array goes through :meth:`HessianOperator.from_matrix` like any
-    dense Hessian.  Raises :class:`DimensionMismatchError` when H and A
-    disagree on N."""
-    if not isinstance(hessian, HessianOperator):
-        hessian = HessianOperator.from_matrix(hessian)
+    matrix, from :meth:`HessianOperator.materialize`, the Jacobian as an
+    array, and ERROR ``non_finite`` when either holds NaN or inf, else
+    None.  Raises :class:`DimensionMismatchError` when H and A disagree
+    on N."""
     H = hessian.materialize()
     A = _as_jacobian(A)
     if H.shape[0] != A.shape[1]:
@@ -501,7 +494,7 @@ def _non_finite(*arrays: np.ndarray) -> Optional[SoscVerdict]:
 
 
 def bordered_hessian_test(
-    hessian: Union[HessianOperator, np.ndarray],
+    hessian: HessianOperator,
     A: np.ndarray,
 ) -> SoscVerdict:
     """Sign test on the trailing leading principal minors of the bordered
@@ -516,8 +509,9 @@ def bordered_hessian_test(
     holds the first irregular pivot.  An irregular pivot (negative,
     stalled or singular) ends that update at its column, and the next
     update asks for the columns that are left.  Needs the Hessian entries
-    explicitly (operator-backed Hessians are materialized first); provides
-    no direction of negative curvature on failure.  A numerically singular
+    explicitly: an explicit operator's stored matrix is read as it is, a
+    product-backed one is materialized first (N products).  Provides no
+    direction of negative curvature on failure.  A numerically singular
     minor makes the test inconclusive, which is reported as ERROR rather
     than as a failure of the condition; so is NaN or inf in H or A
     (``non_finite``), and a NaN or inf pivot (``non_finite`` at its step),
@@ -559,7 +553,7 @@ def bordered_hessian_test(
 
 
 def inertia_test(
-    hessian: Union[HessianOperator, np.ndarray],
+    hessian: HessianOperator,
     A: np.ndarray,
 ) -> SoscVerdict:
     """Single-factorization test on the saddle-point matrix.
@@ -569,7 +563,8 @@ def inertia_test(
     one Bunch-Kaufman factorization (LAPACK ``dsytrf``, the blocks located
     through its pivot vector); this is exact for the computed
     factor even in floating point, though the computed factor itself may
-    misrepresent a matrix with eigenvalues at roundoff scale.  No
+    misrepresent a matrix with eigenvalues at roundoff scale.  H comes
+    from the operator as for :func:`bordered_hessian_test`.  No
     direction of negative curvature is available on failure.  NaN or inf
     in H or A gives ERROR ``non_finite``, and so does NaN or inf in D,
     where the factorization of finite entries overflowed.
@@ -631,10 +626,11 @@ def verify(
 ) -> SoscVerdict:
     """Run one verification method on a problem.
 
-    Builds the Hessian operator and the basis or projector the method
-    needs, hands the two classical tests that same operator (they read its
-    dense matrix, or materialize a product-backed one), and attaches wall
-    time and the operator-product count to the verdict diagnostics.  Every
+    Builds a fresh Hessian operator and the basis or projector the method
+    needs, hands every test that same operator (the two classical tests
+    read its dense matrix, or materialize a product-backed one), and
+    attaches wall time and ``operator_products``, the operator's
+    ``product_count`` after the test, to the verdict diagnostics.  Every
     method guards the constraint rank with :func:`check_full_rank` on the
     column-pivoted QR of ``A^T``: the basis and the projector read it from
     the QR they are built from, ``bht`` and ``inertia`` pay for the QR only
@@ -680,6 +676,6 @@ def verify(
 
     verdict.diagnostics["method"] = method
     verdict.diagnostics["wall_time_s"] = time.perf_counter() - t0
-    verdict.diagnostics.setdefault("operator_products", hessian.product_count)
+    verdict.diagnostics["operator_products"] = hessian.product_count
     verdict.diagnostics.setdefault("continuations", 0)
     return verdict

@@ -34,7 +34,8 @@ TOL_FONC = 1e-9
 
 
 class MaxIterationsError(RuntimeError):
-    """The solver hit its iteration cap before reaching the tolerance."""
+    """The solver stopped before reaching the tolerance: its line search
+    found no step, or it hit its iteration cap."""
 
 
 @dataclasses.dataclass
@@ -146,9 +147,9 @@ def solve_thomson(k: int, seed: int = 0) -> FoncPoint:
     gradient norm instead; true energy decrease continues, it just stops
     being measurable.
 
-    Raises :class:`MaxIterationsError` when the Riemannian gradient does
-    not reach :data:`TOL_FONC` within :data:`_MAX_ITER` (200 000) accepted
-    steps.
+    Raises :class:`MaxIterationsError` when the line search finds no step,
+    or when the Riemannian gradient does not reach :data:`TOL_FONC` within
+    :data:`_MAX_ITER` (200 000) accepted steps; the message says which.
     """
     prob = ThomsonProblem(ThomsonInstance(k))
     rng = np.random.default_rng(seed)
@@ -164,12 +165,10 @@ def solve_thomson(k: int, seed: int = 0) -> FoncPoint:
     step = 1e-2
     prev_pts = None
     prev_grad = None
-    converged = False
 
-    for _ in range(_MAX_ITER):
+    for accepted_steps in range(_MAX_ITER):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= target:
-            converged = True
             break
         if prev_pts is not None:
             s = (pts - prev_pts).ravel()
@@ -180,11 +179,13 @@ def solve_thomson(k: int, seed: int = 0) -> FoncPoint:
 
         accepted = _backtrack(pts, energy, grad, gnorm, step, prob)
         if accepted is None:
-            break
+            raise MaxIterationsError(
+                f"line search found no step after {accepted_steps} accepted "
+                f"steps, at gradient norm {gnorm:.3g}"
+            )
         prev_pts, prev_grad = pts, grad
         pts, energy, grad = accepted
-
-    if not converged:
+    else:
         raise MaxIterationsError(
             f"no stationary point to tolerance {TOL_FONC:g} within {_MAX_ITER} steps"
         )

@@ -546,6 +546,26 @@ class TestThomsonCommand:
         rows = list(csv.reader(open(out)))
         assert rows[1:] == [["4", "12", "7", "", "solver_failed", "", "", "", "", ""]]
 
+    def test_failed_line_search_is_reported(self, tmp_path, capsys, monkeypatch):
+        # every trial point after the start reads as coincident, so the line
+        # search finds no step long before the iteration cap
+        from curvcheck import stationary
+
+        energy_and_grad = stationary._sphere_energy_and_grad
+        calls = []
+
+        def coincident_after_start(prob, pts):
+            calls.append(pts)
+            return energy_and_grad(prob, pts) if len(calls) == 1 else (np.inf, None)
+
+        monkeypatch.setattr(stationary, "_sphere_energy_and_grad",
+                            coincident_after_start)
+        out = tmp_path / "thomson.csv"
+        assert main(["thomson", "--k-list", "4", "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "K=4: solver failed: line search found no step after 0 accepted" in err
+        assert "within" not in err
+
     @pytest.mark.parametrize("flag", ["--out", "--save-problems"])
     def test_unwritable_output_exit_three(self, tmp_path, flag, capsys):
         dest = str(tmp_path / "no" / "such") + "/"

@@ -436,11 +436,10 @@ class ReferenceProjector:
 
 
 def pcg_outcome(problem, projector_class, seed):
-    verdict = continued_pcg(HessianOperator.from_matrix(problem.hessian),
-                            projector_class(problem.jacobian), seed=seed)
-    diag = verdict.diagnostics
+    hessian = HessianOperator.from_matrix(problem.hessian)
+    verdict = continued_pcg(hessian, projector_class(problem.jacobian), seed=seed)
     return (verdict.status, verdict.step, verdict.reason,
-            diag["operator_products"], diag["continuations"])
+            hessian.product_count, verdict.diagnostics["continuations"])
 
 
 class TestProjector:
@@ -912,7 +911,8 @@ class TestBorderedLu:
             BorderedLu, "update", lambda self, *a: updates.append(1) or update(self, *a)
         )
         monkeypatch.setattr(BorderedLu, "_commit", counted_commit)
-        verdict = bordered_hessian_test(problem.hessian, problem.jacobian)
+        verdict = bordered_hessian_test(HessianOperator.from_matrix(problem.hessian),
+                                        problem.jacobian)
         assert verdict.holds
         assert verdict.diagnostics["minors"] == 40
         assert (len(updates), len(assembled)) == (1, 0)

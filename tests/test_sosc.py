@@ -260,10 +260,11 @@ class TestImplicitCholesky:
                                 skewed.__matmul__, n)):
                 status, step, reason, products, alphas = reference_cholesky(
                     hessian(), basis)
-                verdict = implicit_cholesky(hessian(), basis)
+                kernel_op = hessian()
+                verdict = implicit_cholesky(kernel_op, basis)
                 assert (verdict.status, verdict.step, verdict.reason) == (
                     status, step, reason), seed
-                assert verdict.diagnostics["operator_products"] == products
+                assert kernel_op.product_count == products
                 got = verdict.diagnostics.get("alphas")
                 if got is None:
                     got = verdict.diagnostics["alpha"]
@@ -324,13 +325,13 @@ class TestImplicitCholesky:
             return U, alphas[:1]
 
         monkeypatch.setattr(sosc, "_leading_cholesky", cut)
-        H = np.diag([2.0, 3.0, 5.0])
-        verdict = implicit_cholesky(op(H), adhoc_basis(np.eye(3)[:, :2]))
+        hessian = op(np.diag([2.0, 3.0, 5.0]))
+        verdict = implicit_cholesky(hessian, adhoc_basis(np.eye(3)[:, :2]))
         assert verdict.status is Status.ERROR
         assert verdict.reason == "semidefinite_boundary"
         assert verdict.step == 2
         assert verdict.diagnostics["alpha"] == 3.0
-        assert verdict.diagnostics["operator_products"] == 2
+        assert hessian.product_count == 2
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +358,11 @@ class TestDiagonalization:
         def check(hessian, basis, label, rtol=1e-12, atol=0.0):
             status, step, reason, products, alphas = reference_diagonalization(
                 hessian(), basis)
-            verdict = diagonalization(hessian(), basis)
+            kernel_op = hessian()
+            verdict = diagonalization(kernel_op, basis)
             assert (verdict.status, verdict.step, verdict.reason) == (
                 status, step, reason), label
-            assert verdict.diagnostics["operator_products"] == products, label
+            assert kernel_op.product_count == products, label
             got = verdict.diagnostics.get("alphas")
             if got is None:
                 got, alphas = verdict.diagnostics["alpha"], alphas[-1]
@@ -502,9 +504,10 @@ class TestContinuedPcg:
 
     def test_identity_holds_with_unit_product_budget(self):
         n = 7
-        verdict = continued_pcg(op(np.eye(n)), trivial_projector(n), seed=1)
+        hessian = op(np.eye(n))
+        verdict = continued_pcg(hessian, trivial_projector(n), seed=1)
         assert verdict.status is Status.HOLDS
-        assert verdict.diagnostics["operator_products"] == n
+        assert hessian.product_count == n
         # every sweep on the identity converges in one step
         assert verdict.diagnostics["continuations"] == n - 1
 
@@ -523,11 +526,12 @@ class TestContinuedPcg:
             def project(self, r):
                 return np.zeros_like(r)
 
-        verdict = continued_pcg(op(np.eye(3)), NullProjector(np.empty((0, 3))))
+        hessian = op(np.eye(3))
+        verdict = continued_pcg(hessian, NullProjector(np.empty((0, 3))))
         assert verdict.status is Status.ERROR
         assert verdict.reason == "subspace_exhausted"
         assert verdict.step is None
-        assert verdict.diagnostics["operator_products"] == 0
+        assert hessian.product_count == 0
 
     def test_refused_images_do_not_stop_the_search(self):
         # the projector may refuse a sweep's images as already annihilated;
@@ -537,10 +541,11 @@ class TestContinuedPcg:
                 raise DependentColumnError("images inside the annihilated span")
 
         A = np.array([[0.0, 0.0, 1.0]])
-        verdict = continued_pcg(op(np.eye(3)), RefusingProjector(A))
+        hessian = op(np.eye(3))
+        verdict = continued_pcg(hessian, RefusingProjector(A))
         assert verdict.status is Status.HOLDS
         assert verdict.diagnostics["continuations"] == 1
-        assert verdict.diagnostics["operator_products"] == 2
+        assert hessian.product_count == 2
         assert verdict.diagnostics["sweeps_converged"] == 2
 
     def test_no_usable_restart_seed_is_subspace_exhausted(self):
@@ -557,12 +562,13 @@ class TestContinuedPcg:
                 return np.zeros_like(r) if self.appended else super().project(r)
 
         A = np.array([[0.0, 0.0, 1.0]])
-        verdict = continued_pcg(op(np.eye(3)), EmptiedProjector(A))
+        hessian = op(np.eye(3))
+        verdict = continued_pcg(hessian, EmptiedProjector(A))
         assert verdict.status is Status.ERROR
         assert verdict.reason == "subspace_exhausted"
         assert verdict.step is None
         assert verdict.diagnostics["continuations"] == 1
-        assert verdict.diagnostics["operator_products"] == 1
+        assert hessian.product_count == 1
 
     def test_callback_returning_a_view_of_its_argument(self):
         # s -> s reversed is symmetric, and a callback may return that view
@@ -639,18 +645,18 @@ class TestContinuedPcg:
 
 class TestBorderedHessian:
     def test_positive_definite_holds(self):
-        verdict = bordered_hessian_test(2.0 * np.eye(2), np.array([[1.0, 0.0]]))
+        verdict = bordered_hessian_test(op(2.0 * np.eye(2)), np.array([[1.0, 0.0]]))
         assert verdict.status is Status.HOLDS
         assert verdict.diagnostics["minors"] == 1
 
     def test_indefinite_fails_without_direction(self):
-        verdict = bordered_hessian_test(np.diag([1.0, -1.0]), np.array([[1.0, 0.0]]))
+        verdict = bordered_hessian_test(op(np.diag([1.0, -1.0])), np.array([[1.0, 0.0]]))
         assert verdict.status is Status.FAILS
         assert verdict.direction is None
 
     def test_singular_minor_is_inconclusive(self):
         # leading column of A is zero, so the first bordered minor vanishes
-        verdict = bordered_hessian_test(np.eye(3), np.array([[0.0, 0.0, 1.0]]))
+        verdict = bordered_hessian_test(op(np.eye(3)), np.array([[0.0, 0.0, 1.0]]))
         assert verdict.status is Status.ERROR
         assert verdict.reason == "singular_minor"
 
@@ -670,7 +676,7 @@ class TestBorderedHessian:
         from curvcheck.stationary import solve_thomson
 
         def check(H, A, label):
-            verdict = bordered_hessian_test(H, A)
+            verdict = bordered_hessian_test(op(H), A)
             got = (verdict.status, verdict.step, verdict.reason,
                    verdict.diagnostics["minors"])
             assert got == reference_bht(H, A), label
@@ -707,10 +713,11 @@ class TestBorderedHessian:
             problem = generate(GeneratorSpec(n=12, m=3, p=p, seed=4))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                verdict = bordered_hessian_test(scale * problem.hessian,
+                verdict = bordered_hessian_test(op(scale * problem.hessian),
                                                 scale * problem.jacobian)
             assert (verdict.status, verdict.step) == (
-                expected, bordered_hessian_test(problem.hessian, problem.jacobian).step)
+                expected,
+                bordered_hessian_test(op(problem.hessian), problem.jacobian).step)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_sign_sequence_matches_truth(self, seed):
@@ -719,7 +726,7 @@ class TestBorderedHessian:
         m = int(rng.integers(1, n))
         p = int(rng.integers(0, n + 1))
         problem = generate(GeneratorSpec(n=n, m=m, p=p, seed=seed))
-        verdict = bordered_hessian_test(problem.hessian, problem.jacobian)
+        verdict = bordered_hessian_test(op(problem.hessian), problem.jacobian)
         assert verdict.status is not Status.ERROR
         assert verdict.holds == problem.truth
 
@@ -779,10 +786,11 @@ class TestLeadingBlocks:
         H = (Q[:, :L] * pivots_with_one_negative(L, step, rng)) @ Q[:, :L].T
         status, ref_step, reason, products, alphas = reference_cholesky(op(H), basis)
         orders = counted_dpotrf(monkeypatch)
-        verdict = implicit_cholesky(op(H), basis)
+        hessian = op(H)
+        verdict = implicit_cholesky(hessian, basis)
         assert (verdict.status, verdict.step, verdict.reason) == (
             status, ref_step, reason) == (Status.FAILS, step, None)
-        assert verdict.diagnostics["operator_products"] == products == L + 1
+        assert hessian.product_count == products == L + 1
         assert verdict.diagnostics["alpha"] == pytest.approx(alphas[-1], rel=1e-9)
         assert verdict.diagnostics["alpha"] == pytest.approx(-1.0, rel=1e-9)
         assert orders == [256, 512, 514][:tries]
@@ -800,13 +808,14 @@ class TestLeadingBlocks:
         H = 0.5 * (H + H.T)
         A = np.eye(M, L + M)
         orders = counted_dpotrf(monkeypatch)
-        verdict = bordered_hessian_test(H, A)
+        hessian = op(H)
+        verdict = bordered_hessian_test(hessian, A)
         assert orders == [256, 512, 514][:tries]
         assert (verdict.status, verdict.step, verdict.reason,
                 verdict.diagnostics["minors"]) == reference_bht(H, A) == (
             Status.FAILS, step, None, step)
         assert verdict.diagnostics["sign"] == -1
-        assert verdict.diagnostics.get("operator_products", 0) == 0
+        assert hessian.product_count == 0
 
     @pytest.mark.parametrize("n, m", [(20, 6), (300, 44), (300, 43)])
     @pytest.mark.parametrize("method", ["cholesky", "bht"])
@@ -875,12 +884,12 @@ class TestLeadingBlocks:
 
 class TestInertia:
     def test_holds(self):
-        verdict = inertia_test(np.eye(2), np.array([[1.0, 0.0]]))
+        verdict = inertia_test(op(np.eye(2)), np.array([[1.0, 0.0]]))
         assert verdict.status is Status.HOLDS
         assert verdict.diagnostics["inertia"] == (2, 1, 0)
 
     def test_fails(self):
-        verdict = inertia_test(np.diag([1.0, -1.0]), np.array([[1.0, 0.0]]))
+        verdict = inertia_test(op(np.diag([1.0, -1.0])), np.array([[1.0, 0.0]]))
         assert verdict.status is Status.FAILS
         assert verdict.diagnostics["inertia"] == (1, 2, 0)
         assert verdict.direction is None  # this route yields no certificate
@@ -895,7 +904,7 @@ class TestInertia:
         eps = 1e-12 * rng.standard_normal(6)
         K, bound = near_rank_deficient_kkt(H, A_prime, np.array([0.4, -1.2]), eps)
         A = K[6:, :6]
-        verdict = inertia_test(H, A)
+        verdict = inertia_test(op(H), A)
         assert verdict.status in (Status.HOLDS, Status.FAILS)
         assert "inertia" in verdict.diagnostics
 
@@ -906,17 +915,17 @@ class TestInertia:
         m = int(rng.integers(1, n))
         p = int(rng.integers(0, n + 1))
         problem = generate(GeneratorSpec(n=n, m=m, p=p, seed=seed))
-        verdict = inertia_test(problem.hessian, problem.jacobian)
+        verdict = inertia_test(op(problem.hessian), problem.jacobian)
         assert verdict.holds == problem.truth
 
     def test_overflowing_two_by_two_block_keeps_its_signs(self):
         # a*c - b*b of a 2 x 2 block of D near 1e200 is inf - inf; scaled by
         # the block's largest entry, its sign is that of the unscaled inertia
         problem = generate(GeneratorSpec(n=12, m=3, p=8, seed=4))
-        plain = inertia_test(problem.hessian, problem.jacobian)
+        plain = inertia_test(op(problem.hessian), problem.jacobian)
         assert plain.diagnostics["inertia"] == (11, 4, 0)
         with np.errstate(over="ignore"):
-            scaled = inertia_test(1e200 * problem.hessian, problem.jacobian)
+            scaled = inertia_test(op(1e200 * problem.hessian), problem.jacobian)
         assert scaled.status is Status.FAILS
         assert scaled.diagnostics["inertia"] == (11, 4, 0)
 
@@ -929,7 +938,7 @@ def test_classical_kernels_reject_m_at_least_n(kernel, A):
     # with minors -1, and inertia failed with inertia (2, 2, 1); with M = N
     # both held
     with pytest.raises(DimensionMismatchError, match="fewer constraints"):
-        kernel(np.diag([1.0, -1.0]), np.asarray(A))
+        kernel(op(np.diag([1.0, -1.0])), np.asarray(A))
 
 
 def test_kernels_reject_inputs_of_another_dimension():
@@ -942,7 +951,7 @@ def test_kernels_reject_inputs_of_another_dimension():
         continued_pcg(op(np.eye(3)), NullSpaceProjector(A))
     for kernel in (bordered_hessian_test, inertia_test):
         with pytest.raises(DimensionMismatchError, match="inconsistent"):
-            kernel(np.eye(3), A)
+            kernel(op(np.eye(3)), A)
 
 
 # ---------------------------------------------------------------------------
@@ -959,7 +968,7 @@ class TestVerify:
         H, A = problem.hessian.copy(), problem.jacobian.copy()
         (H if where == "H" else A)[1, 2] = value
         runner = bordered_hessian_test if method == "bht" else inertia_test
-        for verdict in (runner(H, A), verify(Problem(A, H), method)):
+        for verdict in (runner(op(H), A), verify(Problem(A, H), method)):
             assert verdict.status is Status.ERROR
             assert verdict.reason == "non_finite"
 
@@ -1021,20 +1030,21 @@ class TestVerify:
                 out[2] = value * s[2]
             return out
 
-        hessian = lambda: HessianOperator.from_callback(matvec, 5)
+        hessians = {method: HessianOperator.from_callback(matvec, 5)
+                    for method in ("cholesky", "diagonalization", "pcg")}
         basis = adhoc_basis(np.eye(5)[:, :3])
         projector = NullSpaceProjector(np.eye(5)[3:])
         with np.errstate(invalid="ignore"):
             verdicts = {
-                "cholesky": implicit_cholesky(hessian(), basis),
-                "diagonalization": diagonalization(hessian(), basis),
-                "pcg": continued_pcg(hessian(), projector),
+                "cholesky": implicit_cholesky(hessians["cholesky"], basis),
+                "diagonalization": diagonalization(hessians["diagonalization"], basis),
+                "pcg": continued_pcg(hessians["pcg"], projector),
             }
         for method, verdict in verdicts.items():
             assert verdict.status is Status.ERROR, method
             assert verdict.reason == "non_finite", method
             assert verdict.step == (1 if method == "pcg" else 3), method
-            assert verdict.diagnostics["operator_products"] == verdict.step, method
+            assert hessians[method].product_count == verdict.step, method
             assert verdict.direction is None, method
 
     def test_non_finite_recheck_of_a_failure_is_not_a_failure(self):
@@ -1049,7 +1059,7 @@ class TestVerify:
         assert verdict.step == 1
         assert verdict.direction is None
         assert np.isnan(verdict.diagnostics["recomputed_curvature"])
-        assert verdict.diagnostics["operator_products"] == 2
+        assert hessian.product_count == 2
 
     @pytest.mark.parametrize("p, expected", [(12, Status.HOLDS), (8, Status.FAILS)])
     def test_overflowing_product_norms_keep_a_zero_threshold(self, p, expected):
@@ -1193,8 +1203,11 @@ class TestVerify:
         assert (plain.diagnostics["operator_products"]
                 == symmetric.diagnostics["operator_products"])
 
-    def test_fd_sigma_option_sets_the_step(self):
-        # verify steps FD_SIGMA (1 + |x|_inf); no option changes it
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fd_sigma_option_sets_the_step(self, method):
+        # verify steps FD_SIGMA (1 + |x|_inf); no option changes it.  Every
+        # product is one gradient call past g(x): bht and inertia pay the N
+        # products of materialize
         x0 = np.array([3.0, -1.0, 0.5, 2.0])
         points = []
 
@@ -1204,9 +1217,11 @@ class TestVerify:
 
         problem = Problem(jacobian=np.array([[1.0, 1.0, 0.0, 0.0]]),
                           gradient=grad, x=x0)
-        verdict = verify(problem, "cholesky")
+        verdict = verify(problem, method)
         assert verdict.status is Status.HOLDS
         assert len(points) == verdict.diagnostics["operator_products"] + 1
+        if method in ("bht", "inertia"):
+            assert verdict.diagnostics["operator_products"] == 4
         np.testing.assert_array_equal(points[0], x0)
         steps = [np.linalg.norm(p - x0) for p in points[1:]]
         np.testing.assert_allclose(steps, 1e-6 * (1.0 + 3.0), rtol=1e-9)

@@ -134,7 +134,9 @@ class TestSolveThomson:
 
         monkeypatch.setattr(stationary, "_sphere_energy_and_grad",
                             coincident_after_start)
-        with pytest.raises(stationary.MaxIterationsError):
+        with pytest.raises(stationary.MaxIterationsError,
+                           match=r"line search found no step after 0 accepted "
+                                 r"steps, at gradient norm \d"):
             solve_thomson(4, seed=0)
         assert len(calls) == 1 + 120
 
