@@ -48,7 +48,10 @@ the kernels below take their inputs as given.  A Hessian that equals its
 transpose bit for bit is its own symmetric part: the operator stores a
 read-only view of it, not a copy, so a caller who changes that Hessian
 afterwards builds a new operator.  Arrays are copied only where a kernel
-reads the copy; a LAPACK workspace query is handed its array in place.
+reads the copy; a LAPACK workspace query is handed its array in place,
+and :func:`ldl_factor` lets ``dsytrf`` overwrite a writeable
+Fortran-ordered matrix, which the inertia test hands it, and copies any
+other.
 The dense refactors of :class:`BorderedLu` are logged at DEBUG level.
 
 All operations are pure functions of their inputs except the operator's
@@ -86,6 +89,9 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _PIVOT_TOL = 1e-8  # BorderedLu's pivot stall threshold
+# squares at or below this are subnormal to within a factor 1/eps, so a sum
+# of squares relative to one of them loses precision
+_TINY_SQUARE = float(np.finfo(float).tiny) / _EPS
 # order of the first leading block _leading_cholesky factors; a matrix of
 # this order or less is factored by one dpotrf call
 _FIRST_BLOCK = 256
@@ -272,6 +278,15 @@ class HessianOperator:
         if self.matrix is not None:
             return self.matrix
         return _symmetric_part(self.apply_block(np.eye(self.dimension)))
+
+    @functools.cached_property
+    def finite(self) -> Optional[bool]:
+        """Whether :attr:`matrix` holds no NaN or inf; None for a
+        product-backed operator, which stores no matrix.  The stored
+        matrix is read-only, so it is scanned once, on the first read."""
+        if self.matrix is None:
+            return None
+        return bool(np.isfinite(self.matrix).all())
 
 
 def _bitwise_symmetric(X: np.ndarray) -> bool:
@@ -659,7 +674,11 @@ class BorderedLu:
     pivot stalls, the leading block of ``B`` up to it is refactored
     densely with partial pivoting.  The sign of each determinant is
     computed exactly from pivot signs and permutation parity of the
-    computed factorization.
+    computed factorization.  The singular floor of the minor of order d
+    is ``d eps |B_d|_F``: the largest |entry| of the block absorbed so far
+    and its Frobenius norm relative to that entry are taken from the seed
+    once and extended by each border's columns, so an update reads its
+    border, not the block.
 
     ``B`` is read through views, never copied or written, so it must not
     change while the factorization is in use.  Outside the seed it must
@@ -684,10 +703,16 @@ class BorderedLu:
                 f"seed order {n0} is outside 0..{B.shape[0]}"
             )
         self._B = B
-        self._lu, self._perm, self._parity = _lu_with_parity(B[:n0, :n0])
+        seed = B[:n0, :n0]
+        self._lu, self._perm, self._parity = _lu_with_parity(seed)
         # (X, Y, ubar, pivots) of a border absorbed but not yet assembled
         # into the factors; see _commit
         self._pending = None
+        # the largest |entry| of the block absorbed so far and its squared
+        # Frobenius norm relative to that entry, which the singular floors
+        # read; each update extends them by the columns it absorbs
+        self._big = max(seed.max(initial=0.0), -seed.min(initial=0.0))
+        self._sumsq = _scaled_sumsq(seed, self._big)
 
     @property
     def dim(self) -> int:
@@ -742,20 +767,21 @@ class BorderedLu:
         # the squares of finite entries can overflow or underflow
         above = np.empty((n + k, k))
         np.abs(b, out=above[:n])
-        np.abs(np.triu(corner, 1), out=above[n:])
-        diag = np.abs(np.diag(corner))
+        np.abs(corner, out=above[n:])
+        diag = np.diag(above[n:]).copy()
+        above[n:][np.tri(k, dtype=bool)] = 0.0
         colmax = np.maximum(above.max(axis=0), diag)
         stall = _PIVOT_TOL * np.maximum(colmax, 1e-300)
-        current = self._B[:n, :n]
-        big = max(np.abs(current).max(initial=0.0), colmax.max()) or 1.0
+        big = max(self._big, colmax.max()) or 1.0
         above /= big
         growth = 2.0 * np.einsum("ij,ij->j", above, above) + (diag / big) ** 2
         del above
-        # fro is |B_dim|_F / big; dim * eps scales big before fro does, so
-        # that finite entries near the overflow threshold give finite floors
+        # sumsq is (|B_dim|_F / big)^2; dim * eps scales big before its root
+        # does, so that finite entries near the overflow threshold give
+        # finite floors
         scaled = (n + 1 + np.arange(k)) * _EPS
-        fro = np.sqrt(np.linalg.norm(current / big) ** 2 + np.cumsum(growth))
-        floor = np.maximum(scaled * big * fro, scaled * 1e-300)
+        sumsq = self._sumsq * (self._big / big) ** 2 + np.cumsum(growth)
+        floor = np.maximum(scaled * big * np.sqrt(sumsq), scaled * 1e-300)
 
         pivot = np.nan
         if singular:
@@ -833,6 +859,17 @@ class BorderedLu:
             self._pending = (X[:, :c], Y[:, :c], *border)
         if self.dim > n + j:
             signs.append(self.sign)
+        c = self.dim - n
+        if c:
+            absorbed = max(self._big, colmax[:c].max())
+            ratio = absorbed / big
+            if ratio * ratio > _TINY_SQUARE:
+                self._sumsq = sumsq[c - 1] / (ratio * ratio)
+            else:
+                # the absorbed block is negligible next to the border's
+                # largest entry, or zero; its own sum is taken afresh
+                self._sumsq = _scaled_sumsq(self._B[:n + c, :n + c], absorbed)
+            self._big = absorbed
         return np.array(signs)
 
     def _commit(self):
@@ -860,6 +897,23 @@ class BorderedLu:
         np.fill_diagonal(lu[n:, n:], pivots)
         self._lu = lu
         self._perm = np.append(self._perm, np.arange(n, n + c))
+
+
+def _scaled_sumsq(X: np.ndarray, big: float) -> float:
+    """``(|X|_F / big)^2`` for the largest |entry| ``big`` of ``X``: the
+    plain sum of squares over ``big^2`` where neither overflows nor
+    underflows, the sum of the squares of ``X / big`` elsewhere, and NaN
+    for a ``big`` that is not finite."""
+    big = float(big)
+    if not np.isfinite(big):
+        return np.nan
+    if big == 0.0:
+        return 0.0
+    total = float(np.einsum("ij,ij->", X, X))
+    if total < np.inf and big * big > _TINY_SQUARE:
+        return total / (big * big)
+    X = X / big
+    return float(np.einsum("ij,ij->", X, X))
 
 
 def _lu_with_parity(B: np.ndarray):
@@ -957,16 +1011,19 @@ def ldl_factor(K: np.ndarray) -> LdlFactorization:
     """Bunch-Kaufman block LDL factorization of a symmetric matrix.
 
     One blocked LAPACK ``dsytrf`` call factors ``K`` from its lower
-    triangle, as given (the caller's array is not overwritten); the
-    inertia is read from D's diagonal and ``ipiv``.  The factorization
-    always completes; zero pivots surface as zero eigenvalue counts in the
-    inertia.  ``K`` must be finite and symmetric to a relative 1e-8 in the
-    Frobenius norm, taken with BLAS ``dnrm2`` so that it does not overflow;
-    that norm is only computed for a ``K`` that is not symmetric bit for
-    bit.  A ``K`` that is has the same entries as ``K^T``, so a C-ordered
-    one is passed as its Fortran-ordered transpose, which LAPACK takes
-    after a plain copy rather than a transposing one; any other ``K`` is
-    passed as given.
+    triangle; the inertia is read from D's diagonal and ``ipiv``.  The
+    factorization always completes; zero pivots surface as zero eigenvalue
+    counts in the inertia.  ``K`` must be finite and symmetric to a
+    relative 1e-8 in the Frobenius norm, taken with BLAS ``dnrm2`` so that
+    it does not overflow; that norm is only computed for a ``K`` that is
+    not symmetric bit for bit.
+
+    A writeable Fortran-ordered ``K`` of order 2 or more is factored where
+    it lies: ``dsytrf`` overwrites it, and :attr:`LdlFactorization.factor`
+    shares its memory.  Any other ``K`` is copied and left as it was.  A
+    C-ordered ``K`` that is symmetric bit for bit has the same entries as
+    ``K^T``, so it is passed as its Fortran-ordered transpose, which LAPACK
+    copies without transposing.
     """
     K = np.asarray_chkfinite(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -976,11 +1033,13 @@ def ldl_factor(K: np.ndarray) -> LdlFactorization:
         scale = float(sla.blas.dnrm2(K.ravel()))
         if float(sla.blas.dnrm2((K - K.T).ravel())) > 1e-8 * scale:
             raise ValueError("matrix is not symmetric")
+    # an array of order 0 or 1 is C-ordered too, and is copied
+    in_place = K.flags.f_contiguous and K.flags.writeable and not K.flags.c_contiguous
     if exact and K.flags.c_contiguous:
         K = K.T
     # without lwork dsytrf runs unblocked, about 2x slower at n = 1000
     lwork, _ = sla.lapack.dsytrf_lwork(K.shape[0], lower=1)
-    factor, ipiv, info = sla.lapack.dsytrf(K, lower=1, lwork=int(lwork))
+    factor, ipiv, info = sla.lapack.dsytrf(K, lower=1, lwork=int(lwork), overwrite_a=in_place)
     if info < 0:
         raise ValueError(f"dsytrf: illegal value in argument {-info}")
     return LdlFactorization(factor, ipiv, _inertia(factor, ipiv))

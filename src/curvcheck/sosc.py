@@ -473,19 +473,25 @@ def _dense_inputs(
     """The prelude of the two classical tests: the Hessian as a dense
     matrix, from :meth:`HessianOperator.materialize`, the Jacobian as an
     array, and ERROR ``non_finite`` when either holds NaN or inf, else
-    None.  Raises :class:`DimensionMismatchError` when H and A disagree
-    on N."""
+    None.  A stored matrix is scanned once per operator, through
+    :attr:`HessianOperator.finite`, which :func:`verify` has read already;
+    a materialized one is scanned here.  Raises
+    :class:`DimensionMismatchError` when H and A disagree on N."""
     H = hessian.materialize()
     A = _as_jacobian(A)
     if H.shape[0] != A.shape[1]:
         raise DimensionMismatchError("H and A dimensions are inconsistent")
-    return H, A, _non_finite(H, A)
+    finite = hessian.finite
+    if finite is None:
+        finite = bool(np.isfinite(H).all())
+    return H, A, _non_finite(A, finite)
 
 
-def _non_finite(*arrays: np.ndarray) -> Optional[SoscVerdict]:
-    """ERROR ``non_finite`` when one of ``arrays`` holds NaN or inf, else
-    None."""
-    if all(np.isfinite(a).all() for a in arrays):
+def _non_finite(A: np.ndarray, hessian_finite: Optional[bool]) -> Optional[SoscVerdict]:
+    """ERROR ``non_finite`` when ``A`` holds NaN or inf or
+    ``hessian_finite`` is False, else None; None stands for a Hessian that
+    was not scanned."""
+    if hessian_finite is not False and np.isfinite(A).all():
         return None
     return SoscVerdict(
         Status.ERROR, reason="non_finite",
@@ -564,8 +570,11 @@ def inertia_test(
     through its pivot vector); this is exact for the computed
     factor even in floating point, though the computed factor itself may
     misrepresent a matrix with eigenvalues at roundoff scale.  H comes
-    from the operator as for :func:`bordered_hessian_test`.  No
-    direction of negative curvature is available on failure.  NaN or inf
+    from the operator as for :func:`bordered_hessian_test`.  The
+    saddle-point matrix is the one (N+M) x (N+M) array of the test: as H
+    is symmetric bit for bit, so is the matrix, and :func:`ldl_factor`
+    is handed its Fortran-ordered transpose, which it factors in place.
+    No direction of negative curvature is available on failure.  NaN or inf
     in H or A gives ERROR ``non_finite``, and so does NaN or inf in D,
     where the factorization of finite entries overflowed.
     """
@@ -573,8 +582,9 @@ def inertia_test(
     if rejected is not None:
         return rejected
     M, N = A.shape
-    K = _problems.build_kkt(H, A)
-    fact = ldl_factor(K)
+    # H is symmetric bit for bit, and so is K: its transpose is the same
+    # matrix, Fortran-ordered, which dsytrf factors where it lies
+    fact = ldl_factor(_problems.build_kkt(H, A).T)
     diagnostics = {"inertia": fact.inertia}
     if not fact.finite:
         diagnostics["detail"] = "D holds NaN or inf"
@@ -654,8 +664,7 @@ def verify(
     try:
         # the bases and the rank guard would raise on a non-finite Jacobian;
         # a non-finite stored Hessian gave NaN or inf pivots and curvatures
-        stored = () if hessian.matrix is None else (hessian.matrix,)
-        rejected = _non_finite(problem.jacobian, *stored)
+        rejected = _non_finite(problem.jacobian, hessian.finite)
         if rejected is not None:
             verdict = rejected
         elif method in ("cholesky", "diagonalization"):

@@ -29,7 +29,7 @@ from curvcheck.problems import (
     build_kkt,
     generate,
 )
-from curvcheck.sosc import Status, bordered_hessian_test, continued_pcg
+from curvcheck.sosc import Status, bordered_hessian_test, continued_pcg, inertia_test
 from curvcheck.stationary import solve_thomson
 
 
@@ -964,6 +964,68 @@ class TestBorderedLu:
         assert list(signs) == [1] * 4
         assert peak < B.nbytes / 100
 
+    def test_single_column_update_reads_no_block(self):
+        # the floors come from the largest entry and the scaled norm kept
+        # from the seed, so a first update(1) past a 500 x 500 seed
+        # allocates a few columns, not a temporary of the 2 MB block
+        rng = np.random.default_rng(8)
+        B = rng.standard_normal((1000, 1000))
+        B = B + B.T + 2000 * np.eye(1000)
+        lu = BorderedLu(B, 500)
+        tracemalloc.start()
+        try:
+            signs = lu.update(1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert list(signs) == [1]
+        assert peak < 0.2e6
+
+    @pytest.mark.parametrize("case", ["random", "stall", "singular", "tiny", "huge"])
+    def test_kept_floor_scale_is_that_of_the_absorbed_block(self, case):
+        # after every update, short or refactored, the kept largest entry
+        # is that of the block absorbed so far and the kept norm is its
+        # Frobenius norm; a singular minor prints the floor d eps |B_d|_F
+        rng = np.random.default_rng(9)
+        total, n0, d = 60, 3, 40
+        B = rng.standard_normal((total, total))
+        B = 0.5 * (B + B.T)
+        if case == "stall":
+            b = B[: d - 1, d - 1]
+            B[d - 1, d - 1] = (b @ np.linalg.solve(B[: d - 1, : d - 1], b)
+                               + 1e-10 * np.abs(B[:d, d - 1]).max())
+        elif case == "singular":
+            B[:d, d - 1] = 0.0
+            B[d - 1, :d] = 0.0
+        elif case != "random":
+            # entries whose squares underflow or overflow: the seed's sum is
+            # taken relative to its largest entry
+            B *= 1e-170 if case == "tiny" else 1e170
+        lu = BorderedLu(B, n0)
+        while lu.dim < total:
+            dim = lu.dim
+            try:
+                lu.update(3)
+            except SingularMinorError as exc:
+                assert case == "singular" and dim + 1 == d
+                floor = d * np.finfo(float).eps * np.linalg.norm(B[:d, :d])
+                assert str(exc).endswith(f"roundoff floor {floor:.3e}")
+                return
+            block = B[:lu.dim, :lu.dim]
+            big = np.abs(block).max()
+            assert lu._big == big
+            np.testing.assert_allclose(lu._sumsq, np.linalg.norm(block / big) ** 2,
+                                       rtol=1e-12)
+        assert case != "singular"
+
+    def test_short_update_before_a_far_larger_column_keeps_the_scale(self):
+        # the update stops at column 1's negative pivot, before the column
+        # 1e200 times larger, whose scale underflows the block's sum: the
+        # kept norm is taken afresh relative to the block's own largest entry
+        lu = BorderedLu(np.diag([1.0, -1.0, 1e200]), 1)
+        assert list(lu.update(2)) == [-1]
+        assert (lu.dim, lu._big, lu._sumsq) == (2, 1.0, 2.0)
+
     def test_floors_stay_finite_near_the_overflow_threshold(self):
         # |B|_F of these finite entries overflows; the singular floors are
         # scaled by dim * eps before it is formed, so they stay finite and
@@ -1242,10 +1304,38 @@ class TestLdlFactor:
                 ldl_factor(scaled)
 
     def test_input_not_overwritten(self):
+        # a C-ordered K is copied: the factor shares no memory with it
         K = _symmetric(np.random.default_rng(3), 30)
         kept = K.copy()
-        ldl_factor(K)
+        fact = ldl_factor(K)
         np.testing.assert_array_equal(K, kept)
+        assert not np.shares_memory(fact.factor, K)
+
+    @pytest.mark.parametrize("form", ["read_only", "order_one"])
+    def test_fortran_input_that_cannot_be_overwritten_is_copied(self, form):
+        # a read-only Fortran-ordered K, and one of order 1 (C-ordered
+        # too), are copied like a C-ordered one
+        n = 1 if form == "order_one" else 30
+        K = np.asfortranarray(_symmetric(np.random.default_rng(3), n))
+        K.flags.writeable = form != "read_only"
+        kept = K.copy()
+        fact = ldl_factor(K)
+        np.testing.assert_array_equal(K, kept)
+        assert not np.shares_memory(fact.factor, K)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_writeable_fortran_input_is_factored_in_place(self, exact):
+        # dsytrf overwrites a writeable Fortran-ordered K, symmetric bit for
+        # bit or to 1e-8, and its factor is that of a copy, bit for bit
+        K = np.asfortranarray(_symmetric(np.random.default_rng(4), 30))
+        if not exact:
+            K[1, 0] += 1e-12
+        expected = ldl_factor(np.ascontiguousarray(K))
+        fact = ldl_factor(K)
+        assert np.shares_memory(fact.factor, K)
+        np.testing.assert_array_equal(fact.factor, expected.factor)
+        np.testing.assert_array_equal(fact.ipiv, expected.ipiv)
+        assert fact.inertia == expected.inertia
 
     @pytest.mark.parametrize("n", [1, 7, 300])
     def test_symmetric_input_factors_like_its_fortran_copy(self, n):
@@ -1316,6 +1406,22 @@ class TestLdlFactor:
             starts = np.flatnonzero(ldl_factor(K).ipiv < 0)[0::2]
             runs += int(np.any(np.diff(starts) == 2))
         assert runs > 0
+
+    def test_inertia_test_holds_one_saddle_point_matrix(self):
+        # the KKT matrix is built once and factored where it lies: the
+        # test's peak is that array plus the dsytrf workspace, where a copy
+        # for LAPACK took it past twice the array
+        problem = generate(GeneratorSpec(n=300, m=100, p=300, seed=1))
+        hessian = HessianOperator.from_matrix(problem.hessian)
+        nbytes = build_kkt(problem.hessian, problem.jacobian).nbytes
+        tracemalloc.start()
+        try:
+            verdict = inertia_test(hessian, problem.jacobian)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.status is Status.HOLDS
+        assert peak < 1.3 * nbytes
 
     def test_two_by_two_blocks_present(self):
         # strongly indefinite with zero diagonal forces 2x2 pivots

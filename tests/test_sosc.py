@@ -992,6 +992,22 @@ class TestVerify:
             assert verdicts["inertia"].status is Status.HOLDS
 
     @pytest.mark.parametrize("method", METHODS)
+    def test_one_scan_of_the_stored_hessian(self, method, monkeypatch):
+        # verify scans a stored H for NaN or inf once; bht and inertia
+        # read that scan instead of taking their own
+        problem = generate(GeneratorSpec(n=80, m=20, p=80, seed=1))
+        isfinite, scans = np.isfinite, []
+
+        def spy(x, *args, **kwargs):
+            scans.append(np.shape(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        verdict = verify(problem, method)
+        assert verdict.status is Status.HOLDS
+        assert scans.count((80, 80)) == 1
+
+    @pytest.mark.parametrize("method", METHODS)
     def test_non_finite_jacobian_is_error(self, method):
         problem = generate(GeneratorSpec(n=10, m=3, p=10, seed=1))
         A = problem.jacobian.copy()
