@@ -48,10 +48,10 @@ the kernels below take their inputs as given.  A Hessian that equals its
 transpose bit for bit is its own symmetric part: the operator stores a
 read-only view of it, not a copy, so a caller who changes that Hessian
 afterwards builds a new operator.  Arrays are copied only where a kernel
-reads the copy; a LAPACK workspace query is handed its array in place,
-and :func:`ldl_factor` lets ``dsytrf`` overwrite a writeable
-Fortran-ordered matrix, which the inertia test hands it, and copies any
-other.
+reads the copy; a LAPACK workspace query is handed its array in place.
+:func:`ldl_factor` copies its matrix unless told to overwrite it: the
+inertia test hands it the Fortran-ordered saddle-point matrix it has just
+built, which ``dsytrf`` factors where it lies.
 The dense refactors of :class:`BorderedLu` are logged at DEBUG level.
 
 All operations are pure functions of their inputs except the operator's
@@ -90,7 +90,7 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 _PIVOT_TOL = 1e-8  # BorderedLu's pivot stall threshold
 # squares at or below this are subnormal to within a factor 1/eps, so a sum
-# of squares relative to one of them loses precision
+# of squares relative to one of them loses precision; see _scaled_sumsq
 _TINY_SQUARE = float(np.finfo(float).tiny) / _EPS
 # order of the first leading block _leading_cholesky factors; a matrix of
 # this order or less is factored by one dpotrf call
@@ -164,6 +164,9 @@ class HessianOperator:
         self.matrix = matrix
         self._matvec = matvec
         self.product_count = 0
+        # whether the matrix from_matrix stored holds no NaN or inf; None
+        # where nothing has scanned it
+        self._finite = None
 
     # -- constructors -------------------------------------------------------
 
@@ -177,7 +180,9 @@ class HessianOperator:
         transpose bit for bit, so that a verification holds one copy of
         ``H``, and of a new array otherwise.  A write through the view
         raises; a caller who changes ``H`` afterwards builds a new
-        operator.  A product ``H s`` is BLAS ``dsymv`` on the upper
+        operator.  The stored matrix is scanned for NaN or inf once, here,
+        and :func:`~curvcheck.sosc.verify` and the two classical tests read
+        that scan.  A product ``H s`` is BLAS ``dsymv`` on the upper
         triangle of the stored matrix, passed as the lower triangle of the
         Fortran-ordered transpose, so neither the matrix nor a contiguous
         ``s`` is copied; it reads half the entries that a general
@@ -189,7 +194,9 @@ class HessianOperator:
             raise DimensionMismatchError("explicit Hessian must be square")
         H = _symmetric_part(H).view()
         H.flags.writeable = False
-        return cls(H.shape[0], functools.partial(sla.blas.dsymv, 1.0, H.T, lower=1), H)
+        op = cls(H.shape[0], functools.partial(sla.blas.dsymv, 1.0, H.T, lower=1), H)
+        op._finite = bool(np.isfinite(H).all())
+        return op
 
     @classmethod
     def from_callback(cls, matvec: Callable[[np.ndarray], np.ndarray], dim: int) -> "HessianOperator":
@@ -278,15 +285,6 @@ class HessianOperator:
         if self.matrix is not None:
             return self.matrix
         return _symmetric_part(self.apply_block(np.eye(self.dimension)))
-
-    @functools.cached_property
-    def finite(self) -> Optional[bool]:
-        """Whether :attr:`matrix` holds no NaN or inf; None for a
-        product-backed operator, which stores no matrix.  The stored
-        matrix is read-only, so it is scanned once, on the first read."""
-        if self.matrix is None:
-            return None
-        return bool(np.isfinite(self.matrix).all())
 
 
 def _bitwise_symmetric(X: np.ndarray) -> bool:
@@ -675,10 +673,8 @@ class BorderedLu:
     densely with partial pivoting.  The sign of each determinant is
     computed exactly from pivot signs and permutation parity of the
     computed factorization.  The singular floor of the minor of order d
-    is ``d eps |B_d|_F``: the largest |entry| of the block absorbed so far
-    and its Frobenius norm relative to that entry are taken from the seed
-    once and extended by each border's columns, so an update reads its
-    border, not the block.
+    is ``d eps |B_d|_F``, summed by reductions over the views of the block
+    and its border, with no temporary of the block.
 
     ``B`` is read through views, never copied or written, so it must not
     change while the factorization is in use.  Outside the seed it must
@@ -703,16 +699,10 @@ class BorderedLu:
                 f"seed order {n0} is outside 0..{B.shape[0]}"
             )
         self._B = B
-        seed = B[:n0, :n0]
-        self._lu, self._perm, self._parity = _lu_with_parity(seed)
+        self._lu, self._perm, self._parity = _lu_with_parity(B[:n0, :n0])
         # (X, Y, ubar, pivots) of a border absorbed but not yet assembled
         # into the factors; see _commit
         self._pending = None
-        # the largest |entry| of the block absorbed so far and its squared
-        # Frobenius norm relative to that entry, which the singular floors
-        # read; each update extends them by the columns it absorbs
-        self._big = max(seed.max(initial=0.0), -seed.min(initial=0.0))
-        self._sumsq = _scaled_sumsq(seed, self._big)
 
     @property
     def dim(self) -> int:
@@ -772,7 +762,8 @@ class BorderedLu:
         above[n:][np.tri(k, dtype=bool)] = 0.0
         colmax = np.maximum(above.max(axis=0), diag)
         stall = _PIVOT_TOL * np.maximum(colmax, 1e-300)
-        big = max(self._big, colmax.max()) or 1.0
+        current = self._B[:n, :n]
+        big = max(current.max(initial=0.0), -current.min(initial=0.0), colmax.max()) or 1.0
         above /= big
         growth = 2.0 * np.einsum("ij,ij->j", above, above) + (diag / big) ** 2
         del above
@@ -780,7 +771,7 @@ class BorderedLu:
         # does, so that finite entries near the overflow threshold give
         # finite floors
         scaled = (n + 1 + np.arange(k)) * _EPS
-        sumsq = self._sumsq * (self._big / big) ** 2 + np.cumsum(growth)
+        sumsq = _scaled_sumsq(current, big) + np.cumsum(growth)
         floor = np.maximum(scaled * big * np.sqrt(sumsq), scaled * 1e-300)
 
         pivot = np.nan
@@ -859,17 +850,6 @@ class BorderedLu:
             self._pending = (X[:, :c], Y[:, :c], *border)
         if self.dim > n + j:
             signs.append(self.sign)
-        c = self.dim - n
-        if c:
-            absorbed = max(self._big, colmax[:c].max())
-            ratio = absorbed / big
-            if ratio * ratio > _TINY_SQUARE:
-                self._sumsq = sumsq[c - 1] / (ratio * ratio)
-            else:
-                # the absorbed block is negligible next to the border's
-                # largest entry, or zero; its own sum is taken afresh
-                self._sumsq = _scaled_sumsq(self._B[:n + c, :n + c], absorbed)
-            self._big = absorbed
         return np.array(signs)
 
     def _commit(self):
@@ -900,15 +880,11 @@ class BorderedLu:
 
 
 def _scaled_sumsq(X: np.ndarray, big: float) -> float:
-    """``(|X|_F / big)^2`` for the largest |entry| ``big`` of ``X``: the
-    plain sum of squares over ``big^2`` where neither overflows nor
-    underflows, the sum of the squares of ``X / big`` elsewhere, and NaN
-    for a ``big`` that is not finite."""
+    """``(|X|_F / big)^2`` for a positive ``big`` at least the largest
+    |entry| of ``X``: the plain sum of squares over ``big^2`` where neither
+    overflows nor underflows, the sum of the squares of ``X / big``
+    elsewhere."""
     big = float(big)
-    if not np.isfinite(big):
-        return np.nan
-    if big == 0.0:
-        return 0.0
     total = float(np.einsum("ij,ij->", X, X))
     if total < np.inf and big * big > _TINY_SQUARE:
         return total / (big * big)
@@ -1007,7 +983,7 @@ def _inertia(factor: np.ndarray, ipiv: np.ndarray) -> tuple:
     return (pos, neg, zero)
 
 
-def ldl_factor(K: np.ndarray) -> LdlFactorization:
+def ldl_factor(K: np.ndarray, *, overwrite: bool = False) -> LdlFactorization:
     """Bunch-Kaufman block LDL factorization of a symmetric matrix.
 
     One blocked LAPACK ``dsytrf`` call factors ``K`` from its lower
@@ -1018,12 +994,14 @@ def ldl_factor(K: np.ndarray) -> LdlFactorization:
     it does not overflow; that norm is only computed for a ``K`` that is
     not symmetric bit for bit.
 
-    A writeable Fortran-ordered ``K`` of order 2 or more is factored where
-    it lies: ``dsytrf`` overwrites it, and :attr:`LdlFactorization.factor`
-    shares its memory.  Any other ``K`` is copied and left as it was.  A
+    ``K`` is copied and left as it was, whatever its memory layout.  A
     C-ordered ``K`` that is symmetric bit for bit has the same entries as
     ``K^T``, so it is passed as its Fortran-ordered transpose, which LAPACK
-    copies without transposing.
+    copies without transposing.  With ``overwrite=True``, which a caller
+    passes only for an array it owns and reads no more, a writeable
+    Fortran-ordered ``K`` of order 2 or more is factored where it lies:
+    ``dsytrf`` overwrites it, and :attr:`LdlFactorization.factor` shares
+    its memory; any other ``K`` is still copied.
     """
     K = np.asarray_chkfinite(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -1034,7 +1012,8 @@ def ldl_factor(K: np.ndarray) -> LdlFactorization:
         if float(sla.blas.dnrm2((K - K.T).ravel())) > 1e-8 * scale:
             raise ValueError("matrix is not symmetric")
     # an array of order 0 or 1 is C-ordered too, and is copied
-    in_place = K.flags.f_contiguous and K.flags.writeable and not K.flags.c_contiguous
+    in_place = (overwrite and K.flags.f_contiguous and K.flags.writeable
+                and not K.flags.c_contiguous)
     if exact and K.flags.c_contiguous:
         K = K.T
     # without lwork dsytrf runs unblocked, about 2x slower at n = 1000

@@ -473,15 +473,14 @@ def _dense_inputs(
     """The prelude of the two classical tests: the Hessian as a dense
     matrix, from :meth:`HessianOperator.materialize`, the Jacobian as an
     array, and ERROR ``non_finite`` when either holds NaN or inf, else
-    None.  A stored matrix is scanned once per operator, through
-    :attr:`HessianOperator.finite`, which :func:`verify` has read already;
-    a materialized one is scanned here.  Raises
+    None.  A matrix that :meth:`HessianOperator.from_matrix` stored was
+    scanned there; any other H is scanned here.  Raises
     :class:`DimensionMismatchError` when H and A disagree on N."""
     H = hessian.materialize()
     A = _as_jacobian(A)
     if H.shape[0] != A.shape[1]:
         raise DimensionMismatchError("H and A dimensions are inconsistent")
-    finite = hessian.finite
+    finite = hessian._finite
     if finite is None:
         finite = bool(np.isfinite(H).all())
     return H, A, _non_finite(A, finite)
@@ -573,7 +572,8 @@ def inertia_test(
     from the operator as for :func:`bordered_hessian_test`.  The
     saddle-point matrix is the one (N+M) x (N+M) array of the test: as H
     is symmetric bit for bit, so is the matrix, and :func:`ldl_factor`
-    is handed its Fortran-ordered transpose, which it factors in place.
+    is handed its Fortran-ordered transpose with ``overwrite=True``, which
+    it factors in place.
     No direction of negative curvature is available on failure.  NaN or inf
     in H or A gives ERROR ``non_finite``, and so does NaN or inf in D,
     where the factorization of finite entries overflowed.
@@ -584,7 +584,7 @@ def inertia_test(
     M, N = A.shape
     # H is symmetric bit for bit, and so is K: its transpose is the same
     # matrix, Fortran-ordered, which dsytrf factors where it lies
-    fact = ldl_factor(_problems.build_kkt(H, A).T)
+    fact = ldl_factor(_problems.build_kkt(H, A).T, overwrite=True)
     diagnostics = {"inertia": fact.inertia}
     if not fact.finite:
         diagnostics["detail"] = "D holds NaN or inf"
@@ -663,8 +663,9 @@ def verify(
 
     try:
         # the bases and the rank guard would raise on a non-finite Jacobian;
-        # a non-finite stored Hessian gave NaN or inf pivots and curvatures
-        rejected = _non_finite(problem.jacobian, hessian.finite)
+        # a non-finite stored Hessian gave NaN or inf pivots and curvatures.
+        # A dense H is stored by from_matrix, which has scanned it
+        rejected = _non_finite(problem.jacobian, hessian._finite)
         if rejected is not None:
             verdict = rejected
         elif method in ("cholesky", "diagonalization"):

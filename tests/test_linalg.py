@@ -2,6 +2,7 @@
 
 import functools
 import logging
+import re
 import tracemalloc
 import warnings
 
@@ -965,9 +966,9 @@ class TestBorderedLu:
         assert peak < B.nbytes / 100
 
     def test_single_column_update_reads_no_block(self):
-        # the floors come from the largest entry and the scaled norm kept
-        # from the seed, so a first update(1) past a 500 x 500 seed
-        # allocates a few columns, not a temporary of the 2 MB block
+        # the floors read the block through reductions over its view, so a
+        # first update(1) past a 500 x 500 seed allocates a few columns,
+        # not a temporary of the 2 MB block
         rng = np.random.default_rng(8)
         B = rng.standard_normal((1000, 1000))
         B = B + B.T + 2000 * np.eye(1000)
@@ -981,50 +982,25 @@ class TestBorderedLu:
         assert list(signs) == [1]
         assert peak < 0.2e6
 
-    @pytest.mark.parametrize("case", ["random", "stall", "singular", "tiny", "huge"])
-    def test_kept_floor_scale_is_that_of_the_absorbed_block(self, case):
-        # after every update, short or refactored, the kept largest entry
-        # is that of the block absorbed so far and the kept norm is its
-        # Frobenius norm; a singular minor prints the floor d eps |B_d|_F
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -560, 2.0 ** 560],
+                             ids=["unit", "tiny", "huge"])
+    def test_singular_floor_is_d_eps_frobenius_norm(self, scale):
+        # a singular minor of order d reports the floor d eps |B_d|_F, also
+        # for entries whose squares underflow or overflow, where the sum is
+        # taken relative to the largest entry
         rng = np.random.default_rng(9)
         total, n0, d = 60, 3, 40
         B = rng.standard_normal((total, total))
         B = 0.5 * (B + B.T)
-        if case == "stall":
-            b = B[: d - 1, d - 1]
-            B[d - 1, d - 1] = (b @ np.linalg.solve(B[: d - 1, : d - 1], b)
-                               + 1e-10 * np.abs(B[:d, d - 1]).max())
-        elif case == "singular":
-            B[:d, d - 1] = 0.0
-            B[d - 1, :d] = 0.0
-        elif case != "random":
-            # entries whose squares underflow or overflow: the seed's sum is
-            # taken relative to its largest entry
-            B *= 1e-170 if case == "tiny" else 1e170
+        B[:d, d - 1] = 0.0
+        B[d - 1, :d] = 0.0
+        floor = d * np.finfo(float).eps * np.linalg.norm(B[:d, :d]) * scale
+        B *= scale
         lu = BorderedLu(B, n0)
-        while lu.dim < total:
-            dim = lu.dim
-            try:
+        with pytest.raises(SingularMinorError, match=re.escape(f"roundoff floor {floor:.3e}") + "$"):
+            while lu.dim < total:
                 lu.update(3)
-            except SingularMinorError as exc:
-                assert case == "singular" and dim + 1 == d
-                floor = d * np.finfo(float).eps * np.linalg.norm(B[:d, :d])
-                assert str(exc).endswith(f"roundoff floor {floor:.3e}")
-                return
-            block = B[:lu.dim, :lu.dim]
-            big = np.abs(block).max()
-            assert lu._big == big
-            np.testing.assert_allclose(lu._sumsq, np.linalg.norm(block / big) ** 2,
-                                       rtol=1e-12)
-        assert case != "singular"
-
-    def test_short_update_before_a_far_larger_column_keeps_the_scale(self):
-        # the update stops at column 1's negative pivot, before the column
-        # 1e200 times larger, whose scale underflows the block's sum: the
-        # kept norm is taken afresh relative to the block's own largest entry
-        lu = BorderedLu(np.diag([1.0, -1.0, 1e200]), 1)
-        assert list(lu.update(2)) == [-1]
-        assert (lu.dim, lu._big, lu._sumsq) == (2, 1.0, 2.0)
+        assert lu.dim == d - 1
 
     def test_floors_stay_finite_near_the_overflow_threshold(self):
         # |B|_F of these finite entries overflows; the singular floors are
@@ -1304,34 +1280,43 @@ class TestLdlFactor:
                 ldl_factor(scaled)
 
     def test_input_not_overwritten(self):
-        # a C-ordered K is copied: the factor shares no memory with it
-        K = _symmetric(np.random.default_rng(3), 30)
-        kept = K.copy()
-        fact = ldl_factor(K)
-        np.testing.assert_array_equal(K, kept)
-        assert not np.shares_memory(fact.factor, K)
+        # K is copied whatever its layout: a C-ordered X, its
+        # Fortran-ordered transpose X.T, a Fortran copy of X and the
+        # transpose of a nearly symmetric Y are left as they were, and no
+        # factor shares memory with its K
+        X = _symmetric(np.random.default_rng(3), 30)
+        Y = X.copy()
+        Y[1, 0] += 1e-12
+        inputs = (X, X.T, np.asfortranarray(X), Y.T)
+        kept = [K.copy() for K in inputs]
+        for K in inputs:
+            fact = ldl_factor(K)
+            assert not np.shares_memory(fact.factor, K)
+        for K, before in zip(inputs, kept):
+            np.testing.assert_array_equal(K, before)
 
     @pytest.mark.parametrize("form", ["read_only", "order_one"])
     def test_fortran_input_that_cannot_be_overwritten_is_copied(self, form):
-        # a read-only Fortran-ordered K, and one of order 1 (C-ordered
-        # too), are copied like a C-ordered one
+        # with overwrite=True, a read-only Fortran-ordered K, and one of
+        # order 1 (C-ordered too), are still copied
         n = 1 if form == "order_one" else 30
         K = np.asfortranarray(_symmetric(np.random.default_rng(3), n))
         K.flags.writeable = form != "read_only"
         kept = K.copy()
-        fact = ldl_factor(K)
+        fact = ldl_factor(K, overwrite=True)
         np.testing.assert_array_equal(K, kept)
         assert not np.shares_memory(fact.factor, K)
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_writeable_fortran_input_is_factored_in_place(self, exact):
-        # dsytrf overwrites a writeable Fortran-ordered K, symmetric bit for
-        # bit or to 1e-8, and its factor is that of a copy, bit for bit
+        # with overwrite=True, dsytrf overwrites a writeable Fortran-ordered
+        # K, symmetric bit for bit or to 1e-8, and its factor is that of a
+        # copy, bit for bit
         K = np.asfortranarray(_symmetric(np.random.default_rng(4), 30))
         if not exact:
             K[1, 0] += 1e-12
         expected = ldl_factor(np.ascontiguousarray(K))
-        fact = ldl_factor(K)
+        fact = ldl_factor(K, overwrite=True)
         assert np.shares_memory(fact.factor, K)
         np.testing.assert_array_equal(fact.factor, expected.factor)
         np.testing.assert_array_equal(fact.ipiv, expected.ipiv)

@@ -972,6 +972,19 @@ class TestVerify:
             assert verdict.status is Status.ERROR
             assert verdict.reason == "non_finite"
 
+    @pytest.mark.parametrize("method", ["bht", "inertia"])
+    def test_matrix_given_to_the_constructor_is_scanned(self, method):
+        # an operator built around a matrix, not by from_matrix, was not
+        # scanned when it was made: the classical tests scan its matrix
+        problem = generate(GeneratorSpec(n=10, m=3, p=10, seed=1))
+        H = problem.hessian.copy()
+        H[1, 2] = H[2, 1] = np.nan
+        hessian = HessianOperator(10, lambda s: H @ s, H)
+        runner = bordered_hessian_test if method == "bht" else inertia_test
+        verdict = runner(hessian, problem.jacobian)
+        assert verdict.status is Status.ERROR
+        assert verdict.reason == "non_finite"
+
     @pytest.mark.parametrize("p, seed, scale", [
         (12, 53, 2e306), (12, 141, 2e306), (8, 13, 1e306), (8, 15, 1e306), (8, 23, 1e306),
     ])
@@ -993,8 +1006,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_one_scan_of_the_stored_hessian(self, method, monkeypatch):
-        # verify scans a stored H for NaN or inf once; bht and inertia
-        # read that scan instead of taking their own
+        # from_matrix scans a stored H for NaN or inf once; verify, bht and
+        # inertia read that scan instead of taking their own
         problem = generate(GeneratorSpec(n=80, m=20, p=80, seed=1))
         isfinite, scans = np.isfinite, []
 
