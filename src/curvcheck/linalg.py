@@ -30,9 +30,9 @@ built from:
     determinant signs exactly; the next k columns of ``B`` are absorbed
     at once through the Cholesky factor of their Schur complement, formed
     in place by BLAS ``dtrsm`` and one product.  ``B`` is read through
-    views and never copied.  The factors stay in the packed form of
-    LAPACK ``dgetrf``, and those extended by a border are assembled only
-    when the next update reads them.
+    views and never copied.  One packed LU is kept, as LAPACK ``dgetrf``
+    leaves it; an update that continues past an absorbed border first
+    refactors the block it reached.
   - :func:`_leading_cholesky`: the Cholesky factorization of
     :class:`BorderedLu` and of the Cholesky test, one LAPACK ``dpotrf``
     per leading block of doubling order from :data:`_FIRST_BLOCK`, which
@@ -52,7 +52,7 @@ reads the copy; a LAPACK workspace query is handed its array in place.
 :func:`ldl_factor` copies its matrix unless told to overwrite it: the
 inertia test hands it the Fortran-ordered saddle-point matrix it has just
 built, which ``dsytrf`` factors where it lies.
-The dense refactors of :class:`BorderedLu` are logged at DEBUG level.
+The stall refactors of :class:`BorderedLu` are logged at DEBUG level.
 
 All operations are pure functions of their inputs except the operator's
 product counter and the projector's state.  Arrays are never modified in
@@ -64,7 +64,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import logging
-import warnings
 from typing import Callable, Optional
 
 import numpy as np
@@ -662,9 +661,8 @@ class BorderedLu:
     at the first block that holds an irregular pivot, so the columns after
     it are never pushed through the factors.  As ``det(B_{n+j}) = det(B_n)
     det(S[:j, :j])``, a run of positive Cholesky pivots keeps the
-    determinant sign, and the Cholesky factor extends the LU factors;
-    pivoting stays confined to the seed rows so the border structure
-    survives updates.  The first pivot that is not
+    determinant sign; pivoting stays confined to the seed rows so the
+    border structure survives updates.  The first pivot that is not
     a healthy positive one (negative, stalled below :data:`_PIVOT_TOL` of
     its border column's scale, at or below the singular floor, or not
     finite) is recomputed from the partial factor, and that column takes
@@ -679,15 +677,15 @@ class BorderedLu:
     ``B`` is read through views, never copied or written, so it must not
     change while the factorization is in use.  Outside the seed it must
     be symmetric: a border is read from its upper triangle, and a dense
-    refactor reads both.  Both factors live in one packed array, L below
-    its diagonal (whose unit entries are not stored) and U on and above
-    it, as LAPACK ``dgetrf`` leaves them, Fortran-ordered; the triangular
-    solves read each triangle from it in place.  An absorbed border is
-    committed lazily: the update keeps the images of the border and the
-    Cholesky factor of its Schur complement, and the extended factors are
-    only assembled at the start of the next update, the one place that
-    reads them.  :attr:`sign` and :attr:`dim` read the kept pivots
-    directly.
+    refactor reads both.  One LU is kept, that of the last block factored
+    densely (the seed or a stall refactor), packed as LAPACK ``dgetrf``
+    leaves it and Fortran-ordered; the triangular solves read each
+    triangle from it in place.  A border absorbed through its Schur
+    complement only advances :attr:`dim`, so the next update refactors
+    ``B[:dim, :dim]`` densely first: a caller that asks for one column at
+    a time pays one dense LU per update.  :attr:`dim` is the order of the
+    block absorbed so far and :attr:`sign` the sign of its determinant, 0
+    when numerically singular or when a pivot is NaN or inf.
     """
 
     def __init__(self, B: np.ndarray, n0: int):
@@ -699,33 +697,17 @@ class BorderedLu:
                 f"seed order {n0} is outside 0..{B.shape[0]}"
             )
         self._B = B
-        self._lu, self._perm, self._parity = _lu_with_parity(B[:n0, :n0])
-        # (X, Y, ubar, pivots) of a border absorbed but not yet assembled
-        # into the factors; see _commit
-        self._pending = None
-
-    @property
-    def dim(self) -> int:
-        extra = 0 if self._pending is None else self._pending[3].size
-        return self._lu.shape[0] + extra
-
-    @property
-    def sign(self) -> int:
-        """Sign of det of the current matrix; 0 when numerically singular
-        or when a pivot is NaN or inf, which leaves it undefined."""
-        udiag = np.diag(self._lu)
-        if self._pending is not None:
-            udiag = np.append(udiag, self._pending[3])
-        if not (np.isfinite(udiag) & (udiag != 0.0)).all():
-            return 0
-        return int(self._parity * np.prod(np.sign(udiag)))
+        self._lu, self._perm, parity = _lu_with_parity(B[:n0, :n0])
+        self.dim = n0
+        self.sign = _lu_sign(self._lu, parity)
 
     def update(self, k: int) -> np.ndarray:
         """Absorb the next ``k`` columns of ``B``; return the new minors'
         signs.
 
         ``k`` is clamped to the columns that are left, so an update at the
-        end returns no signs.  The update stops after the first column
+        end returns no signs, and to the columns before the first one that
+        holds a NaN or inf.  The update stops after the first column
         whose pivot is not a healthy positive one and returns the signs of
         the new leading minors up to that column; the caller asks for the
         remaining columns again.
@@ -733,14 +715,17 @@ class BorderedLu:
         Raises :class:`SingularMinorError` when the first new minor is
         numerically singular, which makes its sign meaningless, and
         ``FloatingPointError`` when a pivot of the current factors or of
-        the first new minor is NaN or inf, which leaves it undefined; such
-        a minor later in the border ends the update just before it.
+        the first new minor, or an entry of the first new column, is NaN
+        or inf, which leaves it undefined; such a minor later in the
+        border ends the update just before it.
         """
-        self._commit()
         n = self.dim
         k = min(k, self._B.shape[0] - n)
         if k <= 0:
             return np.zeros(0, dtype=int)
+        if self._lu.shape[0] < n:
+            # the last update absorbed a border that no factor holds
+            self._lu, self._perm, _ = _lu_with_parity(self._B[:n, :n])
         b, corner = self._B[:n, n:n + k], self._B[n:n + k, n:n + k]
         udiag = np.abs(np.diag(self._lu))
         if not np.isfinite(udiag).all():
@@ -761,6 +746,14 @@ class BorderedLu:
         diag = np.diag(above[n:]).copy()
         above[n:][np.tri(k, dtype=bool)] = 0.0
         colmax = np.maximum(above.max(axis=0), diag)
+        finite = np.isfinite(colmax)
+        if not finite.all():
+            # the update ends before the first column that holds NaN or inf
+            k = int(np.argmin(finite))
+            if k == 0:
+                raise FloatingPointError(f"an entry of column {n} is not finite")
+            b, corner, above = b[:, :k], corner[:k, :k], above[:n + k, :k]
+            diag, colmax = diag[:k], colmax[:k]
         stall = _PIVOT_TOL * np.maximum(colmax, 1e-300)
         current = self._B[:n, :n]
         big = max(current.max(initial=0.0), -current.min(initial=0.0), colmax.max()) or 1.0
@@ -816,19 +809,17 @@ class BorderedLu:
                 pivot = float(col[j] - t @ t)
 
         signs = [self.sign] * j
-        # the columns absorbed through the Schur complement: the first j,
-        # and column j too when its own pivot is bordered
-        border = None if singular else (chol[:j, :j], pivots[:j])
+        # the columns absorbed: the first j, and column j too when its own
+        # pivot is bordered or its dense refactor clears the floor
+        absorbed = j
         if j < k:
             c = j + 1
             if np.isfinite(pivot) and abs(pivot) > stall[j]:
-                ubar = np.eye(c)
-                ubar[:j, :j] = chol[:j, :j]
-                ubar[:j, j] = t
-                bordered = np.append(pivots[:j], pivot)
-                least = np.minimum(udiag.min(initial=np.inf), np.abs(bordered).min())
+                least = min(udiag.min(initial=np.inf), pivots[:j].min(initial=np.inf),
+                            abs(pivot))
                 if least > floor[j]:
-                    border = ubar, bordered
+                    self.sign *= int(np.sign(pivot))
+                    absorbed = c
             else:
                 _log.debug(
                     "bordered LU: refactoring the leading %d x %d block densely "
@@ -837,46 +828,19 @@ class BorderedLu:
                 lu, perm, parity = _lu_with_parity(self._B[:n + c, :n + c])
                 least = np.abs(np.diag(lu)).min()
                 if least > floor[j]:
-                    self._lu, self._perm, self._parity = lu, perm, parity
-                    border = None
+                    self._lu, self._perm = lu, perm
+                    self.sign = _lu_sign(lu, parity)
+                    absorbed = c
             if j == 0 and not np.isfinite(least):
                 raise FloatingPointError(f"pivot {least:.3e} is not finite")
             if j == 0 and not least > floor[j]:
                 raise SingularMinorError(
                     f"pivot {least:.3e} at or below roundoff floor {floor[j]:.3e}"
                 )
-        if border is not None and border[1].size:
-            c = border[1].size
-            self._pending = (X[:, :c], Y[:, :c], *border)
-        if self.dim > n + j:
+        self.dim = n + absorbed
+        if absorbed > j:
             signs.append(self.sign)
         return np.array(signs)
-
-    def _commit(self):
-        """Assemble the extended factors of the border absorbed by the last
-        update, from ``X = U^-T b``, ``Y = L^-1 b[perm]``, the upper
-        triangle of ``ubar`` and the new pivots: the lower factor gains
-        ``X^T`` and ``ubar^T`` scaled to a unit diagonal, the upper factor
-        ``Y`` and ``diag(ubar) ubar`` with the pivots on its diagonal.  The
-        factors are Fortran-ordered, as BLAS ``dtrsm`` reads them."""
-        if self._pending is None:
-            return
-        X, Y, ubar, pivots = self._pending
-        self._pending = None
-        n, c = X.shape
-        # dpotrf leaves the strict lower triangle of ubar as it found it
-        ubar = np.triu(ubar)
-        scale = np.diag(ubar)
-        lu = np.empty((n + c, n + c), order="F")
-        lu[:n, :n] = self._lu
-        lu[n:, :n] = X.T
-        lu[:n, n:] = Y
-        lu[n:, n:] = np.where(
-            np.tri(c, k=-1, dtype=bool), ubar.T / scale, ubar * scale[:, None]
-        )
-        np.fill_diagonal(lu[n:, n:], pivots)
-        self._lu = lu
-        self._perm = np.append(self._perm, np.arange(n, n + c))
 
 
 def _scaled_sumsq(X: np.ndarray, big: float) -> float:
@@ -893,9 +857,9 @@ def _scaled_sumsq(X: np.ndarray, big: float) -> float:
 
 
 def _lu_with_parity(B: np.ndarray):
-    """Partially pivoted LU ``B[perm] = L U`` in the packed form of LAPACK
-    ``dgetrf`` (unit lower L below the diagonal, U on and above it), and
-    ``perm`` with its parity.
+    """Partially pivoted LU ``B[perm] = L U`` of a copy of ``B`` by LAPACK
+    ``dgetrf``, in its packed form (unit lower L below the diagonal, U on
+    and above it), and ``perm`` with its parity.
 
     ``perm`` is ``arange(n)`` put through the row interchanges by LAPACK
     ``dlaswp``, which takes the 0-based pivots; the parity is -1 to the
@@ -903,14 +867,25 @@ def _lu_with_parity(B: np.ndarray):
     """
     n = B.shape[0]
     if n == 0:
+        # dgetrf rejects an empty matrix
         return np.zeros((0, 0)), np.arange(0), 1
-    with warnings.catch_warnings():
-        # exact zero pivots are handled through the singular guard
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lufac, piv = sla.lu_factor(B, check_finite=False)
+    # an exact zero pivot (info > 0) is left to the caller's singular guard
+    lu, piv, info = sla.lapack.dgetrf(B)
+    if info < 0:
+        raise ValueError(f"dgetrf: illegal value in argument {-info}")
     perm = sla.lapack.dlaswp(np.arange(n, dtype=float)[:, None], piv)[:, 0]
     swaps = np.count_nonzero(piv != np.arange(n))
-    return lufac, perm.astype(np.intp), -1 if swaps % 2 else 1
+    return lu, perm.astype(np.intp), -1 if swaps % 2 else 1
+
+
+def _lu_sign(lu: np.ndarray, parity: int) -> int:
+    """Sign of the determinant of the matrix factored into the packed
+    ``lu`` with row-interchange parity ``parity``; 0 when a pivot is 0,
+    NaN or inf, which leaves it undefined."""
+    udiag = np.diag(lu)
+    if not (np.isfinite(udiag) & (udiag != 0.0)).all():
+        return 0
+    return int(parity * np.prod(np.sign(udiag)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ the operator's stored matrix, or materialize a product-backed one:
     then the Cholesky pivots of the Schur complement of the border (BLAS
     ``dtrsm`` and one product for the columns of each leading block, in
     place, and LAPACK ``dpotrf``), in leading blocks of doubling order as
-    for the Cholesky test; a verdict reached in one update assembles no
-    extended factors;
+    for the Cholesky test; only an update that continues past an
+    irregular pivot refactors the block absorbed before it;
   - :func:`inertia_test` factors the saddle-point matrix once (block LDL)
     and compares its inertia against (N, M, 0).
 
@@ -513,14 +513,17 @@ def bordered_hessian_test(
     factored in leading blocks of doubling order up to the block that
     holds the first irregular pivot.  An irregular pivot (negative,
     stalled or singular) ends that update at its column, and the next
-    update asks for the columns that are left.  Needs the Hessian entries
-    explicitly: an explicit operator's stored matrix is read as it is, a
-    product-backed one is materialized first (N products).  Provides no
-    direction of negative curvature on failure.  A numerically singular
-    minor makes the test inconclusive, which is reported as ERROR rather
-    than as a failure of the condition; so is NaN or inf in H or A
-    (``non_finite``), and a NaN or inf pivot (``non_finite`` at its step),
-    where the factorization of finite entries overflowed.
+    update asks for the columns that are left, first refactoring the block
+    absorbed so far unless the last update ended in a dense refactor; no
+    verdict on the benchmark workloads takes a second update.  Needs the
+    Hessian entries explicitly: an explicit operator's stored matrix is
+    read as it is, a product-backed one is materialized first (N
+    products).  Provides no direction of negative curvature on failure.
+    A numerically singular minor makes the test inconclusive, which is
+    reported as ERROR rather than as a failure of the condition; so is
+    NaN or inf in H or A (``non_finite``), and a NaN or inf pivot
+    (``non_finite`` at its step), where the factorization of finite
+    entries overflowed.
     """
     H, A, rejected = _dense_inputs(hessian, A)
     if rejected is not None:

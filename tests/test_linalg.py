@@ -737,6 +737,19 @@ class TestBorderedLu:
         with pytest.raises(FloatingPointError):
             lu.update(1)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_border_column_ends_the_update(self, bad):
+        # the order-3 minor is I_3; column 3 holds the non-finite entry, so
+        # the update stops before it, and the next one raises there rather
+        # than turning every floor into NaN
+        B = np.eye(4)
+        B[0, 3] = B[3, 0] = bad
+        lu = BorderedLu(B, 2)
+        assert list(lu.update(2)) == [1]
+        assert (lu.dim, lu.sign) == (3, 1)
+        with pytest.raises(FloatingPointError, match="column 3 is not finite"):
+            lu.update(1)
+
     def test_non_finite_refactored_pivot_raises(self):
         # the first new column's bordered pivot is not finite, and so is
         # the dense refactor of the grown block, whose LU overflows
@@ -825,6 +838,16 @@ class TestBorderedLu:
             d += len(got)
         return signs, None
 
+    @staticmethod
+    def factored_orders(monkeypatch):
+        """The orders of the dense LUs factored from here on, in order."""
+        orders = []
+        original = linalg._lu_with_parity
+        monkeypatch.setattr(
+            linalg, "_lu_with_parity", lambda C: orders.append(C.shape[0]) or original(C)
+        )
+        return orders
+
     @pytest.mark.parametrize("case", ["random", "zero_seed", "stall", "singular"])
     @pytest.mark.parametrize("seed", range(3))
     def test_block_border_matches_single_columns(self, case, seed, monkeypatch):
@@ -850,20 +873,16 @@ class TestBorderedLu:
             B[:d, d - 1] = 0.0
             B[d - 1, :d] = 0.0
 
-        refactors = []
-        original = linalg._lu_with_parity
-        monkeypatch.setattr(
-            linalg, "_lu_with_parity",
-            lambda C: refactors.append(C.shape[0]) or original(C),
-        )
+        refactors = self.factored_orders(monkeypatch)
         runs = []
         for width in (1, 3, total):
             refactors.clear()
             runs.append(self.grow(B, n0, width))
             assert runs[-1] == runs[0], f"width {width}"
             if case in ("zero_seed", "stall"):
-                # the constructor factors the seed; the rest are refactors
-                assert len(refactors) > 1
+                # every width takes the dense refactor of the irregular
+                # column's minor, whatever else it refactors to continue
+                assert (2 if case == "zero_seed" else d) in refactors
         signs, raised = runs[0]
         assert raised == (d if case == "singular" else None)
         for dim, sign in enumerate(signs, start=n0 + 1):
@@ -882,8 +901,8 @@ class TestBorderedLu:
         assert not caplog.records
 
     def test_pending_border_reads_like_the_assembled_one(self):
-        # dim and sign come from the kept pivots before the next update
-        # assembles the extended factors
+        # dim and sign are stored by the update that absorbs the border,
+        # and the next update refactors the block the border reached
         rng = np.random.default_rng(7)
         B = rng.standard_normal((30, 30))
         B = B @ B.T + 30 * np.eye(30)
@@ -896,27 +915,35 @@ class TestBorderedLu:
         assert (lu.dim, lu.sign) == (13, -1)
         assert list(lu.update(1)) == [naive_det_sign(B[:14, :14])]
 
-    def test_bht_holds_with_one_update_and_no_assembly(self, monkeypatch):
-        # the whole border is absorbed by one update, and nothing reads
-        # the extended factors afterwards, so none are assembled
+    def test_continued_update_refactors_the_absorbed_block(self, monkeypatch):
+        # an absorbed border is held by no factor: reading dim and sign
+        # factors nothing, and the next update refactors the 12 x 12 block
+        rng = np.random.default_rng(7)
+        B = rng.standard_normal((30, 30))
+        B = B @ B.T + 30 * np.eye(30)
+        B[12:, 12:] -= 100 * np.eye(18)
+        lu = BorderedLu(B, 4)
+        assert list(lu.update(8)) == [1] * 8
+        refactors = self.factored_orders(monkeypatch)
+        assert (lu.dim, lu.sign) == (12, 1)
+        assert refactors == []
+        assert list(lu.update(1)) == [naive_det_sign(B[:13, :13])]
+        assert refactors == [12]
+
+    def test_bht_holds_with_one_update_and_one_factorization(self, monkeypatch):
+        # the whole border is absorbed by one update, and nothing continues
+        # past it, so the seed's is the only dense LU
         problem = generate(GeneratorSpec(n=60, m=20, p=60, seed=1))
-        updates, assembled = [], []
-        update, commit = BorderedLu.update, BorderedLu._commit
-
-        def counted_commit(self):
-            if self._pending is not None:
-                assembled.append(self.dim)
-            return commit(self)
-
+        updates, update = [], BorderedLu.update
         monkeypatch.setattr(
             BorderedLu, "update", lambda self, *a: updates.append(1) or update(self, *a)
         )
-        monkeypatch.setattr(BorderedLu, "_commit", counted_commit)
+        factored = self.factored_orders(monkeypatch)
         verdict = bordered_hessian_test(HessianOperator.from_matrix(problem.hessian),
                                         problem.jacobian)
         assert verdict.holds
         assert verdict.diagnostics["minors"] == 40
-        assert (len(updates), len(assembled)) == (1, 0)
+        assert (len(updates), factored) == (1, [40])
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("k", [1, 5, 300])
@@ -930,7 +957,7 @@ class TestBorderedLu:
         kept = B.copy()
         lu = BorderedLu(B, 4)
         assert list(lu.update(k)) == [1] * k
-        # a second update assembles the first border's factors
+        # a second update refactors the block the first border reached
         assert list(lu.update(2)) == [1, 1]
         np.testing.assert_array_equal(B, kept)
 
